@@ -2,12 +2,10 @@
 
 Belief entropy is estimated directly from the weighted particle set, using
 the pairwise transition densities between consecutive particle clouds and
-the measurement likelihoods of the incorporated reading. Expected entropy
-reduction (EER) scores a candidate action by propagating a small hypothesis
-set noise-free through the motion model, predicting one representative
-measurement per hypothesis from the map, and averaging the resulting
-posterior entropies against the no-measurement baseline at the same
-horizon. All sums run in log space; entropies are reported in bits.
+the measurement likelihoods of the incorporated reading (the particle
+entropy estimator of Boers, Driessen, Bagchi and Mandal, FUSION 2010). All
+sums run in log space through the one `logsumexp` below; entropies are
+reported in bits.
 
 Estimator conventions (the hard cases, pinned down by the oracle tests):
 
@@ -30,27 +28,39 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   given predicted measurement z_j, and pbar_j the normalized likelihoods
   p(z_j | hypothesis j). Both entropies run over the same M hypotheses, so
   an uninformative map cancels the two terms identically.
+
+`eer` scores all A candidate actions of a planning step in one batched
+kernel over an (A, M, 3) hypothesis tensor. One rng.choice call of shape
+(A, M) draws every hypothesis set; it consumes the generator exactly like A
+successive size-M draws in action order. One noise-free horizon loop rolls
+all actions forward together (they share one speed; omega * dt broadcasts
+per action). Because the rollout is noise free, the terminal hypotheses are
+themselves the transition means of the step before them, so the (A, M, M)
+transition block is centred on them directly. The (A, M, M) likelihood
+block follows from the predicted map values alone: z_j is the map value at
+hypothesis j. A failure confined to one action's rollout (a non-finite
+estimate) fails that action alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .magmap import MagMap, sample_points
 from .models import (
-    OUT_OF_MAP_PENALTY,
     ControlInput,
-    DegenerateDensityError,
     ModelSet,
     measurement_log_likelihood_array,
-    motion_mean_array,
+    sensor_log_likelihood,
+    transition_log_density_from_means,
     transition_log_density_matrix,
+    unicycle_mean,
 )
-from .pflocal import ParticleBelief
+from .pflocal import ParticleBelief, _safe_log
 
 LN2 = math.log(2.0)
 
@@ -86,51 +96,17 @@ class EerValue:
             raise EntropyError(f"EER is not finite: {self.bits}")
 
 
-@dataclass(frozen=True)
-class EerHypothesisSet:
-    """A candidate action's rollout: M hypotheses at the last two horizon steps.
+def logsumexp(a, axis=None) -> np.ndarray:
+    """log(sum(exp(a))) over `axis` (every axis when None), shifted by the max.
 
-    `states_prev` holds the hypotheses one step before the terminal step,
-    `states` the terminal ones; the transition densities between the two
-    feed the entropy estimates. `predicted_z` is the map value at each
-    terminal hypothesis (clamped to the extent when a rollout exits).
+    A slice that is all -inf gives -inf; nan propagates.
     """
-
-    m_count: int
-    horizon_steps: int
-    action: ControlInput
-    states_prev: np.ndarray
-    states: np.ndarray
-    weights: np.ndarray
-    predicted_z: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.m_count < 2:
-            raise InfoGainError(f"need at least 2 hypotheses, got {self.m_count}")
-        if self.horizon_steps < 1:
-            raise InfoGainError(f"horizon must be >= 1, got {self.horizon_steps}")
-        for name in ("states_prev", "states"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.m_count, 3):
-                raise InfoGainError(f"{name} must be ({self.m_count}, 3), got {arr.shape}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("weights", "predicted_z"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.m_count,):
-                raise InfoGainError(f"{name} must be ({self.m_count},), got {arr.shape}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise InfoGainError("hypothesis weights must sum to 1")
-
-
-def _safe_log(w: np.ndarray) -> np.ndarray:
-    out = np.full(w.shape, -np.inf)
-    np.log(w, out=out, where=w > 0)
-    return out
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+    return np.squeeze(out + peak, axis=axis)
 
 
 def _log_predicted_density(
@@ -155,18 +131,6 @@ def _expectation(weights: np.ndarray, log_terms: np.ndarray, what: str) -> float
     return float(terms.sum())
 
 
-def _posterior_entropy_nats(
-    log_lik: np.ndarray,
-    log_pred: np.ndarray,
-    w_prev: np.ndarray,
-    w_post: np.ndarray,
-) -> float:
-    log_evidence = float(logsumexp(log_lik + _safe_log(w_prev)))
-    if not math.isfinite(log_evidence):
-        raise EntropyError("measurement has zero mass under the predicted belief")
-    return log_evidence - _expectation(w_post, log_lik + log_pred, "posterior entropy")
-
-
 def entropy_posterior(
     prev: ParticleBelief,
     cur: ParticleBelief,
@@ -186,7 +150,12 @@ def entropy_posterior(
     log_pred = _log_predicted_density(
         cur.particles, prev.particles, prev.weights, u, models
     )
-    nats = _posterior_entropy_nats(log_lik, log_pred, prev.weights, cur.weights)
+    log_evidence = float(logsumexp(log_lik + _safe_log(prev.weights)))
+    if not math.isfinite(log_evidence):
+        raise EntropyError("measurement has zero mass under the predicted belief")
+    nats = log_evidence - _expectation(
+        cur.weights, log_lik + log_pred, "posterior entropy"
+    )
     return EntropyEstimate(nats / LN2, cur.n, with_measurement=True)
 
 
@@ -206,20 +175,30 @@ def entropy_predicted(
     return EntropyEstimate(nats / LN2, cur.n, with_measurement=False)
 
 
-def build_hypotheses(
+def eer(
     b: ParticleBelief,
-    a: ControlInput,
+    actions: Sequence[ControlInput],
     grid: MagMap,
     models: ModelSet,
     m_count: int,
     horizon_steps: int,
     rng: np.random.Generator,
-) -> EerHypothesisSet:
-    """Subsample M hypotheses proportional to weight and roll them out.
+) -> tuple[EerValue | EntropyError, ...]:
+    """Expected entropy reduction of each action, in bits, in action order.
 
-    The rollout holds the action constant and uses the noise-free motion
-    mean; each terminal hypothesis predicts the measurement it would see by
-    querying the map there (clamped to the extent if it left the map).
+    M hypotheses per action are subsampled proportional to weight and rolled
+    out noise free with the action held constant; each terminal hypothesis
+    predicts the measurement it would see by querying the map there
+    (clamped to the extent if it left the map). The expectation runs over
+    one representative future measurement per hypothesis, weighted by the
+    normalized likelihoods p(z_j | hypothesis j). Baseline and future
+    entropies are both evaluated at the terminal horizon step over the same
+    hypothesis set, so a map with no gradient yields exactly zero.
+
+    An action whose estimate comes out non-finite gets the EntropyError
+    that says why in its slot; the others are unaffected. Arguments that
+    fail every action raise InfoGainError, and a zero motion or sensor
+    sigma raises DegenerateDensityError.
     """
     if m_count > b.n:
         raise InfoGainError(f"m_count {m_count} exceeds particle count {b.n}")
@@ -227,103 +206,60 @@ def build_hypotheses(
         raise InfoGainError(f"need at least 2 hypotheses, got {m_count}")
     if horizon_steps < 1:
         raise InfoGainError(f"horizon must be >= 1, got {horizon_steps}")
-    idx = rng.choice(b.n, size=m_count, replace=True, p=b.weights)
+    speeds = {a.v for a in actions}
+    if len(speeds) != 1:
+        raise InfoGainError(f"actions must share one linear speed, got {speeds}")
+    n_actions = len(actions)
+    omega = np.array([a.omega for a in actions])[:, None]
+    idx = rng.choice(b.n, size=(n_actions, m_count), replace=True, p=b.weights)
     states = b.particles[idx]
-    for _ in range(horizon_steps - 1):
-        states = motion_mean_array(states, a, models.dt)
-    states_prev = states
-    states = motion_mean_array(states_prev, a, models.dt)
-    predicted_z = sample_points(grid, grid.clamp(states[:, :2]))
-    return EerHypothesisSet(
-        m_count=m_count,
-        horizon_steps=horizon_steps,
-        action=a,
-        states_prev=states_prev,
-        states=states,
-        weights=np.full(m_count, 1.0 / m_count),
-        predicted_z=predicted_z,
+    for _ in range(horizon_steps):
+        states = unicycle_mean(states, actions[0].v, omega, models.dt)
+
+    w = 1.0 / m_count
+    log_w = math.log(w)
+    pts = states[..., :2].reshape(-1, 2)
+    z_pred = sample_points(grid, grid.clamp(pts)).reshape(n_actions, m_count)
+    inside = grid.contains(pts).reshape(n_actions, m_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (a, i, j): log p(x_i | hypothesis j one step earlier), whose motion
+        # mean is x_j, and log p(z_j | x_i).
+        log_t = transition_log_density_from_means(states, states, models.motion)
+        log_lik = sensor_log_likelihood(
+            z_pred[:, None, :], z_pred[:, :, None], inside[:, :, None], models.sensor
+        )
+        log_pred = logsumexp(log_t + log_w, axis=2)
+        h_base = -(w * log_pred).sum(axis=1)
+        log_joint = log_lik + log_w
+        log_evidence = logsumexp(log_joint, axis=1)
+        w_post = np.exp(log_joint - log_evidence[:, None, :])
+        terms = np.where(w_post > 0, w_post * (log_lik + log_pred[:, :, None]), 0.0)
+        h_future = log_evidence - terms.sum(axis=1)
+        # p(z_j | x_j) sits on the likelihood block's diagonal; normalize
+        # across j so the future-entropy average is a proper expectation.
+        log_pz = np.diagonal(log_lik, axis1=1, axis2=2)
+        pbar = np.exp(log_pz - logsumexp(log_pz, axis=1)[:, None])
+        nats = h_base - np.einsum("aj,aj->a", pbar, h_future)
+
+    checks = (
+        (np.isfinite(log_pred).all(axis=1),
+         "horizon baseline entropy: positive-weight particle with zero density"),
+        (np.isfinite(log_evidence).all(axis=1),
+         "a predicted measurement has zero mass under the rollout"),
+        (np.isfinite(terms).all(axis=(1, 2)),
+         "future entropy: positive-weight hypothesis with zero density"),
     )
-
-
-def future_entropy(
-    hyp: EerHypothesisSet, z_future: float, grid: MagMap, models: ModelSet
-) -> EntropyEstimate:
-    """Posterior entropy at the rollout's terminal step, given z_future."""
-    log_lik = measurement_log_likelihood_array(
-        z_future, hyp.states, grid, models.sensor
-    )
-    log_pred = _log_predicted_density(
-        hyp.states, hyp.states_prev, hyp.weights, hyp.action, models
-    )
-    log_post = log_lik + _safe_log(hyp.weights)
-    log_post -= logsumexp(log_post)
-    nats = _posterior_entropy_nats(log_lik, log_pred, hyp.weights, np.exp(log_post))
-    return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=True)
-
-
-def predicted_entropy_at_horizon(hyp: EerHypothesisSet, models: ModelSet) -> EntropyEstimate:
-    """No-measurement entropy at the rollout's terminal step (the EER baseline)."""
-    log_pred = _log_predicted_density(
-        hyp.states, hyp.states_prev, hyp.weights, hyp.action, models
-    )
-    nats = -_expectation(hyp.weights, log_pred, "horizon baseline entropy")
-    return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=False)
-
-
-def eer(
-    b: ParticleBelief,
-    a: ControlInput,
-    grid: MagMap,
-    models: ModelSet,
-    m_count: int,
-    horizon_steps: int,
-    rng: np.random.Generator,
-) -> EerValue:
-    """Expected entropy reduction of taking action a, in bits.
-
-    The expectation runs over one representative future measurement per
-    hypothesis, weighted by the normalized likelihoods p(z_j | hypothesis j).
-    Baseline and future entropies are both evaluated at the terminal horizon
-    step over the same hypothesis set, so a map with no gradient yields
-    exactly zero for every action.
-    """
-    hyp = build_hypotheses(b, a, grid, models, m_count, horizon_steps, rng)
-    log_w = _safe_log(hyp.weights)
-    log_pred = _log_predicted_density(
-        hyp.states, hyp.states_prev, hyp.weights, hyp.action, models
-    )
-    h_base = -_expectation(hyp.weights, log_pred, "horizon baseline entropy")
-
-    # (i, j) = log p(z_j | hypothesis i). Because z_j is the map value at
-    # hypothesis j, the whole matrix follows from the predicted values; the
-    # arithmetic mirrors measurement_log_likelihood_array term for term so
-    # the two paths agree bit for bit.
-    sigma = models.sensor.sigma_z
-    if sigma == 0:
-        raise DegenerateDensityError("future entropy undefined at sigma_z = 0")
-    inside = grid.contains(hyp.states[:, :2])
-    resid = (hyp.predicted_z[None, :] - hyp.predicted_z[:, None]) / sigma
-    log_pdf = -0.5 * resid**2 - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
-    log_lik = np.where(
-        inside[:, None], log_pdf, log_pdf + math.log(OUT_OF_MAP_PENALTY)
-    )
-
-    log_evidence = logsumexp(log_lik + log_w[:, None], axis=0)
-    if not np.all(np.isfinite(log_evidence)):
-        raise EntropyError("a predicted measurement has zero mass under the rollout")
-    w_post = np.exp(log_lik + log_w[:, None] - log_evidence[None, :])
-    inner = log_lik + log_pred[:, None]
-    terms = np.where(w_post > 0, w_post * inner, 0.0)
-    if not np.all(np.isfinite(terms)):
-        raise EntropyError("future entropy: positive-weight hypothesis with zero density")
-    h_future = log_evidence - terms.sum(axis=0)
-
-    # p(z_j | x_j) sits on the likelihood matrix diagonal; normalize across j
-    # so the future-entropy average is a proper expectation.
-    log_pz = np.diagonal(log_lik)
-    pbar = np.exp(log_pz - logsumexp(log_pz))
-    nats = h_base - float(pbar @ h_future)
-    return EerValue(nats / LN2, a)
+    out: list[EerValue | EntropyError] = []
+    for k, a in enumerate(actions):
+        reason = next((why for ok, why in checks if not ok[k]), None)
+        if reason is not None:
+            out.append(EntropyError(reason))
+            continue
+        try:
+            out.append(EerValue(float(nats[k]) / LN2, a))
+        except EntropyError as exc:
+            out.append(exc)
+    return tuple(out)
 
 
 def iqr_reject(series) -> np.ndarray:

@@ -128,14 +128,25 @@ class ModelSet:
             raise ModelError(f"dt must be finite and > 0, got {self.dt}")
 
 
+def unicycle_mean(
+    states: np.ndarray, v: float, omega: float | np.ndarray, dt: float
+) -> np.ndarray:
+    """Noise-free unicycle step on a (..., 3) stack of [x, y, theta] rows.
+
+    `omega` is a scalar or an array that broadcasts against
+    `states[..., 2]`, so one call can step several turn rates at once.
+    """
+    out = np.empty_like(states)
+    out[..., 0] = states[..., 0] + v * np.cos(states[..., 2]) * dt
+    out[..., 1] = states[..., 1] + v * np.sin(states[..., 2]) * dt
+    out[..., 2] = wrap_angle_array(states[..., 2] + omega * dt)
+    return out
+
+
 def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndarray:
     """Noise-free unicycle step applied to every [x, y, theta] row."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    out = np.empty_like(states)
-    out[:, 0] = states[:, 0] + u.v * np.cos(states[:, 2]) * dt
-    out[:, 1] = states[:, 1] + u.v * np.sin(states[:, 2]) * dt
-    out[:, 2] = wrap_angle_array(states[:, 2] + u.omega * dt)
-    return out
+    return unicycle_mean(states, u.v, u.omega, dt)
 
 
 def step_motion_array(
@@ -189,17 +200,26 @@ def transition_log_density_matrix(
     dt: float,
     noise: MotionNoise,
 ) -> np.ndarray:
-    """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix.
+    """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
+    nxt = np.atleast_2d(np.asarray(next_states, dtype=float))
+    return transition_log_density_from_means(
+        nxt, motion_mean_array(prev_states, u, dt), noise
+    )
 
-    The angular residual is wrapped before the Gaussian is evaluated so a
-    heading step across the +/-pi seam is not scored as a near-full turn.
+
+def transition_log_density_from_means(
+    next_states: np.ndarray, means: np.ndarray, noise: MotionNoise
+) -> np.ndarray:
+    """Pairwise log N(next_i; mean_j, noise) for (..., N, 3) and (..., M, 3) stacks.
+
+    Leading axes broadcast, giving a (..., N, M) block. The angular residual
+    is wrapped before the Gaussian is evaluated so a heading step across the
+    +/-pi seam is not scored as a near-full turn.
     """
     _check_densities_valid(noise)
-    nxt = np.atleast_2d(np.asarray(next_states, dtype=float))
-    pred = motion_mean_array(prev_states, u, dt)
-    dx = nxt[:, 0:1] - pred[None, :, 0]
-    dy = nxt[:, 1:2] - pred[None, :, 1]
-    dth = wrap_angle_array(nxt[:, 2:3] - pred[None, :, 2])
+    dx = next_states[..., :, None, 0] - means[..., None, :, 0]
+    dy = next_states[..., :, None, 1] - means[..., None, :, 1]
+    dth = wrap_angle_array(next_states[..., :, None, 2] - means[..., None, :, 2])
     log_norm = -(
         math.log(noise.sigma_x)
         + math.log(noise.sigma_y)
@@ -239,14 +259,21 @@ def measurement_log_likelihood_array(
     log(OUT_OF_MAP_PENALTY) markdown, keeping weights finite while strongly
     discounting escaped hypotheses.
     """
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    pts = states[:, :2]
+    predicted = sample_points(grid, grid.clamp(pts))
+    return sensor_log_likelihood(z, predicted, grid.contains(pts), noise)
+
+
+def sensor_log_likelihood(
+    z, predicted: np.ndarray, inside: np.ndarray, noise: SensorNoise
+) -> np.ndarray:
+    """Log N(z; predicted, sigma_z), marked down by OUT_OF_MAP_PENALTY where
+    `inside` is False. All three arrays broadcast against each other."""
     if noise.sigma_z == 0:
         raise DegenerateDensityError(
             "measurement likelihood undefined at sigma_z = 0"
         )
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    pts = states[:, :2]
-    inside = grid.contains(pts)
-    predicted = sample_points(grid, grid.clamp(pts))
     resid = (z - predicted) / noise.sigma_z
     log_pdf = -0.5 * resid**2 - math.log(noise.sigma_z) - 0.5 * math.log(TWO_PI)
     return np.where(inside, log_pdf, log_pdf + math.log(OUT_OF_MAP_PENALTY))

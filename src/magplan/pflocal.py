@@ -47,6 +47,13 @@ class WeightCollapseError(FilterError):
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
+def _safe_log(w: np.ndarray) -> np.ndarray:
+    """Elementwise log with log(0) = -inf, never touching the zero entries."""
+    out = np.full(w.shape, -np.inf)
+    np.log(w, out=out, where=w > 0)
+    return out
+
+
 def _as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -160,8 +167,9 @@ def update(
     150 nT sensor across a flat map region underflow linear-space products
     long before the posterior is actually degenerate.
     """
-    log_w = np.where(b.weights > 0, np.log(b.weights, where=b.weights > 0), -np.inf)
-    log_w = log_w + measurement_log_likelihood_array(z, b.particles, grid, noise)
+    log_w = _safe_log(b.weights) + measurement_log_likelihood_array(
+        z, b.particles, grid, noise
+    )
     peak = float(np.max(log_w))
     if not math.isfinite(peak):
         raise WeightCollapseError("every particle has zero posterior mass")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .infogain import InfoGainError, eer
+from .infogain import EerValue, InfoGainError, eer
 from .magmap import MagMap
 from .models import ControlInput, ModelSet, Pose
 from .pflocal import ParticleBelief, estimate
@@ -155,27 +155,32 @@ def select_action(
     """Evaluate every action from the belief's mean pose and take the argmin.
 
     A failing rollout costs +inf and carries its error in the diagnostics;
-    selection fails only if every action fails. EER is evaluated in fixed
-    action order from the shared rng, so the choice is reproducible.
+    selection fails only if every action fails. EER for the whole action
+    set is one batched draw from the shared rng, in action order, so the
+    choice is reproducible.
     """
     if distance_mode not in ("mean_pose", "particle_mean"):
         raise PlannerError(f"unknown distance_mode {distance_mode!r}")
     mean_pose = estimate(b).mean
+    try:
+        gains = eer(
+            b, aset.actions, grid, models, eer_params.m_count,
+            eer_params.horizon_steps, rng,
+        )
+    except InfoGainError as exc:
+        gains = (exc,) * len(aset)
     diags: list[ActionDiagnostics] = []
-    for a in aset.actions:
+    for a, gain in zip(aset.actions, gains):
         if distance_mode == "mean_pose":
             dist = expected_distance(mean_pose, a, goal, models.dt)
         else:
             dist = expected_distance_over_particles(b, a, goal, models.dt)
-        try:
-            gain = eer(
-                b, a, grid, models, eer_params.m_count, eer_params.horizon_steps, rng
-            )
+        if isinstance(gain, EerValue):
             diags.append(
                 ActionDiagnostics(a, gain.bits, dist, action_cost(gain.bits, dist, w))
             )
-        except InfoGainError as exc:
-            diags.append(ActionDiagnostics(a, math.nan, dist, math.inf, str(exc)))
+        else:
+            diags.append(ActionDiagnostics(a, math.nan, dist, math.inf, str(gain)))
     best = min(range(len(diags)), key=lambda i: diags[i].cost)
     if not math.isfinite(diags[best].cost):
         raise PlannerError(

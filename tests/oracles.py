@@ -11,8 +11,20 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import logsumexp
+
+from magplan.infogain import EntropyEstimate
+from magplan.magmap import MagMap, sample_points
+from magplan.models import (
+    ControlInput,
+    ModelSet,
+    measurement_log_likelihood_array,
+    motion_mean_array,
+    transition_log_density_matrix,
+)
 from magplan.tlcal import MagSample
 
 LN2 = math.log(2.0)
@@ -327,3 +339,70 @@ def direct_eer_bits(
     total = sum(p_meas)
     eer_nats = h_base - sum(p_meas[j] / total * h_future[j] for j in range(m_count))
     return eer_nats / LN2
+
+
+# --- One action's EER rollout, scalar form ----------------------------------
+#
+# The per-action form of the library's batched EER kernel: one action's
+# hypothesis set, rolled out with the library's motion step and scored with
+# the library's densities but scipy's logsumexp.
+
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """M hypotheses at the last two horizon steps of one action's rollout."""
+
+    m_count: int
+    action: ControlInput
+    states_prev: np.ndarray
+    states: np.ndarray
+    weights: np.ndarray
+    predicted_z: np.ndarray
+
+
+def build_hypotheses(
+    b,
+    a: ControlInput,
+    grid: MagMap,
+    models: ModelSet,
+    m_count: int,
+    horizon_steps: int,
+    rng: np.random.Generator,
+) -> Hypotheses:
+    """Subsample M hypotheses proportional to weight (one choice() call, as
+    the library draws one action's block) and roll them out noise free."""
+    idx = rng.choice(b.n, size=m_count, replace=True, p=b.weights)
+    states = b.particles[idx]
+    for _ in range(horizon_steps - 1):
+        states = motion_mean_array(states, a, models.dt)
+    states_prev = states
+    states = motion_mean_array(states_prev, a, models.dt)
+    predicted_z = sample_points(grid, grid.clamp(states[:, :2]))
+    return Hypotheses(
+        m_count, a, states_prev, states, np.full(m_count, 1.0 / m_count), predicted_z
+    )
+
+
+def _hyp_log_pred(hyp: Hypotheses, models: ModelSet) -> np.ndarray:
+    log_t = transition_log_density_matrix(
+        hyp.states, hyp.states_prev, hyp.action, models.dt, models.motion
+    )
+    return logsumexp(log_t + np.log(hyp.weights)[None, :], axis=1)
+
+
+def future_entropy(
+    hyp: Hypotheses, z_future: float, grid: MagMap, models: ModelSet
+) -> EntropyEstimate:
+    """Posterior entropy at the rollout's terminal step, given z_future."""
+    log_lik = measurement_log_likelihood_array(z_future, hyp.states, grid, models.sensor)
+    log_w = np.log(hyp.weights)
+    log_evidence = logsumexp(log_lik + log_w)
+    w_post = np.exp(log_lik + log_w - log_evidence)
+    nats = log_evidence - float(w_post @ (log_lik + _hyp_log_pred(hyp, models)))
+    return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=True)
+
+
+def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEstimate:
+    """No-measurement entropy at the rollout's terminal step (the EER baseline)."""
+    nats = -float(hyp.weights @ _hyp_log_pred(hyp, models))
+    return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=False)

@@ -29,7 +29,7 @@ from magplan.infogain import eer, entropy_posterior, entropy_predicted, iqr_reje
 from magplan.magmap import MagMap
 from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, SensorNoise
 from magplan.pflocal import estimate, init, predict, resample_if_needed, update
-from magplan.simloop import sweep
+from magplan.simloop import run_episode, sweep
 from oracles import GridBayes1D, kalman_posterior_entropy_bits, make_tl_log
 from test_tlcal import EPS_STAR
 
@@ -172,9 +172,9 @@ def test_04_flat_map_yields_zero_gain(uniform_grid):
             seed=seed,
         )
         for omega in turn_rates:
-            gain = eer(
+            (gain,) = eer(
                 b,
-                ControlInput(0.2, omega),
+                (ControlInput(0.2, omega),),
                 uniform_grid,
                 models,
                 m_count=30,
@@ -308,6 +308,30 @@ def test_08_byte_identical_reruns(tmp_path):
     assert main(["sweep", "--config", str(mini), "--out", str(sb), "--quiet"]) == 0
     for name in ("summary.csv", "trace_wh0_seed0.csv", "trace_wh5_seed0.csv"):
         assert (sa / name).read_bytes() == (sb / name).read_bytes()
+
+
+# The action sequences chosen at the commit that introduced this test; any
+# drift in the planner's choices across changes fails here, not only
+# between two runs of the same code as in test_08.
+PINNED_PEAK_EPISODE = (
+    "24343134312434133225431300212221303333432344423341321124454420050225000020"
+    "340423132332233232323232323232"
+)
+
+
+def test_08b_action_sequences_pinned():
+    raw = load_config(str(CONFIGS / "peak_episode.cfg"))
+    trace = run_episode(build_episode_config(raw, str(CONFIGS)))
+    assert trace.reached_goal
+    assert "".join(str(r.action_index) for r in trace.rows) == PINNED_PEAK_EPISODE
+
+    raw = load_config(str(CONFIGS / "peak_sweep.cfg"))
+    raw["sweep.w_h_values"] = "5"
+    raw["sweep.seeds"] = "0"
+    base = build_episode_config(raw, str(CONFIGS))
+    cell = sweep(base, *sweep_params(raw)).cell(5.0, 0)
+    assert cell.trace.reached_goal
+    assert "".join(str(r.action_index) for r in cell.trace.rows) == PINNED_PEAK_EPISODE
 
 
 # --- 9: outlier filter contract ---

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from conftest import RAMP_BASE, RAMP_X0, STD_DT, STD_MOTION, STD_SENSOR, ramp_field
 from magplan.models import (
@@ -20,26 +21,28 @@ from magplan.models import (
     motion_mean_array,
 )
 from magplan.pflocal import ParticleBelief, init, predict, update
+from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_action
 from magplan.infogain import (
-    EerHypothesisSet,
     EerValue,
     EntropyError,
     EntropyEstimate,
     InfoGainError,
-    build_hypotheses,
     eer,
     entropy_posterior,
     entropy_predicted,
-    future_entropy,
     iqr_reject,
-    predicted_entropy_at_horizon,
+    logsumexp,
 )
+from magplan.magmap import sample
 from oracles import (
+    build_hypotheses,
     direct_eer_bits,
     direct_posterior_entropy_bits,
     direct_predicted_entropy_bits,
+    future_entropy,
     gaussian_entropy_bits,
     kalman_posterior_entropy_bits,
+    predicted_entropy_at_horizon,
 )
 
 TURN_RATES = [math.radians(d) for d in (-25.0, -15.0, -5.0, 5.0, 15.0, 25.0)]
@@ -262,38 +265,18 @@ def test_build_hypotheses_clamps_escaped_rollouts(ramp_grid, models):
     assert np.allclose(hyp.predicted_z, ramp_field(20.0, 0.0), atol=1e-9)
 
 
-def test_build_hypotheses_validation(ramp_grid, models):
+def test_eer_validation(ramp_grid, models):
     b = ramp_belief(2, n=10)
     rng = np.random.default_rng(0)
+    a = (ControlInput(0.2, 0.0),)
     with pytest.raises(InfoGainError):
-        build_hypotheses(b, ControlInput(0.2, 0.0), ramp_grid, models, 11, 5, rng)
+        eer(b, a, ramp_grid, models, 11, 5, rng)
     with pytest.raises(InfoGainError):
-        build_hypotheses(b, ControlInput(0.2, 0.0), ramp_grid, models, 1, 5, rng)
+        eer(b, a, ramp_grid, models, 1, 5, rng)
     with pytest.raises(InfoGainError):
-        build_hypotheses(b, ControlInput(0.2, 0.0), ramp_grid, models, 5, 0, rng)
-
-
-def test_hypothesis_set_validation():
+        eer(b, a, ramp_grid, models, 5, 0, rng)
     with pytest.raises(InfoGainError):
-        EerHypothesisSet(
-            m_count=2,
-            horizon_steps=1,
-            action=ControlInput(0.1, 0.0),
-            states_prev=np.zeros((2, 3)),
-            states=np.zeros((2, 3)),
-            weights=np.array([0.9, 0.3]),
-            predicted_z=np.zeros(2),
-        )
-    with pytest.raises(InfoGainError):
-        EerHypothesisSet(
-            m_count=3,
-            horizon_steps=1,
-            action=ControlInput(0.1, 0.0),
-            states_prev=np.zeros((2, 3)),
-            states=np.zeros((3, 3)),
-            weights=np.full(3, 1 / 3),
-            predicted_z=np.zeros(3),
-        )
+        eer(b, (ControlInput(0.2, 0.0), ControlInput(0.3, 0.0)), ramp_grid, models, 5, 5, rng)
 
 
 # --- future entropy ---
@@ -342,7 +325,9 @@ def test_future_entropy_gradient_informative(ramp_grid, uniform_grid, models):
 def test_eer_matches_direct_oracle(ramp_grid, models):
     b = ramp_belief(17, n=60, spread=0.2)
     u = ControlInput(0.2, 0.1)
-    got = eer(b, u, ramp_grid, models, m_count=25, horizon_steps=3, rng=np.random.default_rng(77))
+    (got,) = eer(
+        b, (u,), ramp_grid, models, m_count=25, horizon_steps=3, rng=np.random.default_rng(77)
+    )
     want = direct_eer_bits(
         b.particles,
         b.weights,
@@ -370,9 +355,9 @@ def test_eer_zero_on_uniform_map(uniform_grid, models):
             seed=seed,
         )
         for omega in TURN_RATES:
-            v = eer(
+            (v,) = eer(
                 b,
-                ControlInput(0.2, omega),
+                (ControlInput(0.2, omega),),
                 uniform_grid,
                 models,
                 m_count=30,
@@ -385,8 +370,8 @@ def test_eer_zero_on_uniform_map(uniform_grid, models):
 def test_eer_deterministic_given_rng(peak_grid, models):
     b = init(Pose(5.0, 0.5, 0.0), np.diag([0.3**2, 0.3**2, 0.01]), 250, seed=3)
     u = ControlInput(0.2, math.radians(15.0))
-    a = eer(b, u, peak_grid, models, 30, 10, np.random.default_rng(5)).bits
-    b2 = eer(b, u, peak_grid, models, 30, 10, np.random.default_rng(5)).bits
+    a = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0].bits
+    b2 = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0].bits
     assert a == b2
 
 
@@ -405,8 +390,8 @@ def test_eer_prefers_gradient_over_flat_heading(peak_grid, models):
         rng_t = np.random.default_rng(seed * 2 + 1)
         rng_a = np.random.default_rng(seed * 2 + 1)
         assert (
-            eer(b, toward, peak_grid, models, 30, 10, rng_t).bits
-            > eer(b, away, peak_grid, models, 30, 10, rng_a).bits
+            eer(b, (toward,), peak_grid, models, 30, 10, rng_t)[0].bits
+            > eer(b, (away,), peak_grid, models, 30, 10, rng_a)[0].bits
         )
 
 
@@ -416,7 +401,7 @@ def test_eer_finite_when_rollouts_escape(ramp_grid, models):
         np.full(40, 1 / 40),
         np.random.default_rng(1),
     )
-    v = eer(b, ControlInput(0.2, 0.0), ramp_grid, models, 20, 30, np.random.default_rng(2))
+    (v,) = eer(b, (ControlInput(0.2, 0.0),), ramp_grid, models, 20, 30, np.random.default_rng(2))
     assert math.isfinite(v.bits)
 
 
@@ -424,7 +409,89 @@ def test_eer_rejects_degenerate_sensor(ramp_grid):
     models0 = ModelSet(STD_MOTION, SensorNoise(0.0), STD_DT)
     b = ramp_belief(3, n=20)
     with pytest.raises(DegenerateDensityError):
-        eer(b, ControlInput(0.2, 0.0), ramp_grid, models0, 10, 2, np.random.default_rng(0))
+        eer(b, (ControlInput(0.2, 0.0),), ramp_grid, models0, 10, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("grid_name", ["ramp_grid", "peak_grid"])
+def test_batched_eer_matches_scalar_oracle_per_action(grid_name, models, request):
+    # The kernel scores all six actions from one (A, M) draw; the oracle
+    # scores them one by one from the same generator, so action k sees the
+    # stream at the same position on both sides.
+    grid = request.getfixturevalue(grid_name)
+    actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
+    b = init(
+        Pose(5.0, 0.5, 0.0), np.diag([0.3**2, 0.3**2, math.radians(5.0) ** 2]), 250, seed=4
+    )
+    rng_kernel = np.random.default_rng(31)
+    rng_oracle = np.random.default_rng(31)
+    got = eer(b, actions, grid, models, m_count=30, horizon_steps=10, rng=rng_kernel)
+    for a, value in zip(actions, got):
+        want = direct_eer_bits(
+            b.particles,
+            b.weights,
+            (a.v, a.omega),
+            STD_DT,
+            (STD_MOTION.sigma_x, STD_MOTION.sigma_y, STD_MOTION.sigma_theta),
+            lambda x, y: sample(grid, (x, y)),
+            STD_SENSOR.sigma_z,
+            30,
+            10,
+            rng_oracle,
+        )
+        assert value.action == a
+        assert value.bits == pytest.approx(want, abs=1e-12)
+    assert rng_kernel.random() == rng_oracle.random()
+
+
+def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
+    # A non-finite map value under one action's terminal hypotheses makes
+    # that action's estimate non-finite; the other actions keep their values.
+    import magplan.infogain as infogain
+
+    actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
+    b = ramp_belief(9, n=60)
+    want = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    real_sample = infogain.sample_points
+
+    def poisoned(grid, pts):
+        out = real_sample(grid, pts).reshape(len(actions), -1)
+        out[2] = np.nan
+        return out.ravel()
+
+    monkeypatch.setattr(infogain, "sample_points", poisoned)
+    got = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    assert isinstance(got[2], EntropyError)
+    assert "zero mass" in str(got[2])
+    for k in (0, 1, 3, 4, 5):
+        assert got[k].bits == want[k].bits
+
+    goal = Goal((10.0, 0.0), 0.5)
+    r = select_action(
+        b, goal, ActionSet(actions), PlannerWeights(1.0, 1.0, 0.5), ramp_grid, models,
+        EerParams(20, 4), np.random.default_rng(6),
+    )
+    for k, d in enumerate(r.diagnostics):
+        if k == 2:
+            assert d.cost == math.inf and math.isnan(d.eer_bits) and "zero mass" in d.error
+        else:
+            assert math.isfinite(d.cost) and d.error is None
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(12)
+    for shape, axis in (((40,), None), ((7, 9), 0), ((7, 9), 1), ((3, 5, 6), 2), ((3, 5, 6), None)):
+        a = rng.normal(0.0, 50.0, shape)
+        a[rng.random(shape) < 0.3] = -np.inf
+        if len(shape) > 1:
+            a[(0,) * (len(shape) - 1)] = -np.inf  # one all -inf slice along the last axis
+        got = logsumexp(a, axis=axis)
+        want = scipy_logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(np.asarray(got)[finite], np.asarray(want)[finite], rtol=0, atol=1e-12)
+    assert logsumexp(np.full((2, 4), -np.inf), axis=1).tolist() == [-np.inf, -np.inf]
+    assert math.isnan(float(logsumexp(np.array([0.0, np.nan]))))
 
 
 def test_estimate_types_reject_nonfinite():
