@@ -140,14 +140,24 @@ def sample_points(grid: MagMap, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of the map at an (N, 2) array of positions.
 
     All points must lie inside the extent; raises OutOfMapError otherwise.
-    Callers that want edge clamping clamp first (see `MagMap.clamp`).
+    Callers that want edge clamping use `interpolate` on `MagMap.clamp`ed
+    points, which cannot fall outside.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not bool(np.all(grid.contains(pts))):
-        bad = pts[~grid.contains(pts)][0]
+    inside = grid.contains(pts)
+    if not bool(np.all(inside)):
+        bad = pts[~inside][0]
         raise OutOfMapError(
             f"point ({bad[0]:g}, {bad[1]:g}) outside map extent {grid.extent()}"
         )
+    return interpolate(grid, pts)
+
+
+def interpolate(grid: MagMap, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation at (N, 2) points already inside the extent.
+
+    No extent check: a point outside is extrapolated from its nearest cell.
+    """
     u = (pts[:, 0] - grid.origin[0]) / grid.cell_size
     v = (pts[:, 1] - grid.origin[1]) / grid.cell_size
     i0 = np.clip(np.floor(u).astype(int), 0, grid.width - 2)
@@ -165,11 +175,6 @@ def sample_points(grid: MagMap, points: np.ndarray) -> np.ndarray:
         + z01 * (1 - fu) * fv
         + z11 * fu * fv
     )
-
-
-def sample(grid: MagMap, p: tuple[float, float]) -> float:
-    """Field intensity (nT) at a single position inside the map."""
-    return float(sample_points(grid, np.asarray(p, dtype=float).reshape(1, 2))[0])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .magmap import MagMap, OutOfMapError, sample_points
+from .magmap import MagMap, OutOfMapError, interpolate, sample_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -193,6 +193,29 @@ def _check_densities_valid(noise: MotionNoise) -> None:
         )
 
 
+def wrap_residual(d: np.ndarray) -> np.ndarray:
+    """`wrap_angle_array(d)` in place, by two exact shifts instead of np.remainder.
+
+    Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
+    holds for the difference of two headings in [-pi, pi].
+    """
+    d += (d < 0) * TWO_PI
+    d -= (d > math.pi) * TWO_PI
+    return d
+
+
+def in_range_headings(states: np.ndarray) -> np.ndarray:
+    """A copy of an (..., 3) stack whose headings outside [-pi, pi] are wrapped.
+
+    In-range headings pass through untouched, so every state that came from
+    `init` or a motion step keeps its exact value.
+    """
+    out = np.array(states, dtype=float)
+    theta = out[..., 2]
+    out[..., 2] = np.where(np.abs(theta) <= math.pi, theta, wrap_angle_array(theta))
+    return out
+
+
 def transition_log_density_matrix(
     next_states: np.ndarray,
     prev_states: np.ndarray,
@@ -201,53 +224,53 @@ def transition_log_density_matrix(
     noise: MotionNoise,
 ) -> np.ndarray:
     """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
-    nxt = np.atleast_2d(np.asarray(next_states, dtype=float))
+    nxt = in_range_headings(np.atleast_2d(next_states))
     return transition_log_density_from_means(
         nxt, motion_mean_array(prev_states, u, dt), noise
     )
 
 
 def transition_log_density_from_means(
-    next_states: np.ndarray, means: np.ndarray, noise: MotionNoise
+    next_states: np.ndarray,
+    means: np.ndarray,
+    noise: MotionNoise,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairwise log N(next_i; mean_j, noise) for (..., N, 3) and (..., M, 3) stacks.
 
-    Leading axes broadcast, giving a (..., N, M) block. The angular residual
-    is wrapped before the Gaussian is evaluated so a heading step across the
-    +/-pi seam is not scored as a near-full turn.
+    Leading axes broadcast, giving a (..., N, M) block, written into `out`
+    when given. The angular residual is wrapped before the Gaussian is
+    evaluated so a heading step across the +/-pi seam is not scored as a
+    near-full turn. Every heading must lie in [-pi, pi] (see
+    `in_range_headings`); motion steps always return such headings.
     """
     _check_densities_valid(noise)
-    dx = next_states[..., :, None, 0] - means[..., None, :, 0]
-    dy = next_states[..., :, None, 1] - means[..., None, :, 1]
-    dth = wrap_angle_array(next_states[..., :, None, 2] - means[..., None, :, 2])
+    nxt = next_states[..., :, None, :]
+    mu = means[..., None, :, :]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(nxt.shape[:-1], mu.shape[:-1]))
+    tmp = np.empty_like(out)
     log_norm = -(
         math.log(noise.sigma_x)
         + math.log(noise.sigma_y)
         + math.log(noise.sigma_theta)
         + 1.5 * math.log(TWO_PI)
     )
-    return log_norm - 0.5 * (
-        (dx / noise.sigma_x) ** 2
-        + (dy / noise.sigma_y) ** 2
-        + (dth / noise.sigma_theta) ** 2
-    )
-
-
-def transition_log_density(
-    p_next: Pose, p: Pose, u: ControlInput, dt: float, noise: MotionNoise
-) -> float:
-    return float(
-        transition_log_density_matrix(
-            p_next.as_array().reshape(1, 3), p.as_array().reshape(1, 3), u, dt, noise
-        )[0, 0]
-    )
-
-
-def transition_density(
-    p_next: Pose, p: Pose, u: ControlInput, dt: float, noise: MotionNoise
-) -> float:
-    """Density of landing at p_next after one noisy step from p under u."""
-    return math.exp(transition_log_density(p_next, p, u, dt, noise))
+    # In place, in the operation order of the plain expression, so the result
+    # is bitwise the same: q = ((dx/sx)^2 + (dy/sy)^2) + (dth/st)^2, then
+    # log_norm - 0.5 * q.
+    np.subtract(nxt[..., 0], mu[..., 0], out=out)
+    out /= noise.sigma_x
+    np.square(out, out=out)
+    np.subtract(nxt[..., 1], mu[..., 1], out=tmp)
+    tmp /= noise.sigma_y
+    out += np.square(tmp, out=tmp)
+    np.subtract(nxt[..., 2], mu[..., 2], out=tmp)
+    wrap_residual(tmp)
+    tmp /= noise.sigma_theta
+    out += np.square(tmp, out=tmp)
+    out *= 0.5
+    return np.subtract(log_norm, out, out=out)
 
 
 def measurement_log_likelihood_array(
@@ -261,7 +284,7 @@ def measurement_log_likelihood_array(
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     pts = states[:, :2]
-    predicted = sample_points(grid, grid.clamp(pts))
+    predicted = interpolate(grid, grid.clamp(pts))
     return sensor_log_likelihood(z, predicted, grid.contains(pts), noise)
 
 
@@ -277,18 +300,6 @@ def sensor_log_likelihood(
     resid = (z - predicted) / noise.sigma_z
     log_pdf = -0.5 * resid**2 - math.log(noise.sigma_z) - 0.5 * math.log(TWO_PI)
     return np.where(inside, log_pdf, log_pdf + math.log(OUT_OF_MAP_PENALTY))
-
-
-def measurement_likelihood(
-    z: float, p: Pose, grid: MagMap, noise: SensorNoise
-) -> float:
-    return float(
-        np.exp(
-            measurement_log_likelihood_array(
-                z, p.as_array().reshape(1, 3), grid, noise
-            )[0]
-        )
-    )
 
 
 def simulate_measurement(

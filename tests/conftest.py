@@ -60,3 +60,9 @@ def ramp_grid() -> MagMap:
 def ramp_field(x: float, y: float) -> float:
     """Closed form of ramp_grid's field, for oracle implementations."""
     return RAMP_BASE + RAMP_SLOPE * (x - RAMP_X0)
+
+
+def bit_equal(a, b) -> bool:
+    """Same shape and the same float64 bit patterns (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -4,7 +4,10 @@ Everything here is written as plainly as possible (scalar loops, linear-space
 probability math, closed forms) and deliberately avoids the library's
 vectorized code paths, so agreement between the two is evidence rather than
 tautology. The only shared primitives are numpy's rng (both sides must
-consume identical draws) and, where a test says so, the map sampler.
+consume identical draws) and, where a test says so, the map sampler. The
+exceptions are marked in their sections: the library's former dense and
+per-action forms, kept as references for the faster forms that replaced
+them, and scalar wrappers over the library's array forms.
 """
 
 from __future__ import annotations
@@ -17,14 +20,20 @@ import numpy as np
 from scipy.special import logsumexp
 
 from magplan.infogain import EntropyEstimate
+from magplan.infogain import logsumexp as lib_logsumexp
 from magplan.magmap import MagMap, sample_points
 from magplan.models import (
     ControlInput,
     ModelSet,
+    MotionNoise,
+    Pose,
+    SensorNoise,
     measurement_log_likelihood_array,
     motion_mean_array,
     transition_log_density_matrix,
+    wrap_angle_array,
 )
+from magplan.pflocal import _safe_log
 from magplan.tlcal import MagSample
 
 LN2 = math.log(2.0)
@@ -406,3 +415,62 @@ def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEs
     """No-measurement entropy at the rollout's terminal step (the EER baseline)."""
     nats = -float(hyp.weights @ _hyp_log_pred(hyp, models))
     return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=False)
+
+
+# --- Dense predicted density and scalar wrappers ----------------------------
+#
+# `dense_log_predicted_density` is the library's predicted density as it was
+# before row tiling: the whole N x N transition matrix at once, the heading
+# residual wrapped with np.remainder, reduced with the library's logsumexp
+# (so the two can be compared bitwise). The scalar wrappers below evaluate
+# the library's array forms at one pose or one point.
+
+
+def dense_log_predicted_density(
+    cur_states: np.ndarray,
+    prev_states: np.ndarray,
+    w_prev: np.ndarray,
+    u: ControlInput,
+    models: ModelSet,
+) -> np.ndarray:
+    """log of sum_j T_ij w_prev_j for every cur particle i, one N x N matrix."""
+    nxt = np.atleast_2d(np.asarray(cur_states, dtype=float))
+    means = motion_mean_array(prev_states, u, models.dt)
+    noise = models.motion
+    dx = nxt[:, None, 0] - means[None, :, 0]
+    dy = nxt[:, None, 1] - means[None, :, 1]
+    dth = wrap_angle_array(nxt[:, None, 2] - means[None, :, 2])
+    log_norm = -(
+        math.log(noise.sigma_x)
+        + math.log(noise.sigma_y)
+        + math.log(noise.sigma_theta)
+        + 1.5 * math.log(TWO_PI)
+    )
+    log_t = log_norm - 0.5 * (
+        (dx / noise.sigma_x) ** 2
+        + (dy / noise.sigma_y) ** 2
+        + (dth / noise.sigma_theta) ** 2
+    )
+    return lib_logsumexp(log_t + _safe_log(w_prev)[None, :], axis=1)
+
+
+def transition_density(
+    p_next: Pose, p: Pose, u: ControlInput, dt: float, noise: MotionNoise
+) -> float:
+    """Density of landing at p_next after one noisy step from p under u."""
+    log_d = transition_log_density_matrix(
+        p_next.as_array().reshape(1, 3), p.as_array().reshape(1, 3), u, dt, noise
+    )
+    return math.exp(float(log_d[0, 0]))
+
+
+def measurement_likelihood(
+    z: float, p: Pose, grid: MagMap, noise: SensorNoise
+) -> float:
+    log_l = measurement_log_likelihood_array(z, p.as_array().reshape(1, 3), grid, noise)
+    return float(np.exp(log_l[0]))
+
+
+def sample(grid: MagMap, p: tuple[float, float]) -> float:
+    """Field intensity (nT) at a single position inside the map."""
+    return float(sample_points(grid, np.asarray(p, dtype=float).reshape(1, 2))[0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
-from conftest import RAMP_BASE, RAMP_X0, STD_DT, STD_MOTION, STD_SENSOR, ramp_field
+from conftest import (
+    RAMP_BASE,
+    RAMP_X0,
+    STD_DT,
+    STD_MOTION,
+    STD_SENSOR,
+    bit_equal,
+    ramp_field,
+)
 from magplan.models import (
     ControlInput,
     DegenerateDensityError,
@@ -19,10 +28,13 @@ from magplan.models import (
     Pose,
     SensorNoise,
     motion_mean_array,
+    wrap_angle_array,
 )
+from magplan import infogain
 from magplan.pflocal import ParticleBelief, init, predict, update
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_action
 from magplan.infogain import (
+    TILE_ELEMENTS,
     EerValue,
     EntropyError,
     EntropyEstimate,
@@ -33,9 +45,9 @@ from magplan.infogain import (
     iqr_reject,
     logsumexp,
 )
-from magplan.magmap import sample
 from oracles import (
     build_hypotheses,
+    dense_log_predicted_density,
     direct_eer_bits,
     direct_posterior_entropy_bits,
     direct_predicted_entropy_bits,
@@ -43,6 +55,7 @@ from oracles import (
     gaussian_entropy_bits,
     kalman_posterior_entropy_bits,
     predicted_entropy_at_horizon,
+    sample,
 )
 
 TURN_RATES = [math.radians(d) for d in (-25.0, -15.0, -5.0, 5.0, 15.0, 25.0)]
@@ -143,6 +156,100 @@ def test_particle_count_mismatch_rejected(ramp_grid, models):
     cur = ramp_belief(2, n=30)
     with pytest.raises(EntropyError):
         entropy_predicted(prev, cur, ControlInput(0.2, 0.0), models)
+
+
+# --- row-tiled predicted density vs the dense N x N oracle ---
+
+KERNEL_MODELS = ModelSet(MotionNoise(0.021, 0.013, 0.047), STD_SENSOR, STD_DT)
+KERNEL_U = ControlInput(0.2, 0.3)
+
+
+def seam_clouds(n: int, seed: int, zero_every: int = 0):
+    """prev/cur clouds whose headings straddle the +/-pi seam, with weights."""
+    rng = np.random.default_rng(seed)
+    prev = np.column_stack(
+        [
+            rng.normal(5.0, 0.05, n),
+            rng.normal(0.0, 0.05, n),
+            wrap_angle_array(rng.normal(math.pi, 0.1, n)),
+        ]
+    )
+    cur = motion_mean_array(prev, KERNEL_U, STD_DT) + rng.normal(0.0, 0.02, (n, 3))
+    cur[:, 2] = wrap_angle_array(cur[:, 2])
+    w = rng.dirichlet(np.ones(n))
+    if zero_every:
+        w[::zero_every] = 0.0
+        w /= w.sum()
+    return prev, cur, w
+
+
+@pytest.mark.parametrize(
+    "n, zero_every, ragged",
+    [
+        (1, 0, False),  # one particle
+        (40, 0, False),  # well below one tile
+        (150, 0, True),  # tiles of 109 rows, the last one 41
+        (150, 3, True),  # zero weights
+        (700, 0, True),  # tiles of 23 rows, the last one 10
+    ],
+)
+def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, ragged):
+    rows = TILE_ELEMENTS // n
+    assert (rows < n and n % rows != 0) == ragged
+    prev, cur, w = seam_clouds(n, 100 + n, zero_every)
+    assert n == 1 or ((cur[:, 2] > 0).any() and (cur[:, 2] < 0).any())
+    got = infogain._log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
+    want = dense_log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
+    assert bit_equal(got, want)
+
+
+def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):
+    prev, cur_states, w = seam_clouds(300, 5, zero_every=7)
+    b_prev = ParticleBelief(prev, w, np.random.default_rng(0))
+    cur = ParticleBelief(cur_states, w, np.random.default_rng(1))
+    z = ramp_field(5.0, 0.0) + 40.0
+    cur = update(cur, z, ramp_grid, STD_SENSOR)
+    args = (b_prev, cur, z, KERNEL_U, ramp_grid, KERNEL_MODELS)
+    got_post = entropy_posterior(*args).bits
+    got_pred = entropy_predicted(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits
+    monkeypatch.setattr(infogain, "_log_predicted_density", dense_log_predicted_density)
+    assert bit_equal(got_post, entropy_posterior(*args).bits)
+    assert bit_equal(got_pred, entropy_predicted(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits)
+
+
+def test_unwrapped_headings_stay_near_dense_oracle():
+    # Headings outside [-pi, pi] are wrapped once up front, which may move
+    # the last bits of the residual but no more.
+    prev, cur, w = seam_clouds(150, 9)
+    turns = np.random.default_rng(3).integers(-3, 4, (2, 150))
+    prev[:, 2] += 2 * math.pi * turns[0]
+    cur[:, 2] += 2 * math.pi * turns[1]
+    assert (np.abs(cur[:, 2]) > math.pi).sum() > 50
+    got = infogain._log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
+    want = dense_log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
+    assert np.all(np.isfinite(want))
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_entropy_memory_bounded_by_tiles(ramp_grid):
+    # One N x N float matrix at N = 4000 is 128 MB; the tiled estimate holds
+    # a few 128 KB tile buffers plus O(N) vectors, under eight tile buffers
+    # in all. numpy reports its array allocations to tracemalloc.
+    n = 4000
+    u = ControlInput(0.2, 0.1)
+    prev = ramp_belief(4, n=n)
+    cur = predict(prev, u, STD_DT, STD_MOTION)
+    z = ramp_field(5.0, 0.0) + 80.0
+    cur = update(cur, z, ramp_grid, STD_SENSOR)
+    models = ModelSet(STD_MOTION, STD_SENSOR, STD_DT)
+    tracemalloc.start()
+    try:
+        est = entropy_posterior(prev, cur, z, u, ramp_grid, models)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est.bits)
+    assert peak < 8 * TILE_ELEMENTS * 8, f"peak traced {peak / 2**20:.2f} MB"
 
 
 # --- estimator vs closed-form Kalman oracle ---
@@ -446,19 +553,17 @@ def test_batched_eer_matches_scalar_oracle_per_action(grid_name, models, request
 def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
     # A non-finite map value under one action's terminal hypotheses makes
     # that action's estimate non-finite; the other actions keep their values.
-    import magplan.infogain as infogain
-
     actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
     b = ramp_belief(9, n=60)
     want = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
-    real_sample = infogain.sample_points
+    real_sample = infogain.interpolate
 
     def poisoned(grid, pts):
         out = real_sample(grid, pts).reshape(len(actions), -1)
         out[2] = np.nan
         return out.ravel()
 
-    monkeypatch.setattr(infogain, "sample_points", poisoned)
+    monkeypatch.setattr(infogain, "interpolate", poisoned)
     got = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
     assert isinstance(got[2], EntropyError)
     assert "zero mass" in str(got[2])

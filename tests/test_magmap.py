@@ -18,10 +18,10 @@ from magplan.magmap import (
     SyntheticMapSpec,
     generate_synthetic,
     load_map,
-    sample,
     sample_points,
     save_map,
 )
+from oracles import sample
 
 
 def sval(m: MagMap, x: float, y: float) -> float:

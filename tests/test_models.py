@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bit_equal
 from magplan.magmap import GridGeometry, OutOfMapError, SyntheticMapSpec, generate_synthetic
 from magplan.models import (
     OUT_OF_MAP_PENALTY,
@@ -19,17 +20,18 @@ from magplan.models import (
     MotionNoise,
     Pose,
     SensorNoise,
-    measurement_likelihood,
+    in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
     simulate_measurement,
     step_motion,
     step_motion_array,
-    transition_density,
     transition_log_density_matrix,
     wrap_angle,
     wrap_angle_array,
+    wrap_residual,
 )
+from oracles import measurement_likelihood, transition_density
 
 NO_NOISE = MotionNoise(0.0, 0.0, 0.0)
 
@@ -64,6 +66,36 @@ def test_wrap_angle_array_matches_scalar():
     out = wrap_angle_array(thetas)
     for k, t in enumerate(thetas):
         assert out[k] == wrap_angle(float(t))
+
+
+def test_wrap_residual_matches_wrap_angle_array_bitwise():
+    # Every difference of two headings in [-pi, pi], the edge cases included:
+    # signed zeros, the seam itself, its neighbours and denormal-scale values.
+    edges = [0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+             -math.nextafter(math.pi, 0.0), 1e-300, -1e-300, 1.0, -2.5, 3.0]
+    headings = np.concatenate(
+        [edges, np.random.default_rng(8).uniform(-math.pi, math.pi, 400)]
+    )
+    resid = (headings[:, None] - headings[None, :]).ravel()
+    assert np.abs(resid).max() == 2 * math.pi
+    assert bit_equal(wrap_residual(resid.copy()), wrap_angle_array(resid))
+
+
+@given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+def test_wrap_residual_property(a: float, b: float):
+    d = np.array([a - b])
+    assert bit_equal(wrap_residual(d.copy()), wrap_angle_array(d))
+
+
+def test_in_range_headings_leaves_wrapped_states_untouched():
+    states = np.array(
+        [[1.0, 2.0, math.pi], [0.0, 0.0, -math.pi], [0.0, 0.0, -0.0], [3.0, 4.0, 7.0]]
+    )
+    out = in_range_headings(states)
+    assert bit_equal(out[:3], states[:3])
+    assert out[3, :2].tolist() == [3.0, 4.0]
+    assert out[3, 2] == wrap_angle_array(7.0)
+    assert states[3, 2] == 7.0  # the input is not modified
 
 
 # --- pose and parameter validation ---
