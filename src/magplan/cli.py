@@ -23,9 +23,8 @@ from .config import (
     load_config,
     sweep_params,
 )
-from .infogain import iqr_reject
 from .magmap import MapError, save_map
-from .simloop import EpisodeError, StepFailure
+from .simloop import EpisodeError, StepFailure, _fmt
 from .tlcal import CalibrationError
 
 # Mean planning-step time `magplan benchmark` must stay under.
@@ -37,13 +36,16 @@ def _say(args: argparse.Namespace, message: str) -> None:
         print(message)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _out_dir(args: argparse.Namespace) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
+
+
+def _load_episode(args: argparse.Namespace) -> tuple[dict[str, str], simloop.EpisodeConfig]:
+    """The --config file and the episode it describes, with --seed applied."""
+    cfg = load_config(args.config)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    return cfg, build_episode_config(cfg, base_dir, args.seed)
 
 
 def _provenance(cfg: dict[str, str], seed: int) -> dict[str, str]:
@@ -98,10 +100,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    episode = build_episode_config(
-        cfg, os.path.dirname(os.path.abspath(args.config)), args.seed
-    )
+    cfg, episode = _load_episode(args)
     trace = simloop.run_episode(episode)
     metrics = simloop.compute_metrics(trace)
     out = _out_dir(args)
@@ -121,10 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    base = build_episode_config(
-        cfg, os.path.dirname(os.path.abspath(args.config)), args.seed
-    )
+    cfg, base = _load_episode(args)
     w_h_values, seeds = sweep_params(cfg)
     result = simloop.sweep(base, w_h_values, seeds)
     out = _out_dir(args)
@@ -156,41 +152,24 @@ def cmd_export(args: argparse.Namespace) -> int:
         fh.write(f"# magplan-export {args.kind} v1\n")
         fh.write(f"# source: {os.path.basename(args.trace)}\n")
         fh.write(f"# magplan_version: {__version__}\n")
-        n = data.step.shape[0]
+        columns = {"time_s": data.time_s}
         if args.kind == "trajectory":
-            fh.write("step,time_s,truth_x,truth_y,est_x,est_y\n")
-            for i in range(n):
-                fh.write(
-                    f"{data.step[i]},{_fmt(data.time_s[i])},"
-                    f"{_fmt(data.truth[i, 0])},{_fmt(data.truth[i, 1])},"
-                    f"{_fmt(data.est[i, 0])},{_fmt(data.est[i, 1])}\n"
-                )
+            for name in ("truth_x", "truth_y", "est_x", "est_y"):
+                columns[name] = data.columns[name]
         elif args.kind == "detcov":
-            fh.write("step,time_s,detcov\n")
-            for i in range(n):
-                fh.write(
-                    f"{data.step[i]},{_fmt(data.time_s[i])},"
-                    f"{_fmt(data.det_pos_cov[i])}\n"
-                )
+            columns["detcov"] = data.det_pos_cov
         else:
-            filtered = (
-                iqr_reject(data.entropy_bits) if n >= 4 else data.entropy_bits
-            )
-            fh.write("step,time_s,entropy_raw,entropy_filtered\n")
-            for i in range(n):
-                fh.write(
-                    f"{data.step[i]},{_fmt(data.time_s[i])},"
-                    f"{_fmt(data.entropy_bits[i])},{_fmt(filtered[i])}\n"
-                )
+            columns["entropy_raw"] = data.entropy_bits
+            columns["entropy_filtered"] = simloop.filter_entropy(data.entropy_bits)
+        fh.write(",".join(["step", *columns]) + "\n")
+        for i, step in enumerate(data.step):
+            fh.write(",".join([str(step), *(_fmt(c[i]) for c in columns.values())]) + "\n")
     _say(args, f"wrote {path}")
     return 0
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    episode = build_episode_config(
-        cfg, os.path.dirname(os.path.abspath(args.config)), args.seed
-    )
+    _, episode = _load_episode(args)
     result = simloop.benchmark_planning(episode, args.steps)
     out = _out_dir(args)
     path = os.path.join(out, "benchmark.txt")

@@ -27,7 +27,7 @@ from .magmap import (
     load_map,
 )
 from .models import MotionNoise, Pose, SensorNoise
-from .planner import ActionSet, EerParams, Goal, PlannerWeights
+from .planner import MEAN_POSE, ActionSet, EerParams, Goal, PlannerWeights
 from .simloop import EpisodeConfig
 
 SCHEMA_VERSION = 1
@@ -37,7 +37,7 @@ class ConfigError(Exception):
     """A config file is malformed, has unknown keys, or fails validation."""
 
 
-# Every key the schema admits. Values document the expected type.
+# Every key the schema admits, with the kind `_get` parses its value as.
 KNOWN_KEYS: dict[str, str] = {
     "schema_version": "int",
     "map.file": "path",
@@ -81,13 +81,6 @@ KNOWN_KEYS: dict[str, str] = {
     "sweep.w_h_values": "float_list",
     "sweep.seeds": "int_list",
 }
-
-_SYNTH_KEYS = (
-    "map.origin_x", "map.origin_y", "map.cell_size", "map.width", "map.height",
-    "map.base_field", "map.peak_center_x", "map.peak_center_y",
-    "map.peak_amplitude", "map.peak_sigma_x", "map.peak_sigma_y",
-)
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value strings; syntax, duplicate, and unknown-key checks."""
@@ -137,7 +130,8 @@ def config_hash(cfg: dict[str, str]) -> str:
 _MISSING = object()
 
 
-def _get(cfg: dict[str, str], key: str, kind: str, default=_MISSING):
+def _get(cfg: dict[str, str], key: str, default=_MISSING):
+    kind = KNOWN_KEYS[key]
     if key not in cfg:
         if default is _MISSING:
             raise ConfigError(f"missing required key {key!r}")
@@ -158,27 +152,28 @@ def _get(cfg: dict[str, str], key: str, kind: str, default=_MISSING):
 
 
 def build_synthetic_map(cfg: dict[str, str]) -> MagMap:
-    missing = [k for k in _SYNTH_KEYS if k not in cfg]
+    # Every map.* key but map.file is part of the synthetic spec.
+    missing = [k for k in KNOWN_KEYS if k.startswith("map.") and k != "map.file" and k not in cfg]
     if missing:
         raise ConfigError(f"synthetic map needs keys: {', '.join(missing)}")
     try:
         spec = SyntheticMapSpec(
-            base_field=_get(cfg, "map.base_field", "float"),
+            base_field=_get(cfg, "map.base_field"),
             peak_center=(
-                _get(cfg, "map.peak_center_x", "float"),
-                _get(cfg, "map.peak_center_y", "float"),
+                _get(cfg, "map.peak_center_x"),
+                _get(cfg, "map.peak_center_y"),
             ),
-            peak_amplitude=_get(cfg, "map.peak_amplitude", "float"),
+            peak_amplitude=_get(cfg, "map.peak_amplitude"),
             peak_sigma=(
-                _get(cfg, "map.peak_sigma_x", "float"),
-                _get(cfg, "map.peak_sigma_y", "float"),
+                _get(cfg, "map.peak_sigma_x"),
+                _get(cfg, "map.peak_sigma_y"),
             ),
         )
         geometry = GridGeometry(
-            origin=(_get(cfg, "map.origin_x", "float"), _get(cfg, "map.origin_y", "float")),
-            cell_size=_get(cfg, "map.cell_size", "float"),
-            width=_get(cfg, "map.width", "int"),
-            height=_get(cfg, "map.height", "int"),
+            origin=(_get(cfg, "map.origin_x"), _get(cfg, "map.origin_y")),
+            cell_size=_get(cfg, "map.cell_size"),
+            width=_get(cfg, "map.width"),
+            height=_get(cfg, "map.height"),
         )
     except MapError as exc:
         raise ConfigError(f"invalid map spec: {exc}") from exc
@@ -204,39 +199,39 @@ def build_episode_config(
     """Resolve a full episode configuration; --seed overrides sim.seed."""
     grid = build_map(cfg, base_dir)
     start = Pose(
-        _get(cfg, "start.x", "float"),
-        _get(cfg, "start.y", "float"),
-        math.radians(_get(cfg, "start.theta_deg", "float")),
+        _get(cfg, "start.x"),
+        _get(cfg, "start.y"),
+        math.radians(_get(cfg, "start.theta_deg")),
     )
     goal = Goal(
-        (_get(cfg, "goal.x", "float"), _get(cfg, "goal.y", "float")),
-        _get(cfg, "goal.arrival_radius", "float", 0.1),
+        (_get(cfg, "goal.x"), _get(cfg, "goal.y")),
+        _get(cfg, "goal.arrival_radius", 0.1),
     )
     weights = PlannerWeights(
-        w_h=_get(cfg, "planner.w_h", "float"),
-        w_d=_get(cfg, "planner.w_d", "float"),
-        alpha=_get(cfg, "planner.alpha", "float"),
+        w_h=_get(cfg, "planner.w_h"),
+        w_d=_get(cfg, "planner.w_d"),
+        alpha=_get(cfg, "planner.alpha"),
     )
-    omegas = _get(cfg, "actions.omegas_deg", "float_list")
+    omegas = _get(cfg, "actions.omegas_deg")
     if not omegas:
         raise ConfigError("actions.omegas_deg must list at least one turn rate")
     actions = ActionSet.from_turn_rates(
-        _get(cfg, "actions.v", "float"), [math.radians(w) for w in omegas]
+        _get(cfg, "actions.v"), [math.radians(w) for w in omegas]
     )
     motion = MotionNoise(
-        sigma_x=_get(cfg, "noise.motion_sigma_x", "float"),
-        sigma_y=_get(cfg, "noise.motion_sigma_y", "float"),
-        sigma_theta=math.radians(_get(cfg, "noise.motion_sigma_theta_deg", "float")),
+        sigma_x=_get(cfg, "noise.motion_sigma_x"),
+        sigma_y=_get(cfg, "noise.motion_sigma_y"),
+        sigma_theta=math.radians(_get(cfg, "noise.motion_sigma_theta_deg")),
     )
-    sensor = SensorNoise(_get(cfg, "noise.sensor_sigma_z", "float"))
+    sensor = SensorNoise(_get(cfg, "noise.sensor_sigma_z"))
     prior = np.diag(
         [
-            _get(cfg, "filter.prior_sigma_x", "float", 0.1) ** 2,
-            _get(cfg, "filter.prior_sigma_y", "float", 0.1) ** 2,
-            math.radians(_get(cfg, "filter.prior_sigma_theta_deg", "float", 5.0)) ** 2,
+            _get(cfg, "filter.prior_sigma_x", 0.1) ** 2,
+            _get(cfg, "filter.prior_sigma_y", 0.1) ** 2,
+            math.radians(_get(cfg, "filter.prior_sigma_theta_deg", 5.0)) ** 2,
         ]
     )
-    seed = seed_override if seed_override is not None else _get(cfg, "sim.seed", "int")
+    seed = seed_override if seed_override is not None else _get(cfg, "sim.seed")
     try:
         return EpisodeConfig(
             grid=grid,
@@ -247,24 +242,24 @@ def build_episode_config(
             motion=motion,
             sensor=sensor,
             prior_cov=prior,
-            n_particles=_get(cfg, "filter.n_particles", "int"),
+            n_particles=_get(cfg, "filter.n_particles"),
             eer_params=EerParams(
-                m_count=_get(cfg, "eer.m_count", "int"),
-                horizon_steps=_get(cfg, "eer.horizon_steps", "int"),
+                m_count=_get(cfg, "eer.m_count"),
+                horizon_steps=_get(cfg, "eer.horizon_steps"),
             ),
-            dt=_get(cfg, "sim.dt", "float"),
-            step_budget=_get(cfg, "sim.step_budget", "int"),
+            dt=_get(cfg, "sim.dt"),
+            step_budget=_get(cfg, "sim.step_budget"),
             seed=int(seed),
-            resample_threshold=_get(cfg, "filter.resample_threshold", "float", None),
-            distance_mode=_get(cfg, "planner.distance_mode", "str", "mean_pose"),
+            resample_threshold=_get(cfg, "filter.resample_threshold", None),
+            distance_mode=_get(cfg, "planner.distance_mode", MEAN_POSE),
         )
     except Exception as exc:
         raise ConfigError(f"invalid episode configuration: {exc}") from exc
 
 
 def sweep_params(cfg: dict[str, str]) -> tuple[list[float], list[int]]:
-    w_h_values = _get(cfg, "sweep.w_h_values", "float_list")
-    seeds = _get(cfg, "sweep.seeds", "int_list")
+    w_h_values = _get(cfg, "sweep.w_h_values")
+    seeds = _get(cfg, "sweep.seeds")
     if not w_h_values or not seeds:
         raise ConfigError("sweep.w_h_values and sweep.seeds must be nonempty")
     return w_h_values, seeds

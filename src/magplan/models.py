@@ -216,20 +216,6 @@ def in_range_headings(states: np.ndarray) -> np.ndarray:
     return out
 
 
-def transition_log_density_matrix(
-    next_states: np.ndarray,
-    prev_states: np.ndarray,
-    u: ControlInput,
-    dt: float,
-    noise: MotionNoise,
-) -> np.ndarray:
-    """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
-    nxt = in_range_headings(np.atleast_2d(next_states))
-    return transition_log_density_from_means(
-        nxt, motion_mean_array(prev_states, u, dt), noise
-    )
-
-
 def transition_log_density_from_means(
     next_states: np.ndarray,
     means: np.ndarray,

@@ -8,12 +8,17 @@ effective sample size drops below a threshold.
 Beliefs are immutable snapshots; operations return new beliefs. The rng
 travels with the belief and is shared by its successors, so a filter
 lineage is single-writer by construction.
+
+Validation runs at the boundary: `init` and the public `ParticleBelief` and
+`GaussianSummary` constructors check what callers pass and freeze copies.
+The filter steps trust the arrays they have just computed: `_snapshot`
+freezes them in place and returns them with no copy and no check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -52,6 +57,16 @@ def _safe_log(w: np.ndarray) -> np.ndarray:
     out = np.full(w.shape, -np.inf)
     np.log(w, out=out, where=w > 0)
     return out
+
+
+def _snapshot(cls, *values):
+    """`cls(*values)` without `__post_init__`, for arrays nothing else can write to."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 def _as_generator(seed: SeedLike) -> np.random.Generator:
@@ -137,6 +152,8 @@ def init(
     cov = np.asarray(prior_cov, dtype=float)
     if cov.shape != (3, 3):
         raise FilterError(f"prior covariance must be 3x3, got {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise FilterError("prior covariance must be finite")
     if not np.allclose(cov, cov.T, rtol=0, atol=1e-9):
         raise FilterError("prior covariance must be symmetric")
     eigvals = np.linalg.eigvalsh(cov)
@@ -147,7 +164,7 @@ def init(
         prior_mean.as_array(), cov, size=n, check_valid="ignore", method="svd"
     )
     particles[:, 2] = wrap_angle_array(particles[:, 2])
-    return ParticleBelief(particles, np.full(n, 1.0 / n), rng)
+    return _snapshot(ParticleBelief, particles, np.full(n, 1.0 / n), rng)
 
 
 def predict(
@@ -155,7 +172,7 @@ def predict(
 ) -> ParticleBelief:
     """Push every particle through one noisy motion step; weights unchanged."""
     particles = step_motion_array(b.particles, u, dt, noise, b.rng)
-    return ParticleBelief(particles, b.weights, b.rng)
+    return _snapshot(ParticleBelief, particles, b.weights, b.rng)
 
 
 def update(
@@ -179,7 +196,7 @@ def update(
         raise WeightCollapseError(
             f"unnormalized posterior mass underflowed (log mass {peak + math.log(total):.1f})"
         )
-    return ParticleBelief(b.particles, shifted / total, b.rng)
+    return _snapshot(ParticleBelief, b.particles, shifted / total, b.rng)
 
 
 def effective_sample_size(b: ParticleBelief) -> float:
@@ -206,7 +223,7 @@ def resample_if_needed(b: ParticleBelief, threshold: float) -> ParticleBelief:
     if effective_sample_size(b) >= threshold:
         return b
     idx = systematic_resample_indices(b.weights, b.rng)
-    return ParticleBelief(b.particles[idx], np.full(b.n, 1.0 / b.n), b.rng)
+    return _snapshot(ParticleBelief, b.particles[idx], np.full(b.n, 1.0 / b.n), b.rng)
 
 
 def estimate(b: ParticleBelief) -> GaussianSummary:
@@ -224,4 +241,4 @@ def estimate(b: ParticleBelief) -> GaussianSummary:
     resid[:, 2] = wrap_angle_array(theta - mean_theta)
     cov = (resid * w[:, None]).T @ resid
     cov = 0.5 * (cov + cov.T)
-    return GaussianSummary(Pose(mean_x, mean_y, mean_theta), cov)
+    return _snapshot(GaussianSummary, Pose(mean_x, mean_y, mean_theta), cov)

@@ -25,6 +25,12 @@ from .models import ControlInput, ModelSet, Pose
 from .pflocal import ParticleBelief, estimate
 
 
+# How select_action measures an action's distance to the goal: from the
+# belief's mean pose (the default), or averaged over the particles.
+MEAN_POSE = "mean_pose"
+DISTANCE_MODES = (MEAN_POSE, "particle_mean")
+
+
 class PlannerError(Exception):
     """Base error for action selection."""
 
@@ -150,7 +156,7 @@ def select_action(
     models: ModelSet,
     eer_params: EerParams,
     rng: np.random.Generator,
-    distance_mode: str = "mean_pose",
+    distance_mode: str = MEAN_POSE,
 ) -> SelectionResult:
     """Evaluate every action from the belief's mean pose and take the argmin.
 
@@ -159,7 +165,7 @@ def select_action(
     set is one batched draw from the shared rng, in action order, so the
     choice is reproducible.
     """
-    if distance_mode not in ("mean_pose", "particle_mean"):
+    if distance_mode not in DISTANCE_MODES:
         raise PlannerError(f"unknown distance_mode {distance_mode!r}")
     mean_pose = estimate(b).mean
     try:
@@ -171,7 +177,7 @@ def select_action(
         gains = (exc,) * len(aset)
     diags: list[ActionDiagnostics] = []
     for a, gain in zip(aset.actions, gains):
-        if distance_mode == "mean_pose":
+        if distance_mode == MEAN_POSE:
             dist = expected_distance(mean_pose, a, goal, models.dt)
         else:
             dist = expected_distance_over_particles(b, a, goal, models.dt)

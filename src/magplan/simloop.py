@@ -36,6 +36,8 @@ from .models import (
 )
 from .pflocal import ParticleBelief, WeightCollapseError
 from .planner import (
+    DISTANCE_MODES,
+    MEAN_POSE,
     ActionSet,
     EerParams,
     Goal,
@@ -76,7 +78,7 @@ class EpisodeConfig:
     step_budget: int
     seed: int
     resample_threshold: Optional[float] = None
-    distance_mode: str = "mean_pose"
+    distance_mode: str = MEAN_POSE
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -95,8 +97,8 @@ class EpisodeConfig:
         if self.seed < 0:
             raise EpisodeError(f"seed must be >= 0, got {self.seed}")
         cov = np.asarray(self.prior_cov, dtype=float)
-        if cov.shape != (3, 3):
-            raise EpisodeError(f"prior_cov must be 3x3, got {cov.shape}")
+        if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
+            raise EpisodeError(f"prior_cov must be a finite 3x3 matrix, got {cov.tolist()}")
         cov = cov.copy()
         cov.setflags(write=False)
         object.__setattr__(self, "prior_cov", cov)
@@ -107,7 +109,7 @@ class EpisodeConfig:
         threshold = self.resample_threshold
         if threshold is not None and threshold <= 0:
             raise EpisodeError(f"resample_threshold must be > 0, got {threshold}")
-        if self.distance_mode not in ("mean_pose", "particle_mean"):
+        if self.distance_mode not in DISTANCE_MODES:
             raise EpisodeError(f"unknown distance_mode {self.distance_mode!r}")
 
     @property
@@ -305,17 +307,18 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeTrace:
     return EpisodeRunner(cfg).run()
 
 
-def compute_metrics(trace: EpisodeTrace) -> MetricsRecord:
-    """Series and scalars behind the covariance/entropy-over-time plots.
+def filter_entropy(entropy: np.ndarray) -> np.ndarray:
+    """IQR-filtered entropy; a series shorter than the filter's 4 samples is copied."""
+    return iqr_reject(entropy) if len(entropy) >= 4 else entropy.copy()
 
-    The IQR filter needs at least 4 samples; shorter traces pass the raw
-    entropy series through unchanged.
-    """
+
+def compute_metrics(trace: EpisodeTrace) -> MetricsRecord:
+    """Series and scalars behind the covariance/entropy-over-time plots."""
     if len(trace) == 0:
         raise EpisodeError("cannot compute metrics of an empty trace")
     det = np.array([r.det_pos_cov for r in trace.rows])
     entropy = np.array([r.entropy_bits for r in trace.rows])
-    filtered = iqr_reject(entropy) if len(trace) >= 4 else entropy.copy()
+    filtered = filter_entropy(entropy)
     truth = np.array([[r.truth.x, r.truth.y] for r in trace.rows])
     est = np.array([[r.est.x, r.est.y] for r in trace.rows])
     err = np.hypot(*(truth - est).T)
@@ -427,52 +430,70 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _write_preamble(fh, kind: str, provenance: dict[str, str]) -> None:
+    """The `# magplan-<kind> v1` first line, then one comment per provenance key."""
+    fh.write(f"# magplan-{kind} v1\n")
+    for key in sorted(provenance):
+        fh.write(f"# {key}: {provenance[key]}\n")
+
+
+# The trace columns in file order, grouped by the TraceData field that holds
+# them. A group's names have the shape of one row's value of that field: one
+# name is a scalar, a tuple a vector, the covariance a 3x3 block.
+_TRACE_FIXED = (
+    ("step", "step"), ("time_s", "time_s"),
+    ("truth", ("truth_x", "truth_y", "truth_theta")), ("z", "z_nt"),
+    ("action_index", "action_index"), ("action_v", "action_v"),
+    ("action_omega", "action_omega"), ("est", ("est_x", "est_y", "est_theta")),
+    ("covariance", tuple(tuple(f"cov_{r}{c}" for c in "xyt") for r in "xyt")),
+    ("det_pos_cov", "det_pos_cov"), ("entropy_bits", "entropy_bits"), ("ess", "ess"),
+    ("resampled", "resampled"), ("collapsed", "collapsed"),
+)
+# Then one column per action j in each of these groups: eer_j, dist_j, cost_j.
+_TRACE_PER_ACTION = (("eer_bits", "eer"), ("distances", "dist"), ("costs", "cost"))
+# Integer fields (flags as 0/1), each its own single column, with their dtypes.
+_TRACE_INTEGER_FIELDS = {"step": int, "action_index": int, "resampled": bool, "collapsed": bool}
+
+
+def trace_schema(n_actions: int) -> tuple[tuple[str, object], ...]:
+    """(TraceData field, its column names) for every trace column group, in file order."""
+    return _TRACE_FIXED + tuple(
+        (field, tuple(f"{prefix}_{j}" for j in range(n_actions)))
+        for field, prefix in _TRACE_PER_ACTION
+    )
+
+
+def _trace_columns(n_actions: int) -> list[str]:
+    return [name for _, names in trace_schema(n_actions) for name in np.ravel(names).tolist()]
+
+
 def write_trace(trace: EpisodeTrace, path: str, provenance: dict[str, str]) -> None:
     """Write the trace CSV: `#`-comment provenance, header row, one row per step.
 
     Floats are written with round-trip precision so identical runs produce
     byte-identical files.
     """
-    a = trace.n_actions
-    header = (
-        [
-            "step", "time_s", "truth_x", "truth_y", "truth_theta", "z_nt",
-            "action_index", "action_v", "action_omega",
-            "est_x", "est_y", "est_theta",
-            "cov_xx", "cov_xy", "cov_xt", "cov_yx", "cov_yy", "cov_yt",
-            "cov_tx", "cov_ty", "cov_tt",
-            "det_pos_cov", "entropy_bits", "ess", "resampled", "collapsed",
-        ]
-        + [f"eer_{j}" for j in range(a)]
-        + [f"dist_{j}" for j in range(a)]
-        + [f"cost_{j}" for j in range(a)]
-    )
+    schema = trace_schema(trace.n_actions)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# magplan-trace v1\n")
-        for key in sorted(provenance):
-            fh.write(f"# {key}: {provenance[key]}\n")
+        _write_preamble(fh, "trace", provenance)
         fh.write(f"# reached_goal: {'1' if trace.reached_goal else '0'}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_trace_columns(trace.n_actions)) + "\n")
         for r in trace.rows:
-            cov = r.covariance.ravel()
-            fields = (
-                [str(r.step), _fmt(r.time_s), _fmt(r.truth.x), _fmt(r.truth.y),
-                 _fmt(r.truth.theta), _fmt(r.z), str(r.action_index),
-                 _fmt(r.action.v), _fmt(r.action.omega),
-                 _fmt(r.est.x), _fmt(r.est.y), _fmt(r.est.theta)]
-                + [_fmt(c) for c in cov]
-                + [_fmt(r.det_pos_cov), _fmt(r.entropy_bits), _fmt(r.ess),
-                   "1" if r.resampled else "0", "1" if r.collapsed else "0"]
-                + [_fmt(v) for v in r.eer_bits]
-                + [_fmt(v) for v in r.distances]
-                + [_fmt(v) for v in r.costs]
+            # The row's values keyed by TraceData field, each group as a flat list.
+            values = {**vars(r), "truth": r.truth.as_array().tolist(),
+                      "est": r.est.as_array().tolist(), "covariance": r.covariance.ravel().tolist(),
+                      "action_v": r.action.v, "action_omega": r.action.omega}
+            cells = (
+                str(int(v)) if field in _TRACE_INTEGER_FIELDS else _fmt(v)
+                for field, names in schema
+                for v in ((values[field],) if isinstance(names, str) else values[field])
             )
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(cells) + "\n")
 
 
 @dataclass(frozen=True)
 class TraceData:
-    """Column arrays of a trace file, for metrics recomputation and export."""
+    """A trace file's columns, grouped as `trace_schema` says, for metrics and export."""
 
     step: np.ndarray
     time_s: np.ndarray
@@ -491,60 +512,58 @@ class TraceData:
     eer_bits: np.ndarray
     distances: np.ndarray
     costs: np.ndarray
+    columns: dict[str, np.ndarray]  # every column by its header name, as floats
     reached_goal: bool
     comments: dict[str, str]
 
 
 def read_trace(path: str) -> TraceData:
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse a trace file; a malformed one raises EpisodeError naming the file."""
+    # A non-ASCII byte reads as U+FFFD, which the header or cell check rejects.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     comments: dict[str, str] = {}
-    body: list[str] = []
-    for line in lines:
+    body: list[tuple[int, list[str]]] = []
+    for lineno, line in enumerate(lines, start=1):
         if line.startswith("#"):
             stripped = line[1:].strip()
             if ":" in stripped:
                 key, _, val = stripped.partition(":")
                 comments[key.strip()] = val.strip()
         elif line.strip():
-            body.append(line)
+            body.append((lineno, line.split(",")))
     if not body:
         raise EpisodeError(f"{path}: no header row")
-    header = body[0].split(",")
-    n_actions = sum(1 for name in header if name.startswith("eer_"))
-    rows = [line.split(",") for line in body[1:]]
+    (_, header), *rows = body
     if not rows:
         raise EpisodeError(f"{path}: trace has no data rows")
-    if any(len(r) != len(header) for r in rows):
+    if any(len(cells) != len(header) for _, cells in rows):
         raise EpisodeError(f"{path}: ragged trace rows")
-    cols = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
-
-    def f(name: str) -> np.ndarray:
-        return cols[name].astype(float)
-
+    n_actions = (len(header) - len(_trace_columns(0))) // len(_TRACE_PER_ACTION)
+    expected = _trace_columns(n_actions)
+    if header != expected:
+        unknown = ", ".join(sorted(set(header) - set(expected))) or "none"
+        missing = ", ".join(sorted(set(expected) - set(header))) or "none"
+        raise EpisodeError(
+            f"{path}: header does not match the trace schema "
+            f"(unknown columns: {unknown}; missing columns: {missing})"
+        )
+    kinds = [int if name in _TRACE_INTEGER_FIELDS else float for name in header]
+    table = np.empty((len(rows), len(header)))
+    for r, (lineno, cells) in enumerate(rows):
+        try:
+            table[r] = [kind(cell) for kind, cell in zip(kinds, cells)]
+        except ValueError as exc:
+            raise EpisodeError(f"{path}: line {lineno}: {exc}") from None
+    fields, c = {}, 0
+    for field, names in trace_schema(n_actions):
+        shape = np.shape(names)
+        block = table[:, c : c + math.prod(shape)].reshape(len(rows), *shape)
+        fields[field] = block.astype(_TRACE_INTEGER_FIELDS.get(field, float))
+        c += math.prod(shape)
     return TraceData(
-        step=cols["step"].astype(int),
-        time_s=f("time_s"),
-        truth=np.stack([f("truth_x"), f("truth_y"), f("truth_theta")], axis=1),
-        z=f("z_nt"),
-        action_index=cols["action_index"].astype(int),
-        action_v=f("action_v"),
-        action_omega=f("action_omega"),
-        est=np.stack([f("est_x"), f("est_y"), f("est_theta")], axis=1),
-        covariance=np.stack(
-            [f(c) for c in ("cov_xx", "cov_xy", "cov_xt",
-                            "cov_yx", "cov_yy", "cov_yt",
-                            "cov_tx", "cov_ty", "cov_tt")],
-            axis=1,
-        ).reshape(-1, 3, 3),
-        det_pos_cov=f("det_pos_cov"),
-        entropy_bits=f("entropy_bits"),
-        ess=f("ess"),
-        resampled=cols["resampled"].astype(int).astype(bool),
-        collapsed=cols["collapsed"].astype(int).astype(bool),
-        eer_bits=np.stack([f(f"eer_{j}") for j in range(n_actions)], axis=1),
-        distances=np.stack([f(f"dist_{j}") for j in range(n_actions)], axis=1),
-        costs=np.stack([f(f"cost_{j}") for j in range(n_actions)], axis=1),
+        **fields,
+        columns=dict(zip(header, table.T)),
         reached_goal=comments.get("reached_goal", "0") == "1",
         comments=comments,
     )
@@ -552,9 +571,7 @@ def read_trace(path: str) -> TraceData:
 
 def write_metrics(metrics: MetricsRecord, path: str, provenance: dict[str, str]) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# magplan-metrics v1\n")
-        for key in sorted(provenance):
-            fh.write(f"# {key}: {provenance[key]}\n")
+        _write_preamble(fh, "metrics", provenance)
         for key in (
             "rmse_position", "mean_error", "final_error",
             "final_det_pos_cov", "mean_det_pos_cov", "path_length",
@@ -576,9 +593,7 @@ def write_metrics(metrics: MetricsRecord, path: str, provenance: dict[str, str])
 def write_summary(result: SweepResult, path: str, provenance: dict[str, str]) -> None:
     """One CSV row per (w_h, seed) sweep cell."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# magplan-summary v1\n")
-        for key in sorted(provenance):
-            fh.write(f"# {key}: {provenance[key]}\n")
+        _write_preamble(fh, "summary", provenance)
         fh.write(
             "w_h,seed,steps,reached_goal,final_det_pos_cov,mean_det_pos_cov,"
             "rmse_position,mean_error,final_error,path_length,error\n"

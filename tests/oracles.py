@@ -29,8 +29,9 @@ from magplan.models import (
     Pose,
     SensorNoise,
     measurement_log_likelihood_array,
+    in_range_headings,
     motion_mean_array,
-    transition_log_density_matrix,
+    transition_log_density_from_means,
     wrap_angle_array,
 )
 from magplan.pflocal import _safe_log
@@ -422,8 +423,10 @@ def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEs
 # `dense_log_predicted_density` is the library's predicted density as it was
 # before row tiling: the whole N x N transition matrix at once, the heading
 # residual wrapped with np.remainder, reduced with the library's logsumexp
-# (so the two can be compared bitwise). The scalar wrappers below evaluate
-# the library's array forms at one pose or one point.
+# (so the two can be compared bitwise). `transition_log_density_matrix` is
+# the pairwise transition matrix over the library's kernel, which only tests
+# call. The scalar wrappers below evaluate the library's array forms at one
+# pose or one point.
 
 
 def dense_log_predicted_density(
@@ -452,6 +455,20 @@ def dense_log_predicted_density(
         + (dth / noise.sigma_theta) ** 2
     )
     return lib_logsumexp(log_t + _safe_log(w_prev)[None, :], axis=1)
+
+
+def transition_log_density_matrix(
+    next_states: np.ndarray,
+    prev_states: np.ndarray,
+    u: ControlInput,
+    dt: float,
+    noise: MotionNoise,
+) -> np.ndarray:
+    """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
+    nxt = in_range_headings(np.atleast_2d(next_states))
+    return transition_log_density_from_means(
+        nxt, motion_mean_array(prev_states, u, dt), noise
+    )
 
 
 def transition_density(

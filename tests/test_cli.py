@@ -294,6 +294,22 @@ def test_export_entropy_includes_filtered_column(run_trace, tmp_path):
     assert len(body) == 1 + 6
 
 
+def test_export_malformed_trace_is_an_error(run_trace, tmp_path, capsys):
+    lines = run_trace.read_text().splitlines()
+    renamed = [line.replace("entropy_bits", "entropy_bitz") for line in lines]
+    badcell = lines[:-1] + ["abc" + lines[-1][lines[-1].index(","):]]
+    for name, text, fragment in (
+        ("renamed.csv", renamed, "entropy_bitz"),
+        ("badcell.csv", badcell, f"line {len(lines)}"),
+    ):
+        bad = tmp_path / name
+        bad.write_text("\n".join(text) + "\n")
+        args = ["export", str(bad), "--kind", "entropy", "--out", str(tmp_path), "--quiet"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and fragment in err
+
+
 def test_export_missing_trace(tmp_path, capsys):
     assert main(["export", str(tmp_path / "none.csv"), "--kind", "detcov", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

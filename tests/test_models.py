@@ -26,12 +26,15 @@ from magplan.models import (
     simulate_measurement,
     step_motion,
     step_motion_array,
-    transition_log_density_matrix,
     wrap_angle,
     wrap_angle_array,
     wrap_residual,
 )
-from oracles import measurement_likelihood, transition_density
+from oracles import (
+    measurement_likelihood,
+    transition_density,
+    transition_log_density_matrix,
+)
 
 NO_NOISE = MotionNoise(0.0, 0.0, 0.0)
 

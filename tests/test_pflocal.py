@@ -85,6 +85,8 @@ def test_init_validation():
         init(Pose(0, 0, 0), bad, 10, seed=0)
     with pytest.raises(FilterError):
         init(Pose(0, 0, 0), np.diag([1.0, 1.0, -0.1]), 10, seed=0)
+    with pytest.raises(FilterError, match="finite"):
+        init(Pose(0, 0, 0), np.diag([np.inf, 1.0, 1.0]), 10, seed=0)
 
 
 def test_belief_validation():
@@ -99,6 +101,30 @@ def test_belief_validation():
     b = make_belief(np.zeros((2, 3)), [0.5, 0.5])
     with pytest.raises(ValueError):
         b.weights[0] = 1.0
+
+
+def test_belief_constructor_copies_caller_arrays():
+    particles = np.zeros((2, 3))
+    weights = np.array([0.5, 0.5])
+    b = ParticleBelief(particles, weights, np.random.default_rng(0))
+    particles[0, 0] = 9.0
+    weights[0] = 9.0
+    assert b.particles[0, 0] == 0.0 and b.weights[0] == 0.5
+    assert particles.flags.writeable and weights.flags.writeable
+
+
+def test_filter_outputs_are_read_only(ramp_grid):
+    prior = init(Pose(1.0, 0.0, 0.0), PRIOR_COV, 50, seed=3)
+    predicted = predict(prior, ControlInput(0.2, 0.0), STD_DT, MotionNoise(0.01, 0.01, 0.01))
+    updated = update(predicted, ramp_field(1.02, 0.0), ramp_grid, SensorNoise(50.0))
+    resampled = resample_if_needed(updated, threshold=updated.n + 1.0)
+    assert resampled is not updated
+    arrays = [
+        a for b in (prior, predicted, updated, resampled) for a in (b.particles, b.weights)
+    ] + [estimate(updated).covariance]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 # --- predict ---

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import STD_MOTION, STD_SENSOR
+from magplan import pflocal
 from magplan.magmap import OutOfMapError
 from magplan.models import ControlInput, Pose, SensorNoise
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights
@@ -24,6 +25,7 @@ from magplan.simloop import (
     read_trace,
     run_episode,
     sweep,
+    trace_schema,
     write_metrics,
     write_summary,
     write_trace,
@@ -83,6 +85,8 @@ def test_config_cross_field_validation(base_cfg):
         base_cfg(seed=-1)
     with pytest.raises(EpisodeError, match="3x3"):
         base_cfg(prior_cov=np.eye(2))
+    with pytest.raises(EpisodeError, match="finite 3x3"):
+        base_cfg(prior_cov=np.diag([np.inf, 1.0, 1.0]))
     with pytest.raises(EpisodeError, match="goal"):
         base_cfg(goal=Goal((50.0, 0.0), 0.5))
     with pytest.raises(EpisodeError, match="start"):
@@ -146,6 +150,20 @@ def test_belief_blind_to_truth_pose(base_cfg):
 
 
 # --- termination ---
+
+
+def test_step_runs_on_trusted_snapshots(base_cfg, monkeypatch):
+    """The filter's own beliefs and summaries skip the boundary checks."""
+
+    def boundary_check(self):
+        raise AssertionError("boundary check on an internal snapshot")
+
+    monkeypatch.setattr(pflocal.ParticleBelief, "__post_init__", boundary_check)
+    monkeypatch.setattr(pflocal.GaussianSummary, "__post_init__", boundary_check)
+    runner = EpisodeRunner(base_cfg())
+    row = runner.step()
+    assert not row.collapsed
+    assert not runner.belief.particles.flags.writeable
 
 
 def test_stops_at_goal(base_cfg):
@@ -295,6 +313,44 @@ def test_trace_reader_rejects_malformed(tmp_path):
     ragged.write_text("step,time_s\n0,0.1\n1\n")
     with pytest.raises(EpisodeError, match="ragged"):
         read_trace(str(ragged))
+
+    good = tmp_path / "good.csv"
+    rows = tuple(make_row(k, (0.1 * k, 0.0), (0.1 * k, 0.0), 1.0, 2.0) for k in range(3))
+    write_trace(EpisodeTrace(rows, False, 2), str(good), {"seed": "0"})
+    text = good.read_text()
+
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(text.replace("entropy_bits", "entropy_bitz"))
+    with pytest.raises(EpisodeError, match="renamed.csv.*entropy_bitz"):
+        read_trace(str(renamed))
+
+    # Line 6 (index 5) is the second data row: it follows three comment
+    # lines, the header and the first row.
+    lines = text.splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[22] = "abc"  # entropy_bits
+    badcell = tmp_path / "badcell.csv"
+    badcell.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
+    with pytest.raises(EpisodeError, match="badcell.csv: line 6: .*'abc'"):
+        read_trace(str(badcell))
+
+    nonascii = tmp_path / "nonascii.csv"
+    nonascii.write_bytes(text.replace(",2.0,", ",2.0\xe9,", 1).encode("latin-1"))
+    with pytest.raises(EpisodeError, match="nonascii.csv: line 5"):
+        read_trace(str(nonascii))
+
+
+def test_trace_schema_matches_written_header(tmp_path):
+    rows = (make_row(0, (0.0, 0.0), (0.0, 0.0), 1.0, 2.0),)
+    path = tmp_path / "trace.csv"
+    write_trace(EpisodeTrace(rows, False, 2), str(path), {})
+    header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
+    names = [n for _, group in trace_schema(2) for n in np.ravel(group).tolist()]
+    assert header.split(",") == names
+    data = read_trace(str(path))
+    assert data.columns["truth_x"].tolist() == data.truth[:, 0].tolist()
+    assert data.columns["cov_xy"].tolist() == data.covariance[:, 0, 1].tolist()
+    assert data.columns["cost_1"].tolist() == [2.2]
 
 
 def test_metrics_file_contents(base_cfg, tmp_path):
