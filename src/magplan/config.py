@@ -26,9 +26,9 @@ from .magmap import (
     generate_synthetic,
     load_map,
 )
-from .models import MotionNoise, Pose, SensorNoise
-from .planner import MEAN_POSE, ActionSet, EerParams, Goal, PlannerWeights
-from .simloop import EpisodeConfig
+from .models import ModelError, ModelSet, MotionNoise, Pose, SensorNoise
+from .planner import ActionSet, EerParams, Goal, PlannerError, PlannerWeights
+from .simloop import EpisodeConfig, EpisodeError
 
 SCHEMA_VERSION = 1
 
@@ -61,13 +61,11 @@ KNOWN_KEYS: dict[str, str] = {
     "planner.w_h": "float",
     "planner.w_d": "float",
     "planner.alpha": "float",
-    "planner.distance_mode": "str",
     "actions.v": "float",
     "actions.omegas_deg": "float_list",
     "eer.m_count": "int",
     "eer.horizon_steps": "int",
     "filter.n_particles": "int",
-    "filter.resample_threshold": "float",
     "filter.prior_sigma_x": "float",
     "filter.prior_sigma_y": "float",
     "filter.prior_sigma_theta_deg": "float",
@@ -196,70 +194,75 @@ def build_map(cfg: dict[str, str], base_dir: str) -> MagMap:
 def build_episode_config(
     cfg: dict[str, str], base_dir: str, seed_override: Optional[int] = None
 ) -> EpisodeConfig:
-    """Resolve a full episode configuration; --seed overrides sim.seed."""
+    """Resolve a full episode configuration; --seed overrides sim.seed.
+
+    A value the domain objects reject is a ConfigError, like a malformed one.
+    """
     grid = build_map(cfg, base_dir)
-    start = Pose(
-        _get(cfg, "start.x"),
-        _get(cfg, "start.y"),
-        math.radians(_get(cfg, "start.theta_deg")),
-    )
-    goal = Goal(
-        (_get(cfg, "goal.x"), _get(cfg, "goal.y")),
-        _get(cfg, "goal.arrival_radius", 0.1),
-    )
-    weights = PlannerWeights(
-        w_h=_get(cfg, "planner.w_h"),
-        w_d=_get(cfg, "planner.w_d"),
-        alpha=_get(cfg, "planner.alpha"),
-    )
     omegas = _get(cfg, "actions.omegas_deg")
     if not omegas:
         raise ConfigError("actions.omegas_deg must list at least one turn rate")
-    actions = ActionSet.from_turn_rates(
-        _get(cfg, "actions.v"), [math.radians(w) for w in omegas]
-    )
-    motion = MotionNoise(
-        sigma_x=_get(cfg, "noise.motion_sigma_x"),
-        sigma_y=_get(cfg, "noise.motion_sigma_y"),
-        sigma_theta=math.radians(_get(cfg, "noise.motion_sigma_theta_deg")),
-    )
-    sensor = SensorNoise(_get(cfg, "noise.sensor_sigma_z"))
-    prior = np.diag(
-        [
-            _get(cfg, "filter.prior_sigma_x", 0.1) ** 2,
-            _get(cfg, "filter.prior_sigma_y", 0.1) ** 2,
-            math.radians(_get(cfg, "filter.prior_sigma_theta_deg", 5.0)) ** 2,
-        ]
-    )
     seed = seed_override if seed_override is not None else _get(cfg, "sim.seed")
     try:
         return EpisodeConfig(
             grid=grid,
-            start=start,
-            goal=goal,
-            weights=weights,
-            actions=actions,
-            motion=motion,
-            sensor=sensor,
-            prior_cov=prior,
+            start=Pose(
+                _get(cfg, "start.x"),
+                _get(cfg, "start.y"),
+                math.radians(_get(cfg, "start.theta_deg")),
+            ),
+            goal=Goal(
+                (_get(cfg, "goal.x"), _get(cfg, "goal.y")),
+                _get(cfg, "goal.arrival_radius", 0.1),
+            ),
+            weights=PlannerWeights(
+                w_h=_get(cfg, "planner.w_h"),
+                w_d=_get(cfg, "planner.w_d"),
+                alpha=_get(cfg, "planner.alpha"),
+            ),
+            actions=ActionSet.from_turn_rates(
+                _get(cfg, "actions.v"), [math.radians(w) for w in omegas]
+            ),
+            models=ModelSet(
+                MotionNoise(
+                    sigma_x=_get(cfg, "noise.motion_sigma_x"),
+                    sigma_y=_get(cfg, "noise.motion_sigma_y"),
+                    sigma_theta=math.radians(_get(cfg, "noise.motion_sigma_theta_deg")),
+                ),
+                SensorNoise(_get(cfg, "noise.sensor_sigma_z")),
+                _get(cfg, "sim.dt"),
+            ),
+            prior_cov=np.diag(
+                [
+                    _get(cfg, "filter.prior_sigma_x", 0.1) ** 2,
+                    _get(cfg, "filter.prior_sigma_y", 0.1) ** 2,
+                    math.radians(_get(cfg, "filter.prior_sigma_theta_deg", 5.0)) ** 2,
+                ]
+            ),
             n_particles=_get(cfg, "filter.n_particles"),
             eer_params=EerParams(
                 m_count=_get(cfg, "eer.m_count"),
                 horizon_steps=_get(cfg, "eer.horizon_steps"),
             ),
-            dt=_get(cfg, "sim.dt"),
             step_budget=_get(cfg, "sim.step_budget"),
             seed=int(seed),
-            resample_threshold=_get(cfg, "filter.resample_threshold", None),
-            distance_mode=_get(cfg, "planner.distance_mode", MEAN_POSE),
         )
-    except Exception as exc:
+    except (ModelError, PlannerError, EpisodeError) as exc:
         raise ConfigError(f"invalid episode configuration: {exc}") from exc
 
 
 def sweep_params(cfg: dict[str, str]) -> tuple[list[float], list[int]]:
+    """The sweep grid, each w_h checked with the config's w_d and alpha."""
     w_h_values = _get(cfg, "sweep.w_h_values")
     seeds = _get(cfg, "sweep.seeds")
     if not w_h_values or not seeds:
         raise ConfigError("sweep.w_h_values and sweep.seeds must be nonempty")
+    w_d, alpha = _get(cfg, "planner.w_d"), _get(cfg, "planner.alpha")
+    for w_h in w_h_values:
+        try:
+            PlannerWeights(w_h, w_d, alpha)
+        except PlannerError as exc:
+            raise ConfigError(f"sweep.w_h_values: {exc}") from exc
+    if min(seeds) < 0:
+        raise ConfigError(f"sweep.seeds must all be >= 0, got {min(seeds)}")
     return w_h_values, seeds

@@ -25,12 +25,6 @@ from .models import ControlInput, ModelSet, Pose
 from .pflocal import ParticleBelief, estimate
 
 
-# How select_action measures an action's distance to the goal: from the
-# belief's mean pose (the default), or averaged over the particles.
-MEAN_POSE = "mean_pose"
-DISTANCE_MODES = (MEAN_POSE, "particle_mean")
-
-
 class PlannerError(Exception):
     """Base error for action selection."""
 
@@ -132,17 +126,6 @@ def expected_distance(p: Pose, a: ControlInput, goal: Goal, dt: float) -> float:
     return float(np.hypot(delta[0], delta[1]))
 
 
-def expected_distance_over_particles(
-    b: ParticleBelief, a: ControlInput, goal: Goal, dt: float
-) -> float:
-    """Belief-averaged variant of expected_distance (optional planner mode)."""
-    heading = b.particles[:, 2] + a.omega * dt
-    nx = b.particles[:, 0] + a.v * dt * np.cos(heading)
-    ny = b.particles[:, 1] + a.v * dt * np.sin(heading)
-    gx, gy = goal.position
-    return float(b.weights @ np.hypot(nx - gx, ny - gy))
-
-
 def action_cost(eer_bits: float, dist_m: float, w: PlannerWeights) -> float:
     return w.w_h * w.alpha**eer_bits + w.w_d * dist_m
 
@@ -156,7 +139,6 @@ def select_action(
     models: ModelSet,
     eer_params: EerParams,
     rng: np.random.Generator,
-    distance_mode: str = MEAN_POSE,
 ) -> SelectionResult:
     """Evaluate every action from the belief's mean pose and take the argmin.
 
@@ -165,8 +147,6 @@ def select_action(
     set is one batched draw from the shared rng, in action order, so the
     choice is reproducible.
     """
-    if distance_mode not in DISTANCE_MODES:
-        raise PlannerError(f"unknown distance_mode {distance_mode!r}")
     mean_pose = estimate(b).mean
     try:
         gains = eer(
@@ -177,10 +157,7 @@ def select_action(
         gains = (exc,) * len(aset)
     diags: list[ActionDiagnostics] = []
     for a, gain in zip(aset.actions, gains):
-        if distance_mode == MEAN_POSE:
-            dist = expected_distance(mean_pose, a, goal, models.dt)
-        else:
-            dist = expected_distance_over_particles(b, a, goal, models.dt)
+        dist = expected_distance(mean_pose, a, goal, models.dt)
         if isinstance(gain, EerValue):
             diags.append(
                 ActionDiagnostics(a, gain.bits, dist, action_cost(gain.bits, dist, w))

@@ -27,17 +27,15 @@ from .infogain import entropy_posterior, entropy_predicted, iqr_reject
 from .magmap import MagMap
 from .models import (
     ControlInput,
+    DegenerateDensityError,
     ModelSet,
-    MotionNoise,
     Pose,
-    SensorNoise,
+    _check_densities_valid,
     simulate_measurement,
     step_motion,
 )
 from .pflocal import ParticleBelief, WeightCollapseError
 from .planner import (
-    DISTANCE_MODES,
-    MEAN_POSE,
     ActionSet,
     EerParams,
     Goal,
@@ -69,20 +67,14 @@ class EpisodeConfig:
     goal: Goal
     weights: PlannerWeights
     actions: ActionSet
-    motion: MotionNoise
-    sensor: SensorNoise
+    models: ModelSet
     prior_cov: np.ndarray
     n_particles: int
     eer_params: EerParams
-    dt: float
     step_budget: int
     seed: int
-    resample_threshold: Optional[float] = None
-    distance_mode: str = MEAN_POSE
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise EpisodeError(f"dt must be finite and > 0, got {self.dt}")
         if self.step_budget < 1:
             raise EpisodeError(f"step_budget must be >= 1, got {self.step_budget}")
         if self.n_particles < 2:
@@ -92,8 +84,14 @@ class EpisodeConfig:
                 f"eer m_count {self.eer_params.m_count} exceeds "
                 f"n_particles {self.n_particles}"
             )
-        if self.sensor.sigma_z <= 0:
+        if self.models.sensor.sigma_z <= 0:
             raise EpisodeError("sensor sigma_z must be > 0 for a running filter")
+        try:
+            _check_densities_valid(self.models.motion)
+        except DegenerateDensityError:
+            raise EpisodeError(
+                f"motion sigmas must all be > 0 for a running filter, got {self.models.motion}"
+            ) from None
         if self.seed < 0:
             raise EpisodeError(f"seed must be >= 0, got {self.seed}")
         cov = np.asarray(self.prior_cov, dtype=float)
@@ -106,21 +104,6 @@ class EpisodeConfig:
             raise EpisodeError(f"goal {self.goal.position} lies outside the map")
         if not bool(self.grid.contains(self.start.position().reshape(1, 2))[0]):
             raise EpisodeError(f"start ({self.start.x}, {self.start.y}) lies outside the map")
-        threshold = self.resample_threshold
-        if threshold is not None and threshold <= 0:
-            raise EpisodeError(f"resample_threshold must be > 0, got {threshold}")
-        if self.distance_mode not in DISTANCE_MODES:
-            raise EpisodeError(f"unknown distance_mode {self.distance_mode!r}")
-
-    @property
-    def models(self) -> ModelSet:
-        return ModelSet(self.motion, self.sensor, self.dt)
-
-    @property
-    def ess_threshold(self) -> float:
-        if self.resample_threshold is not None:
-            return self.resample_threshold
-        return self.n_particles / 2.0
 
 
 @dataclass(frozen=True)
@@ -203,24 +186,23 @@ class EpisodeRunner:
             self.cfg.models,
             self.cfg.eer_params,
             self.eer_rng,
-            self.cfg.distance_mode,
         )
 
     def advance_truth(self, action: ControlInput) -> Pose:
         self.truth = step_motion(
-            self.truth, action, self.cfg.dt, self.cfg.motion, self.truth_rng
+            self.truth, action, self.cfg.models.dt, self.cfg.models.motion, self.truth_rng
         )
         return self.truth
 
     def measure(self) -> float:
         return simulate_measurement(
-            self.truth, self.cfg.grid, self.cfg.sensor, self.sensor_rng
+            self.truth, self.cfg.grid, self.cfg.models.sensor, self.sensor_rng
         )
 
     def assimilate(
         self, action: ControlInput, z: float
     ) -> tuple[float, pflocal.GaussianSummary, float, bool, bool]:
-        """Predict + update + entropy + conditional resample.
+        """Predict + update + entropy + resample when the ESS falls below N/2.
 
         Returns (entropy_bits, estimate, ess, resampled, collapsed). On
         weight collapse the belief resets to uniform weights over the
@@ -228,10 +210,11 @@ class EpisodeRunner:
         no-measurement estimate.
         """
         cfg = self.cfg
+        models = cfg.models
         prev = self.belief
-        predicted = pflocal.predict(prev, action, cfg.dt, cfg.motion)
+        predicted = pflocal.predict(prev, action, models.dt, models.motion)
         try:
-            updated = pflocal.update(predicted, z, cfg.grid, cfg.sensor)
+            updated = pflocal.update(predicted, z, cfg.grid, models.sensor)
             collapsed = False
         except WeightCollapseError:
             updated = ParticleBelief(
@@ -241,14 +224,13 @@ class EpisodeRunner:
             )
             collapsed = True
         if collapsed:
-            entropy = entropy_predicted(prev, updated, action, cfg.models)
+            entropy = entropy_predicted(prev, updated, action, models)
         else:
-            entropy = entropy_posterior(prev, updated, z, action, cfg.grid, cfg.models)
+            entropy = entropy_posterior(prev, updated, z, action, cfg.grid, models)
         summary = pflocal.estimate(updated)
         ess = pflocal.effective_sample_size(updated)
-        resampled = ess < cfg.ess_threshold
-        self.belief = pflocal.resample_if_needed(updated, cfg.ess_threshold)
-        return entropy.bits, summary, ess, resampled, collapsed
+        self.belief = pflocal.resample_if_needed(updated, cfg.n_particles / 2.0)
+        return entropy.bits, summary, ess, self.belief is not updated, collapsed
 
     def _at_goal(self, summary: pflocal.GaussianSummary) -> bool:
         gx, gy = self.cfg.goal.position
@@ -273,7 +255,7 @@ class EpisodeRunner:
             raise StepFailure(k, exc) from exc
         row = TraceRow(
             step=k,
-            time_s=(k + 1) * self.cfg.dt,
+            time_s=(k + 1) * self.cfg.models.dt,
             truth=self.truth,
             z=z,
             action_index=selection.chosen_index,
@@ -539,7 +521,8 @@ def read_trace(path: str) -> TraceData:
         raise EpisodeError(f"{path}: trace has no data rows")
     if any(len(cells) != len(header) for _, cells in rows):
         raise EpisodeError(f"{path}: ragged trace rows")
-    n_actions = (len(header) - len(_trace_columns(0))) // len(_TRACE_PER_ACTION)
+    n_fixed = len(_trace_columns(0))
+    n_actions = (len(header) - n_fixed) // len(_TRACE_PER_ACTION)
     expected = _trace_columns(n_actions)
     if header != expected:
         unknown = ", ".join(sorted(set(header) - set(expected))) or "none"
@@ -555,6 +538,12 @@ def read_trace(path: str) -> TraceData:
             table[r] = [kind(cell) for kind, cell in zip(kinds, cells)]
         except ValueError as exc:
             raise EpisodeError(f"{path}: line {lineno}: {exc}") from None
+    # Only the per-action columns may hold nan/inf: a failed action writes them.
+    nonfinite = np.argwhere(~np.isfinite(table[:, :n_fixed]))
+    if len(nonfinite):
+        r, c = nonfinite[0]
+        lineno, cells = rows[r]
+        raise EpisodeError(f"{path}: line {lineno}: {header[c]} must be finite, got {cells[c]!r}")
     fields, c = {}, 0
     for field, names in trace_schema(n_actions):
         shape = np.shape(names)

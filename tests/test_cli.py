@@ -246,6 +246,12 @@ def test_sweep_requires_sweep_keys(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "sweep.w_h_values" in capsys.readouterr().err
+    # A w_h the planner rejects stops the sweep before any episode runs.
+    cfg = write_cfg(tmp_path, extra={"sweep.w_h_values": "-1, 0", "sweep.seeds": "0"})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep.w_h_values: w_h must be")
+    assert not out.exists()
 
 
 # --- export ---
@@ -298,9 +304,14 @@ def test_export_malformed_trace_is_an_error(run_trace, tmp_path, capsys):
     lines = run_trace.read_text().splitlines()
     renamed = [line.replace("entropy_bits", "entropy_bitz") for line in lines]
     badcell = lines[:-1] + ["abc" + lines[-1][lines[-1].index(","):]]
+    entropy = next(l for l in lines if not l.startswith("#")).split(",").index("entropy_bits")
+    cells = lines[-1].split(",")
+    cells[entropy] = "nan"
+    nancell = lines[:-1] + [",".join(cells)]
     for name, text, fragment in (
         ("renamed.csv", renamed, "entropy_bitz"),
         ("badcell.csv", badcell, f"line {len(lines)}"),
+        ("nancell.csv", nancell, f"line {len(lines)}: entropy_bits must be finite"),
     ):
         bad = tmp_path / name
         bad.write_text("\n".join(text) + "\n")
@@ -328,3 +339,11 @@ def test_benchmark_writes_report(tmp_path, capsys):
     assert "steps_timed: 3" in text
     assert "n_particles: 150" in text
     assert "within_budget: yes" in text
+
+
+def test_benchmark_rejects_zero_motion_sigma(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra={"noise.motion_sigma_x": "0"})
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--steps", "3"]) == 2
+    assert "motion sigmas must all be > 0" in capsys.readouterr().err
+    assert not out.exists()

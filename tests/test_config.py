@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from magplan.config import (
+    KNOWN_KEYS,
     ConfigError,
     build_episode_config,
     build_map,
@@ -85,8 +87,8 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_value_keeps_later_equals_signs():
-    cfg = parse_config_text("schema_version = 1\nplanner.distance_mode = a=b\n")
-    assert cfg["planner.distance_mode"] == "a=b"
+    cfg = parse_config_text("schema_version = 1\nmap.file = a=b\n")
+    assert cfg["map.file"] == "a=b"
 
 
 @pytest.mark.parametrize(
@@ -97,6 +99,8 @@ def test_parse_value_keeps_later_equals_signs():
         ("sim.seed =", "line 2: empty key or value"),
         ("sim.seed =   # comment only", "line 2: empty key or value"),
         ("sim.speed = 3", "line 2: unknown key 'sim.speed'"),
+        ("planner.distance_mode = particle_mean", "line 2: unknown key 'planner.distance_mode'"),
+        ("filter.resample_threshold = 40", "line 2: unknown key 'filter.resample_threshold'"),
         ("schema_version = 1", "line 2: duplicate key"),
     ],
 )
@@ -125,6 +129,14 @@ def test_load_config_reads_file(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(render(BASE))
     assert load_config(str(p)) == BASE
+
+
+def test_every_key_is_set_by_a_shipped_config():
+    # A key that no experiment sets has one value in use and should be a
+    # constant. map.file is a path, a deployment setting, so it is exempt.
+    configs = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.cfg"))
+    used = {key for path in configs for key in load_config(str(path))}
+    assert sorted(set(KNOWN_KEYS) - used - {"map.file"}) == []
 
 
 # --- hashing ---
@@ -201,16 +213,14 @@ def test_build_episode_config_resolves_everything(tmp_path):
     assert len(cfg.actions) == 6
     assert cfg.actions.actions[0].v == 0.2
     assert cfg.actions.actions[0].omega == pytest.approx(math.radians(-25.0))
-    assert cfg.motion.sigma_theta == pytest.approx(math.radians(0.15))
-    assert cfg.sensor.sigma_z == 150.0
+    assert cfg.models.motion.sigma_theta == pytest.approx(math.radians(0.15))
+    assert cfg.models.sensor.sigma_z == 150.0
     assert np.allclose(
         np.diag(cfg.prior_cov), [0.01, 0.01, math.radians(5.0) ** 2]
     )  # defaults: sigma 0.1, 0.1, 5 deg
     assert cfg.n_particles == 150
     assert (cfg.eer_params.m_count, cfg.eer_params.horizon_steps) == (20, 5)
-    assert (cfg.dt, cfg.step_budget, cfg.seed) == (0.1, 12, 0)
-    assert cfg.resample_threshold is None
-    assert cfg.distance_mode == "mean_pose"
+    assert (cfg.models.dt, cfg.step_budget, cfg.seed) == (0.1, 12, 0)
 
 
 def test_build_episode_optional_keys(tmp_path):
@@ -220,16 +230,12 @@ def test_build_episode_optional_keys(tmp_path):
             "filter.prior_sigma_x": "0.3",
             "filter.prior_sigma_y": "0.2",
             "filter.prior_sigma_theta_deg": "10.0",
-            "filter.resample_threshold": "40.0",
-            "planner.distance_mode": "particle_mean",
         },
     )
     cfg = build_episode_config(raw, str(tmp_path))
     assert np.allclose(
         np.diag(cfg.prior_cov), [0.09, 0.04, math.radians(10.0) ** 2]
     )
-    assert cfg.resample_threshold == 40.0
-    assert cfg.distance_mode == "particle_mean"
 
 
 def test_build_episode_default_arrival_radius(tmp_path):
@@ -262,10 +268,18 @@ def test_build_episode_empty_action_list(tmp_path):
 def test_build_episode_domain_violation_wrapped(tmp_path):
     with pytest.raises(ConfigError, match="invalid episode configuration"):
         build_episode_config(dict(BASE, **{"sim.step_budget": "0"}), str(tmp_path))
-    with pytest.raises(ConfigError, match="invalid episode configuration"):
-        build_episode_config(
-            dict(BASE, **{"planner.distance_mode": "median"}), str(tmp_path)
-        )
+    for dt in ("0", "inf"):
+        with pytest.raises(ConfigError, match="invalid episode configuration: dt must be"):
+            build_episode_config(dict(BASE, **{"sim.dt": dt}), str(tmp_path))
+    for key, value, fragment in (
+        ("planner.alpha", "2", "alpha"),
+        ("start.x", "nan", "pose"),
+        ("goal.arrival_radius", "0", "arrival_radius"),
+        ("actions.v", "nan", "control"),
+        ("noise.motion_sigma_x", "-1", "motion sigmas"),
+    ):
+        with pytest.raises(ConfigError, match=f"invalid episode configuration: {fragment}"):
+            build_episode_config(dict(BASE, **{key: value}), str(tmp_path))
 
 
 def test_float_list_tolerates_spacing_and_trailing_comma(tmp_path):
@@ -292,3 +306,8 @@ def test_sweep_params_missing_or_empty():
         sweep_params(BASE)
     with pytest.raises(ConfigError, match="nonempty"):
         sweep_params(dict(BASE, **{"sweep.w_h_values": ",", "sweep.seeds": "1"}))
+    for w_h in ("-1, 0", "0, nan", "inf"):
+        with pytest.raises(ConfigError, match="sweep.w_h_values: w_h must be"):
+            sweep_params(dict(BASE, **{"sweep.w_h_values": w_h, "sweep.seeds": "0"}))
+    with pytest.raises(ConfigError, match="sweep.seeds must all be >= 0, got -2"):
+        sweep_params(dict(BASE, **{"sweep.w_h_values": "0", "sweep.seeds": "0, -2"}))

@@ -125,6 +125,8 @@ def test_noise_parameters_validated():
         SensorNoise(-1.0)
     with pytest.raises(ModelError):
         ModelSet(NO_NOISE, SensorNoise(1.0), dt=0.0)
+    with pytest.raises(ModelError):
+        ModelSet(NO_NOISE, SensorNoise(1.0), dt=math.inf)
     assert MotionNoise(0.0, 0.0, 0.0).is_zero()
     assert not MotionNoise(0.0, 1e-9, 0.0).is_zero()
 

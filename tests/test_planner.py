@@ -18,7 +18,6 @@ from magplan.planner import (
     PlannerWeights,
     action_cost,
     expected_distance,
-    expected_distance_over_particles,
     expected_position,
     select_action,
 )
@@ -81,23 +80,6 @@ def test_expected_distance_pythagorean():
         Pose(0.0, 0.0, math.pi / 2), ControlInput(0.1, 0.0), Goal((3.0, 4.1), 0.5), 1.0
     )
     assert d == pytest.approx(5.0, abs=1e-9)
-
-
-def test_distance_over_particles_weighted_longhand():
-    particles = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    b = ParticleBelief(particles, np.array([0.3, 0.7]), np.random.default_rng(0))
-    goal = Goal((10.0, 0.0), 0.5)
-    got = expected_distance_over_particles(b, ControlInput(0.2, 0.0), goal, 0.1)
-    assert got == pytest.approx(0.3 * 9.98 + 0.7 * 8.98, abs=1e-12)
-
-
-def test_distance_over_particles_degenerate_matches_mean_pose():
-    b = pinned_belief()
-    a = ControlInput(0.2, math.radians(15.0))
-    goal = Goal((4.0, 7.0), 0.5)
-    assert expected_distance_over_particles(b, a, goal, 0.1) == pytest.approx(
-        expected_distance(estimate(b).mean, a, goal, 0.1), abs=1e-12
-    )
 
 
 # --- cost model ---
@@ -287,31 +269,3 @@ def test_all_actions_failing_raises(peak_grid, models, aset):
             b, Goal((8.0, 3.0), 0.5), aset, PlannerWeights(1.0, 1.0, 0.5),
             peak_grid, models, EerParams(30, 10), np.random.default_rng(0),
         )
-
-
-def test_unknown_distance_mode_rejected(peak_grid, models, aset):
-    with pytest.raises(PlannerError, match="distance_mode"):
-        select_action(
-            pinned_belief(), Goal((8.0, 3.0), 0.5), aset, PlannerWeights(1.0, 1.0, 0.5),
-            peak_grid, models, EerParams(30, 10), np.random.default_rng(0),
-            distance_mode="median",
-        )
-
-
-def test_particle_mean_mode_matches_for_degenerate_belief(uniform_grid, models, aset):
-    b = pinned_belief()
-    kw = dict(
-        goal=Goal((10.0, 0.0), 0.5),
-        aset=aset,
-        w=PlannerWeights(0.0, 1.0, 0.5),
-        grid=uniform_grid,
-        models=models,
-        eer_params=EerParams(30, 10),
-    )
-    by_pose = select_action(b, rng=np.random.default_rng(3), **kw)
-    by_cloud = select_action(
-        b, rng=np.random.default_rng(3), distance_mode="particle_mean", **kw
-    )
-    assert by_cloud.chosen_index == by_pose.chosen_index
-    for d_pose, d_cloud in zip(by_pose.diagnostics, by_cloud.diagnostics):
-        assert d_cloud.distance == pytest.approx(d_pose.distance, abs=1e-12)

@@ -10,7 +10,7 @@ import pytest
 from conftest import STD_MOTION, STD_SENSOR
 from magplan import pflocal
 from magplan.magmap import OutOfMapError
-from magplan.models import ControlInput, Pose, SensorNoise
+from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, SensorNoise
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights
 from magplan.simloop import (
     EpisodeConfig,
@@ -38,19 +38,17 @@ ACTIONS = ActionSet.from_turn_rates(
 
 @pytest.fixture
 def base_cfg(peak_grid):
-    def make(**over):
+    def make(motion=STD_MOTION, sensor=STD_SENSOR, **over):
         kw = dict(
             grid=peak_grid,
             start=Pose(0.5, 0.5, 0.0),
             goal=Goal((10.0, 0.5), 0.5),
             weights=PlannerWeights(1.0, 1.0, 0.5),
             actions=ACTIONS,
-            motion=STD_MOTION,
-            sensor=STD_SENSOR,
+            models=ModelSet(motion, sensor, 0.1),
             prior_cov=np.diag([0.09, 0.09, math.radians(5.0) ** 2]),
             n_particles=150,
             eer_params=EerParams(20, 5),
-            dt=0.1,
             step_budget=12,
             seed=0,
         )
@@ -66,10 +64,10 @@ def base_cfg(peak_grid):
 @pytest.mark.parametrize(
     "field, value, fragment",
     [
-        ("dt", 0.0, "dt"),
-        ("dt", math.inf, "dt"),
         ("step_budget", 0, "step_budget"),
         ("n_particles", 1, "n_particles"),
+        ("motion", MotionNoise(0.0, 0.01, 0.01), "motion sigmas"),
+        ("motion", MotionNoise(0.01, 0.01, 0.0), "motion sigmas"),
         ("sensor", SensorNoise(0.0), "sigma_z"),
     ],
 )
@@ -91,22 +89,13 @@ def test_config_cross_field_validation(base_cfg):
         base_cfg(goal=Goal((50.0, 0.0), 0.5))
     with pytest.raises(EpisodeError, match="start"):
         base_cfg(start=Pose(-10.0, 0.0, 0.0))
-    with pytest.raises(EpisodeError, match="resample_threshold"):
-        base_cfg(resample_threshold=0.0)
-    with pytest.raises(EpisodeError, match="distance_mode"):
-        base_cfg(distance_mode="median")
-
-
-def test_config_ess_threshold_defaults_to_half(base_cfg):
-    assert base_cfg().ess_threshold == 75.0
-    assert base_cfg(resample_threshold=30.0).ess_threshold == 30.0
 
 
 def test_config_freezes_prior_cov(base_cfg):
     cfg = base_cfg()
     with pytest.raises(ValueError):
         cfg.prior_cov[0, 0] = 99.0
-    assert cfg.models.dt == cfg.dt
+    assert cfg.models.dt == 0.1
 
 
 # --- determinism and information hygiene ---
@@ -153,14 +142,17 @@ def test_belief_blind_to_truth_pose(base_cfg):
 
 
 def test_step_runs_on_trusted_snapshots(base_cfg, monkeypatch):
-    """The filter's own beliefs and summaries skip the boundary checks."""
+    """The filter's own beliefs and summaries and the episode's model bundle
+    skip the boundary checks."""
 
     def boundary_check(self):
         raise AssertionError("boundary check on an internal snapshot")
 
+    cfg = base_cfg()
     monkeypatch.setattr(pflocal.ParticleBelief, "__post_init__", boundary_check)
     monkeypatch.setattr(pflocal.GaussianSummary, "__post_init__", boundary_check)
-    runner = EpisodeRunner(base_cfg())
+    monkeypatch.setattr(ModelSet, "__post_init__", boundary_check)
+    runner = EpisodeRunner(cfg)
     row = runner.step()
     assert not row.collapsed
     assert not runner.belief.particles.flags.writeable
@@ -205,6 +197,15 @@ def test_collapse_recovers_and_flags(base_cfg):
     assert all(r.collapsed for r in trace.rows)
     assert all(math.isfinite(r.entropy_bits) for r in trace.rows)
     assert all(math.isfinite(r.det_pos_cov) for r in trace.rows)
+
+
+def test_resamples_below_half_the_particle_count(base_cfg):
+    # A sharp sensor near the peak: the ESS falls below N/2 on some steps only.
+    cfg = base_cfg(start=Pose(3.5, 1.5, 0.0), sensor=SensorNoise(5.0), step_budget=6)
+    rows = run_episode(cfg).rows
+    flags = [r.resampled for r in rows]
+    assert flags == [r.ess < 75.0 for r in rows]
+    assert any(flags) and not all(flags)
 
 
 # --- metrics ---
@@ -333,6 +334,17 @@ def test_trace_reader_rejects_malformed(tmp_path):
     badcell.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
     with pytest.raises(EpisodeError, match="badcell.csv: line 6: .*'abc'"):
         read_trace(str(badcell))
+
+    # Only the per-action eer/dist/cost cells may be non-finite.
+    cells[22] = "nan"
+    nancell = tmp_path / "nancell.csv"
+    nancell.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
+    with pytest.raises(EpisodeError, match="nancell.csv: line 6: entropy_bits .*'nan'"):
+        read_trace(str(nancell))
+    cells[22], cells[-1] = "2.0", "inf\n"  # cost_1
+    failedaction = tmp_path / "failedaction.csv"
+    failedaction.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
+    assert read_trace(str(failedaction)).costs[1].tolist() == [1.1, math.inf]
 
     nonascii = tmp_path / "nonascii.csv"
     nonascii.write_bytes(text.replace(",2.0,", ",2.0\xe9,", 1).encode("latin-1"))
