@@ -10,7 +10,14 @@ import pytest
 from conftest import STD_MOTION, STD_SENSOR
 from magplan import pflocal
 from magplan.magmap import OutOfMapError
-from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, SensorNoise
+from magplan.models import (
+    ControlInput,
+    ModelError,
+    ModelSet,
+    MotionNoise,
+    Pose,
+    SensorNoise,
+)
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights
 from magplan.simloop import (
     EpisodeConfig,
@@ -38,14 +45,14 @@ ACTIONS = ActionSet.from_turn_rates(
 
 @pytest.fixture
 def base_cfg(peak_grid):
-    def make(motion=STD_MOTION, sensor=STD_SENSOR, **over):
+    def make(motion=STD_MOTION, sensor=STD_SENSOR, dt=0.1, **over):
         kw = dict(
             grid=peak_grid,
             start=Pose(0.5, 0.5, 0.0),
             goal=Goal((10.0, 0.5), 0.5),
             weights=PlannerWeights(1.0, 1.0, 0.5),
             actions=ACTIONS,
-            models=ModelSet(motion, sensor, 0.1),
+            models=ModelSet(motion, sensor, dt),
             prior_cov=np.diag([0.09, 0.09, math.radians(5.0) ** 2]),
             n_particles=150,
             eer_params=EerParams(20, 5),
@@ -64,15 +71,19 @@ def base_cfg(peak_grid):
 @pytest.mark.parametrize(
     "field, value, fragment",
     [
+        ("dt", 0.0, "dt"),
+        ("dt", math.inf, "dt"),
         ("step_budget", 0, "step_budget"),
         ("n_particles", 1, "n_particles"),
+        ("sensor", SensorNoise(0.0), "sigma_z"),
         ("motion", MotionNoise(0.0, 0.01, 0.01), "motion sigmas"),
         ("motion", MotionNoise(0.01, 0.01, 0.0), "motion sigmas"),
-        ("sensor", SensorNoise(0.0), "sigma_z"),
     ],
 )
 def test_config_scalar_validation(base_cfg, field, value, fragment):
-    with pytest.raises(EpisodeError, match=fragment):
+    # dt is checked by ModelSet, before an EpisodeConfig can exist.
+    error = ModelError if field == "dt" else EpisodeError
+    with pytest.raises(error, match=fragment):
         base_cfg(**{field: value})
 
 
