@@ -193,6 +193,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magplan",
@@ -251,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the planning step against the 100 ms budget",
     )
     p.add_argument("--config", required=True, help="episode config file")
-    p.add_argument("--steps", type=int, default=50, help="planning steps to time")
+    p.add_argument(
+        "--steps", type=_positive_int, default=50, help="planning steps to time"
+    )
     p.set_defaults(func=cmd_benchmark)
     return parser
 

@@ -80,28 +80,6 @@ class MagSample:
 
 
 @dataclass(frozen=True)
-class DirectionCosines:
-    """Unit-field components (B_x, B_y, B_z)/B_t, optionally with time rates."""
-
-    cx: float
-    cy: float
-    cz: float
-    cx_dot: Optional[float] = None
-    cy_dot: Optional[float] = None
-    cz_dot: Optional[float] = None
-
-    @property
-    def has_rates(self) -> bool:
-        return self.cx_dot is not None
-
-    def rates(self) -> tuple[float, float, float]:
-        if not self.has_rates:
-            raise CalibrationError("direction-cosine rates not set")
-        assert self.cy_dot is not None and self.cz_dot is not None
-        return (self.cx_dot, self.cy_dot, self.cz_dot)  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
 class CalibrationCoefficients:
     """The fitted 20-term interference model.
 
@@ -122,80 +100,40 @@ class CalibrationCoefficients:
         object.__setattr__(self, "eps", eps)
 
 
-def direction_cosines(s: MagSample) -> DirectionCosines:
-    """Direction cosines of one sample; rates left unset."""
-    if s.b_total <= 0:
-        raise InvalidSampleError(f"b_total must be > 0, got {s.b_total}")
-    return DirectionCosines(
-        s.b_vec[0] / s.b_total, s.b_vec[1] / s.b_total, s.b_vec[2] / s.b_total
-    )
-
-
-def cosine_rates(
-    prev: DirectionCosines, cur: DirectionCosines, dt: float
-) -> DirectionCosines:
-    """Attach backward-difference rates (cur - prev)/dt to cur."""
-    if dt <= 0:
-        raise CalibrationError(f"dt must be > 0, got {dt}")
-    return DirectionCosines(
-        cur.cx,
-        cur.cy,
-        cur.cz,
-        (cur.cx - prev.cx) / dt,
-        (cur.cy - prev.cy) / dt,
-        (cur.cz - prev.cz) / dt,
-    )
-
-
-def build_regressor_row(
-    dc: DirectionCosines, b_total: float, speed: float
-) -> np.ndarray:
-    """One 20-column regressor row.
-
-    Layout: [0:3] cosines, [3:9] b_total * quadratic cosine products,
-    [9:18] b_total * (cosine x rate) grid in row-major (cx, cy, cz) x
-    (cx_dot, cy_dot, cz_dot) order, [18] constant 1, [19] speed.
-    """
-    cx, cy, cz = dc.cx, dc.cy, dc.cz
-    rx, ry, rz = dc.rates()
-    row = np.empty(N_COEFFS, dtype=float)
-    row[0:3] = (cx, cy, cz)
-    row[3:9] = np.array([cx * cx, cy * cy, cz * cz, cx * cy, cx * cz, cy * cz])
-    row[3:9] *= b_total
-    row[9:18] = np.array(
-        [
-            cx * rx, cx * ry, cx * rz,
-            cy * rx, cy * ry, cy * rz,
-            cz * rx, cz * ry, cz * rz,
-        ]
-    )
-    row[9:18] *= b_total
-    row[18] = 1.0
-    row[19] = speed
-    return row
-
-
-def _check_timestamps(log: Sequence[MagSample]) -> None:
-    for i in range(1, len(log)):
-        if log[i].timestamp <= log[i - 1].timestamp:
-            raise InvalidSampleError(
-                f"timestamps must be strictly increasing: row {i} has "
-                f"{log[i].timestamp} after {log[i - 1].timestamp}"
-            )
+def _check_timestamps(t: np.ndarray) -> None:
+    bad = np.flatnonzero(np.diff(t) <= 0)
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise InvalidSampleError(
+            f"timestamps must be strictly increasing: row {i} has "
+            f"{float(t[i])} after {float(t[i - 1])}"
+        )
 
 
 def build_regressor_matrix(log: Sequence[MagSample]) -> np.ndarray:
-    """Regressor rows for log[1:]; log[0] seeds the rate differences."""
-    _check_timestamps(log)
+    """Regressor rows for log[1:]; log[0] seeds the rate differences.
+
+    Row layout: [0:3] direction cosines c = b_vec / b_total, [3:9] b_total *
+    quadratic cosine products (xx, yy, zz, xy, xz, yz), [9:18] b_total *
+    (cosine x rate) grid in row-major (cx, cy, cz) x (cx_dot, cy_dot,
+    cz_dot) order, [18] constant 1, [19] speed. Rates are the backward
+    differences (c_i - c_{i-1}) / (t_i - t_{i-1}).
+    """
     if len(log) < 2:
         raise InsufficientDataError("need at least 2 samples to form rate terms")
+    cols = np.array([(s.timestamp, s.b_total, *s.b_vec, s.speed) for s in log])
+    t, b_total, b_vec, speed = cols[:, 0], cols[:, 1], cols[:, 2:5], cols[:, 5]
+    _check_timestamps(t)
+    cos = b_vec / b_total[:, None]
+    rates = np.diff(cos, axis=0) / np.diff(t)[:, None]
+    c = cos[1:]
+    bt = b_total[1:, None]
     rows = np.empty((len(log) - 1, N_COEFFS), dtype=float)
-    prev_dc = direction_cosines(log[0])
-    for i in range(1, len(log)):
-        s = log[i]
-        dc = cosine_rates(prev_dc, direction_cosines(s), s.timestamp - log[i - 1].timestamp)
-        rows[i - 1] = build_regressor_row(dc, s.b_total, s.speed)
-        prev_dc = DirectionCosines(dc.cx, dc.cy, dc.cz)
+    rows[:, 0:3] = c
+    rows[:, 3:9] = (c[:, [0, 1, 2, 0, 0, 1]] * c[:, [0, 1, 2, 1, 2, 2]]) * bt
+    rows[:, 9:18] = (c[:, :, None] * rates[:, None, :]).reshape(-1, 9) * bt
+    rows[:, 18] = 1.0
+    rows[:, 19] = speed[1:]
     return rows
 
 
@@ -232,25 +170,21 @@ def fit(
         raise CalibrationError(
             f"b_earth has {len(b_earth)} entries for {len(log)} samples"
         )
+    truth = np.asarray(b_earth, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(truth))
+    if bad.size:
+        raise CalibrationError(f"b_earth[{bad[0]}] must be finite, got {truth[bad[0]]}")
     a = build_regressor_matrix(log)
     if a.shape[0] < N_COEFFS:
         raise InsufficientDataError(
             f"need >= {N_COEFFS} usable rows, got {a.shape[0]}"
         )
     _warn_on_poor_excitation(a)
-    y = np.array([s.b_total for s in log[1:]]) - np.asarray(b_earth[1:], dtype=float)
+    y = np.array([s.b_total for s in log[1:]]) - truth[1:]
     eps, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < N_COEFFS:
         raise RankDeficientError(int(rank))
     return CalibrationCoefficients(eps)
-
-
-def compensate(
-    s: MagSample, dc: DirectionCosines, eps: CalibrationCoefficients
-) -> float:
-    """Ambient-field estimate: raw total reading minus predicted interference."""
-    row = build_regressor_row(dc, s.b_total, s.speed)
-    return s.b_total - float(row @ eps.eps)
 
 
 def compensate_log(
@@ -309,10 +243,14 @@ def load_maglog(path: str) -> tuple[list[MagSample], Optional[np.ndarray]]:
         except InvalidSampleError as exc:
             raise CalibrationError(f"line {lineno}: {exc}") from exc
         if len(vals) == 7:
+            if not math.isfinite(vals[6]):
+                raise CalibrationError(
+                    f"line {lineno}: be_truth must be finite, got {vals[6]}"
+                )
             truths.append(vals[6])
     if truths and len(truths) != len(samples):
         raise CalibrationError("be_truth column present on some rows but not all")
-    _check_timestamps(samples)
+    _check_timestamps(np.array([s.timestamp for s in samples]))
     return samples, (np.array(truths) if truths else None)
 
 
@@ -361,5 +299,7 @@ def load_coefficients(path: str) -> CalibrationCoefficients:
             raise CalibrationError(
                 f"line {lineno}: expected index {lineno - 1}, got {idx}"
             )
+        if not math.isfinite(val):
+            raise CalibrationError(f"line {lineno}: coefficient must be finite, got {val}")
         eps[idx - 1] = val
     return CalibrationCoefficients(eps)

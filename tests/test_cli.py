@@ -347,3 +347,14 @@ def test_benchmark_rejects_zero_motion_sigma(tmp_path, capsys):
     assert main(["benchmark", "--config", cfg, "--out", str(out), "--steps", "3"]) == 2
     assert "motion sigmas must all be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_benchmark_rejects_non_positive_steps(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "bench"
+    for steps in ("0", "-2", "three"):
+        with pytest.raises(SystemExit) as info:
+            main(["benchmark", "--config", cfg, "--out", str(out), "--steps", steps])
+        assert info.value.code == 2
+        assert "--steps" in capsys.readouterr().err
+    assert not out.exists()

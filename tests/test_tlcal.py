@@ -13,18 +13,13 @@ from magplan.tlcal import (
     N_COEFFS,
     CalibrationCoefficients,
     CalibrationError,
-    DirectionCosines,
     ExcitationWarning,
     InsufficientDataError,
     InvalidSampleError,
     MagSample,
     RankDeficientError,
     build_regressor_matrix,
-    build_regressor_row,
-    compensate,
     compensate_log,
-    cosine_rates,
-    direction_cosines,
     fit,
     load_coefficients,
     load_maglog,
@@ -47,8 +42,17 @@ EPS_STAR = np.array(
 )
 
 
-def unit_rates(dc: DirectionCosines) -> DirectionCosines:
-    return DirectionCosines(dc.cx, dc.cy, dc.cz, 0.0, 0.0, 0.0)
+def cosine_log(
+    cosines: list[tuple[float, float, float]],
+    b_total: float = 1.0,
+    speed: float = 0.0,
+    dt: float = 0.1,
+) -> list[MagSample]:
+    """Samples whose vector channel is cosines * b_total, dt apart."""
+    return [
+        MagSample((c[0] * b_total, c[1] * b_total, c[2] * b_total), b_total, speed, dt * k)
+        for k, c in enumerate(cosines)
+    ]
 
 
 # --- samples and cosines ---
@@ -56,9 +60,8 @@ def unit_rates(dc: DirectionCosines) -> DirectionCosines:
 
 def test_direction_cosines_basic():
     s = MagSample((3.0, 4.0, 0.0), 5.0, 0.2, 0.0)
-    dc = direction_cosines(s)
-    assert (dc.cx, dc.cy, dc.cz) == (0.6, 0.8, 0.0)
-    assert not dc.has_rates
+    a = build_regressor_matrix([s, MagSample(s.b_vec, s.b_total, s.speed, 1.0)])
+    assert a[0, 0:3].tolist() == [0.6, 0.8, 0.0]
 
 
 def test_sample_validation():
@@ -76,47 +79,38 @@ def test_cosines_unit_norm_when_total_matches(cx, cy, cz):
     if norm < 1e-3:
         return
     s = MagSample((cx, cy, cz), norm, 0.0, 0.0)
-    dc = direction_cosines(s)
-    assert dc.cx**2 + dc.cy**2 + dc.cz**2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rates_require_attachment():
-    dc = direction_cosines(MagSample((1.0, 0.0, 0.0), 1.0, 0.0, 0.0))
-    with pytest.raises(CalibrationError):
-        dc.rates()
+    c = build_regressor_matrix([s, MagSample(s.b_vec, norm, 0.0, 0.1)])[0, 0:3]
+    assert float(c @ c) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_rates_zero_for_repeated_attitude():
-    dc = DirectionCosines(0.2, 0.3, 0.5)
-    out = cosine_rates(dc, dc, 0.1)
-    assert out.rates() == (0.0, 0.0, 0.0)
+    a = build_regressor_matrix(cosine_log([(0.2, 0.3, 0.5)] * 2, b_total=25000.0))
+    assert np.all(a[:, 9:18] == 0.0)
 
 
 def test_cosine_rates_backward_difference():
-    prev = DirectionCosines(0.0, 0.5, 0.5)
-    cur = DirectionCosines(0.1, 0.5, 0.4)
-    out = cosine_rates(prev, cur, 0.1)
-    assert out.rates() == pytest.approx((1.0, 0.0, -1.0))
-    with pytest.raises(CalibrationError):
-        cosine_rates(prev, cur, 0.0)
+    # With b_total = 1 the eddy columns are the cosine x rate grid itself.
+    a = build_regressor_matrix(cosine_log([(0.0, 0.5, 0.5), (0.1, 0.5, 0.4)]))
+    grid = np.outer((0.1, 0.5, 0.4), (1.0, 0.0, -1.0)).ravel()
+    assert a[0, 9:18].tolist() == pytest.approx(grid.tolist())
 
 
 def test_linear_cosine_drift_gives_constant_rates():
     # Cosine channels moving linearly in time must produce identical
     # backward-difference rates at every step.
     ts = [0.1 * k for k in range(12)]
-    seq = [DirectionCosines(0.1 + 0.05 * t, 0.3 - 0.02 * t, 0.5 + 0.01 * t) for t in ts]
-    rates = [cosine_rates(seq[i - 1], seq[i], ts[i] - ts[i - 1]).rates() for i in range(1, 12)]
-    for r in rates:
-        assert r == pytest.approx((0.05, -0.02, 0.01), abs=1e-12)
+    seq = [(0.1 + 0.05 * t, 0.3 - 0.02 * t, 0.5 + 0.01 * t) for t in ts]
+    a = build_regressor_matrix(cosine_log(seq))
+    for row in a:
+        grid = np.outer(row[0:3], (0.05, -0.02, 0.01)).ravel()
+        assert row[9:18].tolist() == pytest.approx(grid.tolist(), abs=1e-12)
 
 
 # --- regressor layout ---
 
 
 def test_row_unit_x_attitude():
-    dc = DirectionCosines(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    row = build_regressor_row(dc, 1.0, 0.0)
+    row = build_regressor_matrix(cosine_log([(1.0, 0.0, 0.0)] * 2))[0]
     expected = np.zeros(N_COEFFS)
     expected[0] = 1.0  # permanent cx
     expected[3] = 1.0  # induced cx^2 scaled by b_total = 1
@@ -125,24 +119,39 @@ def test_row_unit_x_attitude():
 
 
 def test_row_speed_column():
-    dc = DirectionCosines(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    row = build_regressor_row(dc, 123.0, 0.2)
+    row = build_regressor_matrix(cosine_log([(0.0, 0.0, 0.0)] * 2, 123.0, 0.2))[0]
     assert row[19] == 0.2
     assert row[18] == 1.0
     assert np.all(row[:18] == 0.0)
 
 
-@given(
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
-    st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)),
-    st.floats(1e3, 1e5),
-    st.floats(0, 2),
-)
-def test_row_matches_longhand_reference(c, r, b_total, speed):
-    dc = DirectionCosines(*c, *r)
-    row = build_regressor_row(dc, b_total, speed)
-    # The scaled products may differ from the longhand grouping by an ulp.
-    assert row.tolist() == pytest.approx(tl_row_reference(c, r, b_total, speed), rel=1e-13)
+@st.composite
+def increasing_logs(draw) -> list[MagSample]:
+    n = draw(st.integers(2, 8))
+    t = draw(st.floats(-1e3, 1e3))
+    log = []
+    for _ in range(n):
+        b_vec = draw(st.tuples(*[st.floats(-1e5, 1e5)] * 3))
+        log.append(MagSample(b_vec, draw(st.floats(1e3, 1e5)), draw(st.floats(0, 2)), t))
+        t += draw(st.floats(1e-3, 10))
+    return log
+
+
+@given(increasing_logs())
+def test_row_matches_longhand_reference(log):
+    a = build_regressor_matrix(log)
+    assert a.shape == (len(log) - 1, N_COEFFS)
+    for i, s in enumerate(log[1:], start=1):
+        prev = log[i - 1]
+        c = tuple(v / s.b_total for v in s.b_vec)
+        c_prev = tuple(v / prev.b_total for v in prev.b_vec)
+        r = tuple((c[k] - c_prev[k]) / (s.timestamp - prev.timestamp) for k in range(3))
+        row = a[i - 1]
+        assert row[0:3].tolist() == list(c)
+        assert (row[18], row[19]) == (1.0, s.speed)
+        # The scaled products may differ from the longhand grouping by an ulp.
+        expected = tl_row_reference(c, r, s.b_total, s.speed)[3:18]
+        assert row[3:18].tolist() == pytest.approx(expected, rel=1e-13)
 
 
 def test_matrix_skips_seed_sample_and_checks_order():
@@ -154,6 +163,9 @@ def test_matrix_skips_seed_sample_and_checks_order():
         build_regressor_matrix(shuffled)
     with pytest.raises(InsufficientDataError):
         build_regressor_matrix(log[:1])
+    repeated = MagSample(log[2].b_vec, log[2].b_total, log[2].speed, log[1].timestamp)
+    with pytest.raises(InvalidSampleError, match="row 2"):
+        build_regressor_matrix([log[0], log[1], repeated, *log[3:]])
 
 
 # --- fitting ---
@@ -186,6 +198,15 @@ def test_fit_rejects_misaligned_truth():
     log, b_earth = make_tl_log(np.zeros(N_COEFFS), n=30)
     with pytest.raises(CalibrationError):
         fit(log, b_earth[:-1])
+
+
+def test_fit_rejects_non_finite_truth():
+    log, b_earth = make_tl_log(np.zeros(N_COEFFS), n=30)
+    for bad in (math.nan, math.inf):
+        truth = b_earth.copy()
+        truth[7] = bad
+        with pytest.raises(CalibrationError, match=r"b_earth\[7\] must be finite"):
+            fit(log, truth)
 
 
 def test_fit_insufficient_rows():
@@ -240,8 +261,7 @@ def test_compensate_log_recovers_truth():
 def test_compensate_zero_coefficients_is_identity():
     log, _ = make_tl_log(np.zeros(N_COEFFS), n=10)
     eps = CalibrationCoefficients(np.zeros(N_COEFFS))
-    dc = unit_rates(direction_cosines(log[3]))
-    assert compensate(log[3], dc, eps) == log[3].b_total
+    assert compensate_log(log, eps).tolist() == [s.b_total for s in log[1:]]
 
 
 def test_bias_only_interference():
@@ -262,11 +282,12 @@ def test_compensation_linear_in_coefficients(seed):
     e1 = rng.normal(0, 1, N_COEFFS)
     e2 = rng.normal(0, 1, N_COEFFS)
     s = MagSample((20000.0, 9000.0, 12000.0), 25000.0, 0.3, 1.0)
-    dc = cosine_rates(direction_cosines(s), direction_cosines(s), 0.1)
+    prev = MagSample(s.b_vec, s.b_total, s.speed, 0.9)
     base = s.b_total
-    d1 = base - compensate(s, dc, CalibrationCoefficients(e1))
-    d2 = base - compensate(s, dc, CalibrationCoefficients(e2))
-    d12 = base - compensate(s, dc, CalibrationCoefficients(e1 + e2))
+    # One reading s after prev is compensated as the single row of [prev, s].
+    d1 = base - compensate_log([prev, s], CalibrationCoefficients(e1))[0]
+    d2 = base - compensate_log([prev, s], CalibrationCoefficients(e2))[0]
+    d12 = base - compensate_log([prev, s], CalibrationCoefficients(e1 + e2))[0]
     assert d12 == pytest.approx(d1 + d2, rel=1e-9, abs=1e-9)
 
 
@@ -303,6 +324,8 @@ def test_maglog_without_truth_column(tmp_path):
         ("maglog v1\n0,1,1,1,-2,0.2\n", "line 2"),
         ("maglog v1\n0,1,1,1,2,0.2,25000\n1,1,1,1,2,0.2\n", "be_truth"),
         ("maglog v1\n1,1,1,1,2,0.2\n0.5,1,1,1,2,0.2\n", "increasing"),
+        ("maglog v1\n0,1,1,1,2,0.2,25000\n1,1,1,1,2,0.2,nan\n", "line 3: be_truth"),
+        ("maglog v1\n0,1,1,1,2,0.2,inf\n1,1,1,1,2,0.2,25000\n", "line 2: be_truth"),
     ],
 )
 def test_maglog_parse_errors(tmp_path, text, fragment):
@@ -326,7 +349,7 @@ def test_coefficients_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "mutation",
-    ["header", "count", "index", "value"],
+    ["header", "count", "index", "value", "nan", "inf"],
 )
 def test_coefficients_parse_errors(tmp_path, mutation):
     path = tmp_path / "c.tlcoef"
@@ -340,9 +363,13 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         lines[5] = "9,0.0"
     elif mutation == "value":
         lines[5] = "5,potato"
+    else:
+        lines[5] = f"5,{mutation}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError) as info:
         load_coefficients(path)
+    if mutation in ("nan", "inf"):
+        assert "line 6: coefficient must be finite" in str(info.value)
 
 
 def test_coefficients_vector_validated():
