@@ -41,14 +41,14 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
 `eer` scores all A candidate actions of a planning step in one batched
 kernel over an (A, M, 3) hypothesis tensor. One rng.choice call of shape
 (A, M) draws every hypothesis set; it consumes the generator exactly like A
-successive size-M draws in action order. One noise-free horizon loop rolls
-all actions forward together (they share one speed; omega * dt broadcasts
-per action). Because the rollout is noise free, the terminal hypotheses are
-themselves the transition means of the step before them, so the (A, M, M)
-transition block is centred on them directly. The (A, M, M) likelihood
-block follows from the predicted map values alone: z_j is the map value at
-hypothesis j. A failure confined to one action's rollout (a non-finite
-estimate) fails that action alone.
+successive size-M draws in action order. One batched noise-free rollout
+moves all actions over the whole horizon (they share one speed; omega * dt
+broadcasts per action). Because the rollout is noise free, the terminal
+hypotheses are themselves the transition means of the step before them, so
+the (A, M, M) transition block is centred on them directly. The (A, M, M)
+likelihood block follows from the predicted map values alone: z_j is the
+map value at hypothesis j. A failure confined to one action's rollout (a
+non-finite estimate) fails that action alone.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ from .models import (
     in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
+    MotionNoise,
     sensor_log_likelihood,
     transition_log_density_from_means,
-    unicycle_mean,
+    unicycle_rollout,
 )
 from .pflocal import ParticleBelief, _safe_log
 
@@ -124,16 +125,11 @@ def logsumexp(a, axis=None) -> np.ndarray:
 
 
 def _log_predicted_density(
-    cur_states: np.ndarray,
-    prev_states: np.ndarray,
-    w_prev: np.ndarray,
-    u: ControlInput,
-    models: ModelSet,
+    cur_states: np.ndarray, means: np.ndarray, log_w: np.ndarray, motion: MotionNoise
 ) -> np.ndarray:
-    """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles."""
+    """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles, given
+    the prev particles' motion `means` and `log_w = _safe_log(w_prev)`."""
     nxt = in_range_headings(cur_states)
-    means = motion_mean_array(prev_states, u, models.dt)
-    log_w = _safe_log(w_prev)
     n, m = nxt.shape[0], means.shape[0]
     rows = max(1, TILE_ELEMENTS // m)
     buf = np.empty((min(rows, n), m))
@@ -141,7 +137,7 @@ def _log_predicted_density(
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         tile = transition_log_density_from_means(
-            nxt[r0:r1], means, models.motion, out=buf[: r1 - r0]
+            nxt[r0:r1], means, motion, out=buf[: r1 - r0]
         )
         tile += log_w
         out[r0:r1] = logsumexp(tile, axis=1)
@@ -169,19 +165,37 @@ def entropy_posterior(
     `prev` is the belief before the motion step, `cur` the belief after
     predict + update under control u; both must hold the same N.
     """
+    log_w, log_pred = _prev_terms(prev, cur, u, models)
+    log_lik = measurement_log_likelihood_array(z, cur.particles, grid, models.sensor)
+    return _posterior_entropy(log_w, log_lik, log_pred, cur.weights)
+
+
+def _prev_terms(
+    prev: ParticleBelief, cur: ParticleBelief, u: ControlInput, models: ModelSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_safe_log(prev.weights)` and the log predicted density at cur's particles."""
     if prev.n != cur.n:
         raise EntropyError(f"particle counts differ: {prev.n} vs {cur.n}")
-    log_lik = measurement_log_likelihood_array(z, cur.particles, grid, models.sensor)
-    log_pred = _log_predicted_density(
-        cur.particles, prev.particles, prev.weights, u, models
-    )
-    log_evidence = float(logsumexp(log_lik + _safe_log(prev.weights)))
+    log_w = _safe_log(prev.weights)
+    means = motion_mean_array(prev.particles, u, models.dt)
+    return log_w, _log_predicted_density(cur.particles, means, log_w, models.motion)
+
+
+def _posterior_entropy(
+    log_w_prev: np.ndarray, log_lik: np.ndarray, log_pred: np.ndarray, w_cur: np.ndarray
+) -> EntropyEstimate:
+    """The posterior entropy from its per-particle log terms and cur's weights."""
+    log_evidence = float(logsumexp(log_lik + log_w_prev))
     if not math.isfinite(log_evidence):
         raise EntropyError("measurement has zero mass under the predicted belief")
-    nats = log_evidence - _expectation(
-        cur.weights, log_lik + log_pred, "posterior entropy"
-    )
-    return EntropyEstimate(nats / LN2, cur.n, with_measurement=True)
+    nats = log_evidence - _expectation(w_cur, log_lik + log_pred, "posterior entropy")
+    return EntropyEstimate(nats / LN2, len(w_cur), with_measurement=True)
+
+
+def _predicted_entropy(log_pred: np.ndarray, w_cur: np.ndarray) -> EntropyEstimate:
+    """The no-measurement entropy from the log predicted density and cur's weights."""
+    nats = -_expectation(w_cur, log_pred, "predicted entropy")
+    return EntropyEstimate(nats / LN2, len(w_cur), with_measurement=False)
 
 
 def entropy_predicted(
@@ -191,13 +205,7 @@ def entropy_predicted(
     models: ModelSet,
 ) -> EntropyEstimate:
     """Entropy of the motion-predicted belief, no measurement incorporated."""
-    if prev.n != cur.n:
-        raise EntropyError(f"particle counts differ: {prev.n} vs {cur.n}")
-    log_pred = _log_predicted_density(
-        cur.particles, prev.particles, prev.weights, u, models
-    )
-    nats = -_expectation(cur.weights, log_pred, "predicted entropy")
-    return EntropyEstimate(nats / LN2, cur.n, with_measurement=False)
+    return _predicted_entropy(_prev_terms(prev, cur, u, models)[1], cur.weights)
 
 
 def eer(
@@ -237,9 +245,7 @@ def eer(
     n_actions = len(actions)
     omega = np.array([a.omega for a in actions])[:, None]
     idx = rng.choice(b.n, size=(n_actions, m_count), replace=True, p=b.weights)
-    states = b.particles[idx]
-    for _ in range(horizon_steps):
-        states = unicycle_mean(states, actions[0].v, omega, models.dt)
+    states = unicycle_rollout(b.particles[idx], actions[0].v, omega, models.dt, horizon_steps)
 
     w = 1.0 / m_count
     log_w = math.log(w)
@@ -248,7 +254,7 @@ def eer(
     inside = grid.contains(pts).reshape(n_actions, m_count)
     with np.errstate(over="ignore", invalid="ignore"):
         # (a, i, j): log p(x_i | hypothesis j one step earlier), whose motion
-        # mean is x_j, and log p(z_j | x_i). unicycle_mean has wrapped every
+        # mean is x_j, and log p(z_j | x_i). unicycle_rollout has wrapped every
         # heading, as the transition density requires.
         log_t = transition_log_density_from_means(states, states, models.motion)
         log_lik = sensor_log_likelihood(

@@ -130,10 +130,8 @@ class MagMap:
         """Clip points onto the extent rectangle (nearest in-map point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x_min, x_max, y_min, y_max = self.extent()
-        out = np.empty_like(pts)
-        out[:, 0] = np.clip(pts[:, 0], x_min, x_max)
-        out[:, 1] = np.clip(pts[:, 1], y_min, y_max)
-        return out
+        out = np.maximum(pts, (x_min, y_min))
+        return np.minimum(out, (x_max, y_max), out=out)
 
 
 def sample_points(grid: MagMap, points: np.ndarray) -> np.ndarray:
@@ -158,23 +156,16 @@ def interpolate(grid: MagMap, pts: np.ndarray) -> np.ndarray:
 
     No extent check: a point outside is extrapolated from its nearest cell.
     """
-    u = (pts[:, 0] - grid.origin[0]) / grid.cell_size
-    v = (pts[:, 1] - grid.origin[1]) / grid.cell_size
-    i0 = np.clip(np.floor(u).astype(int), 0, grid.width - 2)
-    j0 = np.clip(np.floor(v).astype(int), 0, grid.height - 2)
-    fu = u - i0
-    fv = v - j0
-    vals = grid.values
-    z00 = vals[j0, i0]
-    z10 = vals[j0, i0 + 1]
-    z01 = vals[j0 + 1, i0]
-    z11 = vals[j0 + 1, i0 + 1]
-    return (
-        z00 * (1 - fu) * (1 - fv)
-        + z10 * fu * (1 - fv)
-        + z01 * (1 - fu) * fv
-        + z11 * fu * fv
-    )
+    uv = (pts - grid.origin) / grid.cell_size
+    ij = np.floor(uv).astype(int)
+    np.minimum(np.maximum(ij, 0, out=ij), (grid.width - 2, grid.height - 2), out=ij)
+    f = uv - ij
+    (fu, fv), (gu, gv) = f.T, (1 - f).T
+    # The cell's corners (i, j), (i+1, j), (i, j+1), (i+1, j+1) in one flat gather.
+    w = grid.width
+    corners = ij[:, 1] * w + ij[:, 0] + np.array([[0], [1], [w], [w + 1]])
+    z00, z10, z01, z11 = grid.values.ravel()[corners]
+    return z00 * gu * gv + z10 * fu * gv + z01 * gu * fv + z11 * fu * fv
 
 
 @dataclass(frozen=True)
@@ -232,7 +223,8 @@ def save_map(grid: MagMap, path: str) -> None:
 
 def load_map(path: str) -> MagMap:
     """Parse a map file; MapFormatError carries the offending line number."""
-    with open(path, "r", encoding="ascii") as fh:
+    # A non-ASCII byte reads as U+FFFD, which the header or value check rejects.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or not any(line.strip() for line in lines):
         raise MapFormatError("empty map file", line=1)

@@ -128,25 +128,35 @@ class ModelSet:
             raise ModelError(f"dt must be finite and > 0, got {self.dt}")
 
 
-def unicycle_mean(
-    states: np.ndarray, v: float, omega: float | np.ndarray, dt: float
+def unicycle_rollout(
+    states: np.ndarray, v: float, omega: float | np.ndarray, dt: float, steps: int
 ) -> np.ndarray:
-    """Noise-free unicycle step on a (..., 3) stack of [x, y, theta] rows.
+    """`steps` noise-free unicycle steps on a (..., 3) stack of [x, y, theta] rows.
 
-    `omega` is a scalar or an array that broadcasts against
-    `states[..., 2]`, so one call can step several turn rates at once.
+    Each step moves x and y by v*dt along theta, then turns theta by omega*dt
+    and wraps it. `omega` is a scalar or an array that broadcasts against
+    `states[..., 2]`, so one call can roll several turn rates at once. The
+    steps run as one batch: headings first, then x and y as running sums.
     """
-    out = np.empty_like(states)
-    out[..., 0] = states[..., 0] + v * np.cos(states[..., 2]) * dt
-    out[..., 1] = states[..., 1] + v * np.sin(states[..., 2]) * dt
-    out[..., 2] = wrap_angle_array(states[..., 2] + omega * dt)
-    return out
+    theta = np.empty((steps + 1, *states.shape[:-1]))
+    theta[0] = states[..., 2]
+    turn = omega * dt
+    for k in range(steps):
+        theta[k + 1] = wrap_angle_array(theta[k] + turn)
+    moves = np.empty((steps + 1, *states.shape[:-1], 2))
+    moves[0] = states[..., :2]
+    moves[1:, ..., 0] = v * np.cos(theta[:-1]) * dt
+    moves[1:, ..., 1] = v * np.sin(theta[:-1]) * dt
+    position = np.cumsum(moves, axis=0)[-1]
+    return np.concatenate((position, theta[-1][..., None]), axis=-1)
 
 
 def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndarray:
     """Noise-free unicycle step applied to every [x, y, theta] row."""
+    if dt <= 0:
+        raise ModelError(f"dt must be > 0, got {dt}")
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return unicycle_mean(states, u.v, u.omega, dt)
+    return unicycle_rollout(states, u.v, u.omega, dt, 1)
 
 
 def step_motion_array(
@@ -161,19 +171,20 @@ def step_motion_array(
     With all sigmas zero no rng draw is consumed, so the noiseless path is
     reproducible regardless of generator state.
     """
-    if dt <= 0:
-        raise ModelError(f"dt must be > 0, got {dt}")
-    out = motion_mean_array(states, u, dt)
-    if not noise.is_zero():
-        n = out.shape[0]
-        eps = rng.normal(
-            0.0,
-            [noise.sigma_x, noise.sigma_y, noise.sigma_theta],
-            size=(n, 3),
-        )
-        out[:, 0] += eps[:, 0]
-        out[:, 1] += eps[:, 1]
-        out[:, 2] = wrap_angle_array(out[:, 2] + eps[:, 2])
+    return add_motion_noise(motion_mean_array(states, u, dt), noise, rng)
+
+
+def add_motion_noise(
+    means: np.ndarray, noise: MotionNoise, rng: np.random.Generator
+) -> np.ndarray:
+    """(N, 3) motion means plus independent per-axis noise draws, as a new array;
+    with all sigmas zero no rng draw is consumed and `means` itself is returned."""
+    if noise.is_zero():
+        return means
+    out = means + rng.normal(
+        0.0, [noise.sigma_x, noise.sigma_y, noise.sigma_theta], size=means.shape
+    )
+    out[:, 2] = wrap_angle_array(out[:, 2])
     return out
 
 

@@ -29,8 +29,9 @@ from .models import (
     MotionNoise,
     Pose,
     SensorNoise,
+    add_motion_noise,
     measurement_log_likelihood_array,
-    step_motion_array,
+    motion_mean_array,
     wrap_angle_array,
 )
 
@@ -171,7 +172,12 @@ def predict(
     b: ParticleBelief, u: ControlInput, dt: float, noise: MotionNoise
 ) -> ParticleBelief:
     """Push every particle through one noisy motion step; weights unchanged."""
-    particles = step_motion_array(b.particles, u, dt, noise, b.rng)
+    return _moved(b, motion_mean_array(b.particles, u, dt), noise)
+
+
+def _moved(b: ParticleBelief, means: np.ndarray, noise: MotionNoise) -> ParticleBelief:
+    """`b` with its particles replaced by their motion `means` plus noise."""
+    particles = add_motion_noise(means, noise, b.rng)
     return _snapshot(ParticleBelief, particles, b.weights, b.rng)
 
 
@@ -184,9 +190,13 @@ def update(
     150 nT sensor across a flat map region underflow linear-space products
     long before the posterior is actually degenerate.
     """
-    log_w = _safe_log(b.weights) + measurement_log_likelihood_array(
-        z, b.particles, grid, noise
-    )
+    log_lik = measurement_log_likelihood_array(z, b.particles, grid, noise)
+    return _reweighted(b, _safe_log(b.weights), log_lik)
+
+
+def _reweighted(b: ParticleBelief, log_w: np.ndarray, log_lik: np.ndarray) -> ParticleBelief:
+    """`b` reweighted by `log_lik`; `log_w` is `_safe_log(b.weights)`."""
+    log_w = log_w + log_lik
     peak = float(np.max(log_w))
     if not math.isfinite(peak):
         raise WeightCollapseError("every particle has zero posterior mass")
@@ -220,7 +230,12 @@ def resample_if_needed(b: ParticleBelief, threshold: float) -> ParticleBelief:
     Resampled weights are reset to uniform. The rng is consumed only when
     resampling actually triggers, so the trigger pattern is reproducible.
     """
-    if effective_sample_size(b) >= threshold:
+    return _resampled(b, effective_sample_size(b), threshold)
+
+
+def _resampled(b: ParticleBelief, ess: float, threshold: float) -> ParticleBelief:
+    """`resample_if_needed` given the belief's effective sample size `ess`."""
+    if ess >= threshold:
         return b
     idx = systematic_resample_indices(b.weights, b.rng)
     return _snapshot(ParticleBelief, b.particles[idx], np.full(b.n, 1.0 / b.n), b.rng)

@@ -22,7 +22,7 @@ import numpy as np
 from .infogain import EerValue, InfoGainError, eer
 from .magmap import MagMap
 from .models import ControlInput, ModelSet, Pose
-from .pflocal import ParticleBelief, estimate
+from .pflocal import ParticleBelief
 
 
 class PlannerError(Exception):
@@ -132,6 +132,7 @@ def action_cost(eer_bits: float, dist_m: float, w: PlannerWeights) -> float:
 
 def select_action(
     b: ParticleBelief,
+    mean_pose: Pose,
     goal: Goal,
     aset: ActionSet,
     w: PlannerWeights,
@@ -140,14 +141,13 @@ def select_action(
     eer_params: EerParams,
     rng: np.random.Generator,
 ) -> SelectionResult:
-    """Evaluate every action from the belief's mean pose and take the argmin.
+    """Evaluate every action from the mean pose `estimate(b).mean`; take the argmin.
 
     A failing rollout costs +inf and carries its error in the diagnostics;
     selection fails only if every action fails. EER for the whole action
     set is one batched draw from the shared rng, in action order, so the
     choice is reproducible.
     """
-    mean_pose = estimate(b).mean
     try:
         gains = eer(
             b, aset.actions, grid, models, eer_params.m_count,

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import pflocal
-from .infogain import entropy_posterior, entropy_predicted, iqr_reject
+from . import infogain, pflocal
+from .infogain import iqr_reject
 from .magmap import MagMap
 from .models import (
     ControlInput,
@@ -31,10 +31,12 @@ from .models import (
     ModelSet,
     Pose,
     _check_densities_valid,
+    measurement_log_likelihood_array,
+    motion_mean_array,
     simulate_measurement,
     step_motion,
 )
-from .pflocal import ParticleBelief, WeightCollapseError
+from .pflocal import ParticleBelief, WeightCollapseError, _safe_log
 from .planner import (
     ActionSet,
     EerParams,
@@ -172,20 +174,17 @@ class EpisodeRunner:
         self.belief: ParticleBelief = pflocal.init(
             cfg.start, cfg.prior_cov, cfg.n_particles, np.random.default_rng(streams[2])
         )
+        # The estimate of `self.belief`, kept in step with it by assimilate().
+        self.summary = pflocal.estimate(self.belief)
         self.step_index = 0
         self.rows: list[TraceRow] = []
         self.reached_goal = False
 
     def plan(self) -> SelectionResult:
+        cfg = self.cfg
         return select_action(
-            self.belief,
-            self.cfg.goal,
-            self.cfg.actions,
-            self.cfg.weights,
-            self.cfg.grid,
-            self.cfg.models,
-            self.cfg.eer_params,
-            self.eer_rng,
+            self.belief, self.summary.mean, cfg.goal, cfg.actions, cfg.weights,
+            cfg.grid, cfg.models, cfg.eer_params, self.eer_rng,
         )
 
     def advance_truth(self, action: ControlInput) -> Pose:
@@ -207,30 +206,33 @@ class EpisodeRunner:
         Returns (entropy_bits, estimate, ess, resampled, collapsed). On
         weight collapse the belief resets to uniform weights over the
         predicted particles and the entropy falls back to the
-        no-measurement estimate.
+        no-measurement estimate. Each term the filter steps share is computed once.
         """
         cfg = self.cfg
         models = cfg.models
         prev = self.belief
-        predicted = pflocal.predict(prev, action, models.dt, models.motion)
+        means = motion_mean_array(prev.particles, action, models.dt)
+        predicted = pflocal._moved(prev, means, models.motion)
+        log_w = _safe_log(prev.weights)
+        cur = predicted.particles
+        log_pred = infogain._log_predicted_density(cur, means, log_w, models.motion)
+        log_lik = measurement_log_likelihood_array(z, cur, cfg.grid, models.sensor)
         try:
-            updated = pflocal.update(predicted, z, cfg.grid, models.sensor)
-            collapsed = False
+            updated = pflocal._reweighted(predicted, log_w, log_lik)
         except WeightCollapseError:
-            updated = ParticleBelief(
-                predicted.particles,
-                np.full(predicted.n, 1.0 / predicted.n),
-                predicted.rng,
-            )
+            uniform = np.full(predicted.n, 1.0 / predicted.n)
+            updated = ParticleBelief(cur, uniform, predicted.rng)
+            entropy = infogain._predicted_entropy(log_pred, updated.weights)
             collapsed = True
-        if collapsed:
-            entropy = entropy_predicted(prev, updated, action, models)
         else:
-            entropy = entropy_posterior(prev, updated, z, action, cfg.grid, models)
+            entropy = infogain._posterior_entropy(log_w, log_lik, log_pred, updated.weights)
+            collapsed = False
         summary = pflocal.estimate(updated)
         ess = pflocal.effective_sample_size(updated)
-        self.belief = pflocal.resample_if_needed(updated, cfg.n_particles / 2.0)
-        return entropy.bits, summary, ess, self.belief is not updated, collapsed
+        self.belief = pflocal._resampled(updated, ess, cfg.n_particles / 2.0)
+        resampled = self.belief is not updated
+        self.summary = pflocal.estimate(self.belief) if resampled else summary
+        return entropy.bits, summary, ess, resampled, collapsed
 
     def _at_goal(self, summary: pflocal.GaussianSummary) -> bool:
         gx, gy = self.cfg.goal.position

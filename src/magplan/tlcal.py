@@ -166,14 +166,7 @@ def fit(
     first sample only seeds the rate differences. Solved by SVD rather than
     the normal equations; the minimizer is the same, the conditioning is not.
     """
-    if len(b_earth) != len(log):
-        raise CalibrationError(
-            f"b_earth has {len(b_earth)} entries for {len(log)} samples"
-        )
-    truth = np.asarray(b_earth, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(truth))
-    if bad.size:
-        raise CalibrationError(f"b_earth[{bad[0]}] must be finite, got {truth[bad[0]]}")
+    truth = _checked_truth(log, b_earth)
     a = build_regressor_matrix(log)
     if a.shape[0] < N_COEFFS:
         raise InsufficientDataError(
@@ -185,6 +178,17 @@ def fit(
     if rank < N_COEFFS:
         raise RankDeficientError(int(rank))
     return CalibrationCoefficients(eps)
+
+
+def _checked_truth(log: Sequence[MagSample], b_earth: Sequence[float]) -> np.ndarray:
+    """b_earth as a float array, checked to hold one finite entry per sample."""
+    if len(b_earth) != len(log):
+        raise CalibrationError(f"b_earth has {len(b_earth)} entries for {len(log)} samples")
+    truth = np.asarray(b_earth, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(truth))
+    if bad.size:
+        raise CalibrationError(f"b_earth[{bad[0]}] must be finite, got {truth[bad[0]]}")
+    return truth
 
 
 def compensate_log(
@@ -202,8 +206,7 @@ def residual_rms(
     eps: CalibrationCoefficients,
 ) -> float:
     """RMS of (estimated - true) ambient field over the usable rows."""
-    est = compensate_log(log, eps)
-    resid = est - np.asarray(b_earth[1:], dtype=float)
+    resid = compensate_log(log, eps) - _checked_truth(log, b_earth)[1:]
     return float(np.sqrt(np.mean(resid**2)))
 
 
@@ -213,7 +216,8 @@ def load_maglog(path: str) -> tuple[list[MagSample], Optional[np.ndarray]]:
     Returns the samples and, when every row carries the optional be_truth
     column, the aligned truth array (otherwise None).
     """
-    with open(path, "r", encoding="ascii") as fh:
+    # A non-ASCII byte reads as U+FFFD, which the header or value check rejects.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "maglog v1":
         raise CalibrationError("line 1: expected header 'maglog v1'")
@@ -277,7 +281,7 @@ def save_coefficients(eps: CalibrationCoefficients, path: str) -> None:
 
 
 def load_coefficients(path: str) -> CalibrationCoefficients:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines or lines[0].strip() != "tlcoef v1":
         raise CalibrationError("line 1: expected header 'tlcoef v1'")

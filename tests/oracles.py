@@ -5,9 +5,10 @@ probability math, closed forms) and deliberately avoids the library's
 vectorized code paths, so agreement between the two is evidence rather than
 tautology. The only shared primitives are numpy's rng (both sides must
 consume identical draws) and, where a test says so, the map sampler. The
-exceptions are marked in their sections: the library's former dense and
-per-action forms, kept as references for the faster forms that replaced
-them, and scalar wrappers over the library's array forms.
+exceptions are marked in their sections: the library's former dense,
+per-action, per-step and two-axis-index forms, kept as references for the
+faster forms that replaced them, and scalar wrappers over the library's
+array forms.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from magplan.models import (
     transition_log_density_from_means,
     wrap_angle_array,
 )
-from magplan.pflocal import _safe_log
 from magplan.tlcal import MagSample
 
 LN2 = math.log(2.0)
@@ -418,6 +418,41 @@ def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEs
     return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=False)
 
 
+# --- Per-step unicycle rollout and two-axis-index bilinear lookup -----------
+#
+# The library's forms before the EER rollout was batched and the map lookup
+# gathered its four corners through one flat index. The faster forms keep
+# every float operation in the same order, so the two compare bitwise.
+
+
+def unicycle_step(
+    states: np.ndarray, v: float, omega: float | np.ndarray, dt: float
+) -> np.ndarray:
+    """One noise-free unicycle step on a (..., 3) stack of [x, y, theta] rows."""
+    out = np.empty_like(states)
+    out[..., 0] = states[..., 0] + v * np.cos(states[..., 2]) * dt
+    out[..., 1] = states[..., 1] + v * np.sin(states[..., 2]) * dt
+    out[..., 2] = wrap_angle_array(states[..., 2] + omega * dt)
+    return out
+
+
+def interpolate_two_axis(grid: MagMap, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation at (N, 2) points, one (row, column) gather per corner."""
+    u = (pts[:, 0] - grid.origin[0]) / grid.cell_size
+    v = (pts[:, 1] - grid.origin[1]) / grid.cell_size
+    i0 = np.clip(np.floor(u).astype(int), 0, grid.width - 2)
+    j0 = np.clip(np.floor(v).astype(int), 0, grid.height - 2)
+    fu = u - i0
+    fv = v - j0
+    vals = grid.values
+    return (
+        vals[j0, i0] * (1 - fu) * (1 - fv)
+        + vals[j0, i0 + 1] * fu * (1 - fv)
+        + vals[j0 + 1, i0] * (1 - fu) * fv
+        + vals[j0 + 1, i0 + 1] * fu * fv
+    )
+
+
 # --- Dense predicted density and scalar wrappers ----------------------------
 #
 # `dense_log_predicted_density` is the library's predicted density as it was
@@ -430,16 +465,14 @@ def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEs
 
 
 def dense_log_predicted_density(
-    cur_states: np.ndarray,
-    prev_states: np.ndarray,
-    w_prev: np.ndarray,
-    u: ControlInput,
-    models: ModelSet,
+    cur_states: np.ndarray, means: np.ndarray, log_w: np.ndarray, noise: MotionNoise
 ) -> np.ndarray:
-    """log of sum_j T_ij w_prev_j for every cur particle i, one N x N matrix."""
+    """log of sum_j T_ij w_prev_j for every cur particle i, one N x N matrix.
+
+    Same arguments as the library's: the prev particles' motion `means` and
+    `log_w = _safe_log(w_prev)`.
+    """
     nxt = np.atleast_2d(np.asarray(cur_states, dtype=float))
-    means = motion_mean_array(prev_states, u, models.dt)
-    noise = models.motion
     dx = nxt[:, None, 0] - means[None, :, 0]
     dy = nxt[:, None, 1] - means[None, :, 1]
     dth = wrap_angle_array(nxt[:, None, 2] - means[None, :, 2])
@@ -454,7 +487,7 @@ def dense_log_predicted_density(
         + (dy / noise.sigma_y) ** 2
         + (dth / noise.sigma_theta) ** 2
     )
-    return lib_logsumexp(log_t + _safe_log(w_prev)[None, :], axis=1)
+    return lib_logsumexp(log_t + log_w[None, :], axis=1)
 
 
 def transition_log_density_matrix(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ def test_calibrate_needs_truth_column(tmp_path, capsys):
     assert "be_truth" in capsys.readouterr().err
 
 
+def test_calibrate_non_ascii_log_is_an_error(tmp_path, capsys):
+    log, b_earth = make_tl_log(EPS_STAR, 50)
+    log_path = tmp_path / "accent.maglog"
+    tlcal.save_maglog(str(log_path), log, b_earth)
+    text = log_path.read_bytes().splitlines(keepends=True)
+    text[3] = text[3].replace(b",", b"\xe9,", 1)
+    log_path.write_bytes(b"".join(text))
+    assert main(["calibrate", str(log_path), "--out", str(tmp_path)]) == 2
+    assert "line 4: bad value" in capsys.readouterr().err
+
+
 def test_calibrate_missing_log_file(tmp_path, capsys):
     assert main(["calibrate", str(tmp_path / "ghost.maglog"), "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -164,6 +177,23 @@ def test_run_uses_map_file_relative_to_config(tmp_path):
     out = tmp_path / "filemap"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert len(read_trace(str(out / "trace.csv")).step) == 4
+
+
+def test_run_non_ascii_map_file_is_a_config_error(tmp_path, capsys):
+    gen_cfg = write_cfg(tmp_path)
+    assert main(["genmap", "--config", gen_cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "map.magmap"
+    path.write_bytes(path.read_bytes().replace(b" ", b"\xe9 ", 1))
+    cfg = write_cfg(tmp_path, name="with_file.cfg", extra={"map.file": "map.magmap"})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "cannot load map.file" in capsys.readouterr().err
+
+
+def test_run_non_ascii_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "accent.cfg"
+    cfg.write_bytes(pathlib.Path(write_cfg(tmp_path)).read_bytes() + b"# caf\xe9\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_run_bad_config(tmp_path, capsys):

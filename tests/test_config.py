@@ -125,6 +125,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "nope.cfg"))
 
 
+def test_load_config_non_ascii_byte_is_config_error(tmp_path):
+    p = tmp_path / "exp.cfg"
+    p.write_bytes(b"schema_version = 1  # caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config .*0xe9"):
+        load_config(str(p))
+
+
 def test_load_config_reads_file(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(render(BASE))

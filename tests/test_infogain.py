@@ -31,7 +31,7 @@ from magplan.models import (
     wrap_angle_array,
 )
 from magplan import infogain
-from magplan.pflocal import ParticleBelief, init, predict, update
+from magplan.pflocal import ParticleBelief, _safe_log, estimate, init, predict, update
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_action
 from magplan.infogain import (
     TILE_ELEMENTS,
@@ -183,6 +183,11 @@ def seam_clouds(n: int, seed: int, zero_every: int = 0):
     return prev, cur, w
 
 
+def kernel_args(prev: np.ndarray, w: np.ndarray):
+    """The arguments of `_log_predicted_density` after `cur` for a prev cloud under KERNEL_U."""
+    return motion_mean_array(prev, KERNEL_U, STD_DT), _safe_log(w), KERNEL_MODELS.motion
+
+
 @pytest.mark.parametrize(
     "n, zero_every, ragged",
     [
@@ -198,8 +203,8 @@ def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, rag
     assert (rows < n and n % rows != 0) == ragged
     prev, cur, w = seam_clouds(n, 100 + n, zero_every)
     assert n == 1 or ((cur[:, 2] > 0).any() and (cur[:, 2] < 0).any())
-    got = infogain._log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
-    want = dense_log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
+    got = infogain._log_predicted_density(cur, *kernel_args(prev, w))
+    want = dense_log_predicted_density(cur, *kernel_args(prev, w))
     assert bit_equal(got, want)
 
 
@@ -225,8 +230,8 @@ def test_unwrapped_headings_stay_near_dense_oracle():
     prev[:, 2] += 2 * math.pi * turns[0]
     cur[:, 2] += 2 * math.pi * turns[1]
     assert (np.abs(cur[:, 2]) > math.pi).sum() > 50
-    got = infogain._log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
-    want = dense_log_predicted_density(cur, prev, w, KERNEL_U, KERNEL_MODELS)
+    got = infogain._log_predicted_density(cur, *kernel_args(prev, w))
+    want = dense_log_predicted_density(cur, *kernel_args(prev, w))
     assert np.all(np.isfinite(want))
     assert np.abs(got - want).max() <= 1e-12
 
@@ -572,7 +577,7 @@ def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
 
     goal = Goal((10.0, 0.0), 0.5)
     r = select_action(
-        b, goal, ActionSet(actions), PlannerWeights(1.0, 1.0, 0.5), ramp_grid, models,
+        b, estimate(b).mean, goal, ActionSet(actions), PlannerWeights(1.0, 1.0, 0.5), ramp_grid, models,
         EerParams(20, 4), np.random.default_rng(6),
     )
     for k, d in enumerate(r.diagnostics):

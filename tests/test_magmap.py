@@ -17,11 +17,13 @@ from magplan.magmap import (
     OutOfMapError,
     SyntheticMapSpec,
     generate_synthetic,
+    interpolate,
     load_map,
     sample_points,
     save_map,
 )
-from oracles import sample
+from conftest import bit_equal
+from oracles import interpolate_two_axis, sample
 
 
 def sval(m: MagMap, x: float, y: float) -> float:
@@ -139,6 +141,27 @@ def test_sample_outside_extent_raises():
         sval(m, 1.5, 0.5)
     with pytest.raises(OutOfMapError):
         sval(m, 0.5, -0.1)
+
+
+def test_interpolate_matches_two_axis_index_oracle_bitwise():
+    rng = np.random.default_rng(4)
+    m = MagMap((-3.25, 1.5), 0.37, rng.uniform(20000.0, 30000.0, (7, 11)))
+    x_min, x_max, y_min, y_max = m.extent()
+    interior = np.column_stack([rng.uniform(x_min, x_max, 300), rng.uniform(y_min, y_max, 300)])
+    xs, ys = rng.uniform(x_min, x_max, 20), rng.uniform(y_min, y_max, 20)
+    last_row_and_column = np.concatenate(
+        [
+            np.column_stack([xs, np.full(20, y_max)]),
+            np.column_stack([np.full(20, x_max), ys]),
+            [[x_max, y_max], [x_min, y_max], [x_max, y_min], [x_min, y_min]],
+        ]
+    )
+    wide = [rng.uniform(x_min - 5, x_max + 5, 300), rng.uniform(y_min - 5, y_max + 5, 300)]
+    clamped = m.clamp(np.column_stack(wide))
+    on_edge = (clamped == [x_min, y_min]) | (clamped == [x_max, y_max])
+    assert on_edge.any(axis=1).sum() > 200
+    for pts in (interior, last_row_and_column, clamped):
+        assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
 
 
 def test_sample_points_matches_scalar_sample():
@@ -287,11 +310,13 @@ def test_saved_header_layout(tmp_path):
         ("magmap v1 2 2 0 0 1\n1 1 1\n1 1\n", 2),
         ("magmap v1 2 2 0 0 1\n1 oops\n1 1\n", 2),
         ("magmap v1 2 2 0 0 1\n1 -3\n1 1\n", 2),
+        ("magmap v1 2 2 0 0 1\n1 1\n1 1\xe9\n", 3),
+        ("magmap\xe9 v1 2 2 0 0 1\n1 1\n1 1\n", 1),
     ],
 )
 def test_malformed_files_name_the_line(tmp_path, text: str, bad_line: int):
     path = tmp_path / "bad.magmap"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(MapFormatError) as exc:
         load_map(path)
     assert exc.value.line == bad_line

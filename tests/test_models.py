@@ -26,6 +26,7 @@ from magplan.models import (
     simulate_measurement,
     step_motion,
     step_motion_array,
+    unicycle_rollout,
     wrap_angle,
     wrap_angle_array,
     wrap_residual,
@@ -34,6 +35,7 @@ from oracles import (
     measurement_likelihood,
     transition_density,
     transition_log_density_matrix,
+    unicycle_step,
 )
 
 NO_NOISE = MotionNoise(0.0, 0.0, 0.0)
@@ -232,6 +234,31 @@ def test_zero_noise_step_consumes_no_draws():
     before = rng.bit_generator.state
     step_motion_array(np.zeros((4, 3)), ControlInput(0.1, 0.0), 0.1, NO_NOISE, rng)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+def test_rollout_matches_repeated_steps_bitwise(steps):
+    # Six actions of 20 hypotheses each, headings close to the +/-pi seam and
+    # turn rates of both signs, so the rollout wraps headings across it.
+    rng = np.random.default_rng(steps)
+    states = np.stack(
+        [
+            rng.normal(5.0, 2.0, (6, 20)),
+            rng.normal(0.0, 2.0, (6, 20)),
+            wrap_angle_array(rng.normal(math.pi, 0.2, (6, 20))),
+        ],
+        axis=-1,
+    )
+    omega = np.array([-2.5, -0.9, 0.0, 0.4, 1.3, 3.0])[:, None]
+    dt = 0.1
+    assert (np.abs(states[..., 2] + steps * omega * dt) > math.pi).any()
+    want = states
+    for _ in range(steps):
+        want = unicycle_step(want, 0.3, omega, dt)
+    assert bit_equal(unicycle_rollout(states, 0.3, omega, dt, steps), want)
+    flat = states.reshape(-1, 3)
+    u = ControlInput(0.3, 1.7)
+    assert bit_equal(motion_mean_array(flat, u, dt), unicycle_step(flat, u.v, u.omega, dt))
 
 
 def test_step_rejects_bad_dt():

@@ -149,8 +149,10 @@ def test_eer_params_validation():
 def test_distance_only_drives_toward_goal(uniform_grid, models, aset):
     # Featureless map, goal due north of an eastbound robot: the sharpest
     # left turn makes the most northward progress.
+    b = pinned_belief()
     r = select_action(
-        pinned_belief(),
+        b,
+        estimate(b).mean,
         Goal((0.0, 10.0), 0.5),
         aset,
         PlannerWeights(0.0, 1.0, 0.5),
@@ -166,8 +168,10 @@ def test_distance_only_drives_toward_goal(uniform_grid, models, aset):
 def test_exact_tie_breaks_to_lowest_index(uniform_grid, models, aset):
     # Goal straight ahead: mirrored turn rates land at mirrored positions,
     # equidistant to the double. The earlier action must win.
+    b = pinned_belief()
     r = select_action(
-        pinned_belief(),
+        b,
+        estimate(b).mean,
         Goal((10.0, 0.0), 0.5),
         aset,
         PlannerWeights(0.0, 1.0, 0.5),
@@ -188,15 +192,15 @@ def test_selection_is_argmin_of_reported_costs(peak_grid, models, aset):
         seed=1,
     )
     w = PlannerWeights(5.0, 1.0, 0.5)
+    mean_pose = estimate(b).mean
     r = select_action(
-        b, Goal((13.0, 0.5), 0.5), aset, w, peak_grid, models, EerParams(30, 10),
-        np.random.default_rng(42),
+        b, mean_pose, Goal((13.0, 0.5), 0.5), aset, w, peak_grid, models,
+        EerParams(30, 10), np.random.default_rng(42),
     )
     assert len(r.diagnostics) == len(aset)
     assert [d.action for d in r.diagnostics] == list(aset.actions)
     costs = [d.cost for d in r.diagnostics]
     assert r.chosen_index == int(np.argmin(costs))
-    mean_pose = estimate(b).mean
     for d in r.diagnostics:
         assert d.error is None
         assert d.cost == pytest.approx(action_cost(d.eer_bits, d.distance, w), abs=1e-15)
@@ -208,6 +212,7 @@ def test_selection_is_argmin_of_reported_costs(peak_grid, models, aset):
 def test_selection_reproducible(peak_grid, models, aset):
     b = init(Pose(5.0, 0.5, 0.0), np.diag([0.09, 0.09, 0.01]), 200, seed=7)
     kw = dict(
+        mean_pose=estimate(b).mean,
         goal=Goal((13.0, 0.5), 0.5),
         aset=aset,
         w=PlannerWeights(5.0, 1.0, 0.5),
@@ -234,12 +239,12 @@ def test_information_weight_shifts_choice_toward_gradient(peak_grid, models, ase
             seed=seed,
         )
         r0 = select_action(
-            b, goal, aset, PlannerWeights(0.0, 1.0, 0.5), peak_grid, models,
-            EerParams(30, 10), np.random.default_rng(seed + 100),
+            b, estimate(b).mean, goal, aset, PlannerWeights(0.0, 1.0, 0.5), peak_grid,
+            models, EerParams(30, 10), np.random.default_rng(seed + 100),
         )
         r5 = select_action(
-            b, goal, aset, PlannerWeights(5.0, 1.0, 0.5), peak_grid, models,
-            EerParams(30, 10), np.random.default_rng(seed + 100),
+            b, estimate(b).mean, goal, aset, PlannerWeights(5.0, 1.0, 0.5), peak_grid,
+            models, EerParams(30, 10), np.random.default_rng(seed + 100),
         )
         assert [d.eer_bits for d in r0.diagnostics] == [d.eer_bits for d in r5.diagnostics]
         assert (
@@ -251,6 +256,7 @@ def test_information_weight_shifts_choice_toward_gradient(peak_grid, models, ase
 def test_zero_info_weight_ignores_the_map(peak_grid, uniform_grid, models, aset):
     b = pinned_belief()
     kw = dict(
+        mean_pose=estimate(b).mean,
         goal=Goal((8.0, 3.0), 0.5),
         aset=aset,
         w=PlannerWeights(0.0, 1.0, 0.5),
@@ -266,6 +272,7 @@ def test_all_actions_failing_raises(peak_grid, models, aset):
     b = pinned_belief(n=5)  # fewer particles than hypotheses
     with pytest.raises(PlannerError, match="every action failed"):
         select_action(
-            b, Goal((8.0, 3.0), 0.5), aset, PlannerWeights(1.0, 1.0, 0.5),
-            peak_grid, models, EerParams(30, 10), np.random.default_rng(0),
+            b, estimate(b).mean, Goal((8.0, 3.0), 0.5), aset,
+            PlannerWeights(1.0, 1.0, 0.5), peak_grid, models, EerParams(30, 10),
+            np.random.default_rng(0),
         )

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import STD_MOTION, STD_SENSOR
-from magplan import pflocal
+from conftest import STD_MOTION, STD_SENSOR, bit_equal
+from magplan import infogain, magmap, models, pflocal, planner, simloop
 from magplan.magmap import OutOfMapError
 from magplan.models import (
     ControlInput,
@@ -216,6 +216,50 @@ def test_resamples_below_half_the_particle_count(base_cfg):
     rows = run_episode(cfg).rows
     flags = [r.resampled for r in rows]
     assert flags == [r.ess < 75.0 for r in rows]
+    assert any(flags) and not all(flags)
+
+
+def test_each_step_computes_its_filter_terms_once(base_cfg, monkeypatch):
+    """Per step: one likelihood, one motion-mean and one ESS evaluation on the
+    particle cloud, and a second estimate only after a resample. The mean pose
+    the planner gets is the estimate of the current belief."""
+    cfg = base_cfg(start=Pose(3.5, 1.5, 0.0), sensor=SensorNoise(5.0), step_budget=6)
+    runner = EpisodeRunner(cfg)
+    estimate = pflocal.estimate
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            if name != "motion_mean_array" or len(args[0]) == cfg.n_particles:
+                calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for owner, name in (
+        (models, "measurement_log_likelihood_array"),
+        (models, "motion_mean_array"),
+        (pflocal, "estimate"),
+        (pflocal, "effective_sample_size"),
+    ):
+        fn = getattr(owner, name)
+        for site in (magmap, models, pflocal, infogain, planner, simloop):
+            if vars(site).get(name) is fn:
+                monkeypatch.setattr(site, name, counting(name, fn))
+    flags = []
+    for _ in range(cfg.step_budget):
+        calls.clear()
+        row = runner.step()
+        flags.append(row.resampled)
+        assert calls == {
+            "measurement_log_likelihood_array": 1,
+            "motion_mean_array": 1,
+            "effective_sample_size": 1,
+            "estimate": 1 + row.resampled,
+        }
+        want = estimate(runner.belief)
+        assert runner.summary.mean == want.mean
+        assert bit_equal(runner.summary.covariance, want.covariance)
     assert any(flags) and not all(flags)
 
 

@@ -209,6 +209,22 @@ def test_fit_rejects_non_finite_truth():
             fit(log, truth)
 
 
+def test_residual_rms_rejects_misaligned_truth():
+    log, b_earth = make_tl_log(EPS_STAR, n=300)
+    eps = fit(log, b_earth)
+    with pytest.raises(CalibrationError, match="b_earth has 299 entries for 300 samples"):
+        residual_rms(log, b_earth[:-1], eps)
+
+
+def test_residual_rms_rejects_non_finite_truth():
+    log, b_earth = make_tl_log(EPS_STAR, n=300)
+    eps = fit(log, b_earth)
+    truth = b_earth.copy()
+    truth[5] = math.nan
+    with pytest.raises(CalibrationError, match=r"b_earth\[5\] must be finite"):
+        residual_rms(log, truth, eps)
+
+
 def test_fit_insufficient_rows():
     log, b_earth = make_tl_log(np.zeros(N_COEFFS), n=15)
     with pytest.raises(InsufficientDataError):
@@ -326,11 +342,13 @@ def test_maglog_without_truth_column(tmp_path):
         ("maglog v1\n1,1,1,1,2,0.2\n0.5,1,1,1,2,0.2\n", "increasing"),
         ("maglog v1\n0,1,1,1,2,0.2,25000\n1,1,1,1,2,0.2,nan\n", "line 3: be_truth"),
         ("maglog v1\n0,1,1,1,2,0.2,inf\n1,1,1,1,2,0.2,25000\n", "line 2: be_truth"),
+        ("maglog v1\n0,1,1,1,2,0.2\n1,1,1\xe9,1,2,0.2\n", "line 3: bad value"),
+        ("maglog v1\xe9\n0,1,1,1,2,0.2\n", "line 1: expected header"),
     ],
 )
 def test_maglog_parse_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.maglog"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(CalibrationError, match=fragment):
         load_maglog(path)
 
@@ -349,7 +367,7 @@ def test_coefficients_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "mutation",
-    ["header", "count", "index", "value", "nan", "inf"],
+    ["header", "count", "index", "value", "nan", "inf", "non_ascii"],
 )
 def test_coefficients_parse_errors(tmp_path, mutation):
     path = tmp_path / "c.tlcoef"
@@ -363,13 +381,17 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         lines[5] = "9,0.0"
     elif mutation == "value":
         lines[5] = "5,potato"
+    elif mutation == "non_ascii":
+        lines[5] = "5,0.0\xe9"
     else:
         lines[5] = f"5,{mutation}"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     with pytest.raises(CalibrationError) as info:
         load_coefficients(path)
     if mutation in ("nan", "inf"):
         assert "line 6: coefficient must be finite" in str(info.value)
+    if mutation == "non_ascii":
+        assert "line 6: bad value" in str(info.value)
 
 
 def test_coefficients_vector_validated():
