@@ -29,6 +29,8 @@ from .tlcal import CalibrationError
 
 # Mean planning-step time `magplan benchmark` must stay under.
 PLANNING_BUDGET_MS = 100.0
+# ASCII output files spell a non-ASCII input path with backslash escapes.
+PATH_ERRORS = "backslashreplace"
 
 
 def _say(args: argparse.Namespace, message: str) -> None:
@@ -41,11 +43,13 @@ def _out_dir(args: argparse.Namespace) -> str:
     return args.out
 
 
-def _load_episode(args: argparse.Namespace) -> tuple[dict[str, str], simloop.EpisodeConfig]:
-    """The --config file and the episode it describes, with --seed applied."""
+def _load_episode(
+    args: argparse.Namespace, seed: Optional[int] = None
+) -> tuple[dict[str, str], simloop.EpisodeConfig]:
+    """The --config file and the episode it describes, with seed (if any) applied."""
     cfg = load_config(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    return cfg, build_episode_config(cfg, base_dir, args.seed)
+    return cfg, build_episode_config(cfg, base_dir, seed)
 
 
 def _provenance(cfg: dict[str, str], seed: int) -> dict[str, str]:
@@ -66,25 +70,25 @@ def cmd_genmap(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    samples, be_truth = tlcal.load_maglog(args.log)
+    log, be_truth = tlcal.load_maglog(args.log)
     if be_truth is None:
         raise CalibrationError(
             "calibration needs the be_truth column on every log row"
         )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", tlcal.ExcitationWarning)
-        coeffs = tlcal.fit(samples, be_truth)
-    rms = tlcal.residual_rms(samples, be_truth, coeffs)
+        coeffs = tlcal.fit(log, be_truth)
+    rms = tlcal.residual_rms(log, be_truth, coeffs)
     out = _out_dir(args)
     coef_path = os.path.join(out, "coefficients.tlcoef")
     tlcal.save_coefficients(coeffs, coef_path)
     excitation = [str(w.message) for w in caught]
     report_path = os.path.join(out, "calibration_report.txt")
-    with open(report_path, "w", encoding="ascii") as fh:
+    with open(report_path, "w", encoding="ascii", errors=PATH_ERRORS) as fh:
         fh.write("magplan calibration report\n")
         fh.write(f"log: {args.log}\n")
-        fh.write(f"samples: {len(samples)}\n")
-        fh.write(f"usable_rows: {len(samples) - 1}\n")
+        fh.write(f"samples: {len(log)}\n")
+        fh.write(f"usable_rows: {len(log) - 1}\n")
         fh.write(f"residual_rms_nt: {_fmt(rms)}\n")
         fh.write(f"coefficients: {coef_path}\n")
         if excitation:
@@ -92,7 +96,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 fh.write(f"warning: {msg}\n")
         else:
             fh.write("warnings: none\n")
-    _say(args, f"fit {len(samples) - 1} rows, residual RMS {rms:.6g} nT")
+    _say(args, f"fit {len(log) - 1} rows, residual RMS {rms:.6g} nT")
     for msg in excitation:
         _say(args, f"warning: {msg}")
     _say(args, f"wrote {coef_path} and {report_path}")
@@ -100,7 +104,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg, episode = _load_episode(args)
+    cfg, episode = _load_episode(args, args.seed)
     trace = simloop.run_episode(episode)
     metrics = simloop.compute_metrics(trace)
     out = _out_dir(args)
@@ -119,9 +123,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_name(w_h: float, seed: int) -> str:
+    """The trace file of one sweep cell."""
+    return f"trace_wh{w_h:g}_seed{seed}.csv"
+
+
+def _check_trace_names(w_h_values: Sequence[float], seeds: Sequence[int]) -> None:
+    """Reject a sweep grid in which two cells would write the same trace file."""
+    seen: dict[str, str] = {}
+    for w_h in w_h_values:
+        for seed in seeds:
+            name, cell = _trace_name(w_h, seed), f"w_h={_fmt(w_h)} seed={seed}"
+            if name in seen:
+                raise ConfigError(f"sweep cells {seen[name]} and {cell} would both write {name}")
+            seen[name] = cell
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, base = _load_episode(args)
     w_h_values, seeds = sweep_params(cfg)
+    _check_trace_names(w_h_values, seeds)
     result = simloop.sweep(base, w_h_values, seeds)
     out = _out_dir(args)
     for cell in result.cells:
@@ -130,8 +151,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         prov = _provenance(cfg, cell.seed)
         prov["w_h"] = _fmt(cell.w_h)
-        name = f"trace_wh{cell.w_h:g}_seed{cell.seed}.csv"
-        simloop.write_trace(cell.trace, os.path.join(out, name), prov)
+        path = os.path.join(out, _trace_name(cell.w_h, cell.seed))
+        simloop.write_trace(cell.trace, path, prov)
         note = "goal" if cell.trace.reached_goal else "budget"
         _say(
             args,
@@ -148,7 +169,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     data = simloop.read_trace(args.trace)
     out = _out_dir(args)
     path = os.path.join(out, f"export_{args.kind}.csv")
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", errors=PATH_ERRORS) as fh:
         fh.write(f"# magplan-export {args.kind} v1\n")
         fh.write(f"# source: {os.path.basename(args.trace)}\n")
         fh.write(f"# magplan_version: {__version__}\n")
@@ -169,7 +190,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    _, episode = _load_episode(args)
+    _, episode = _load_episode(args, args.seed)
     result = simloop.benchmark_planning(episode, args.steps)
     out = _out_dir(args)
     path = os.path.join(out, "benchmark.txt")
@@ -237,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="episode config file")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser(
-        "sweep", parents=[common, seeded], help="run the w_h x seed episode grid"
-    )
+    p = sub.add_parser("sweep", parents=[common], help="run the w_h x seed episode grid")
     p.add_argument("--config", required=True, help="episode config with sweep.* keys")
     p.set_defaults(func=cmd_sweep)
 

@@ -36,7 +36,11 @@ class CalibrationError(Exception):
 
 
 class InvalidSampleError(CalibrationError):
-    """A magnetometer sample violates its invariants."""
+    """Row `row` of a log violates the record's invariants for `reason`."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
 class InsufficientDataError(CalibrationError):
@@ -62,21 +66,50 @@ class ExcitationWarning(UserWarning):
     """A regressor column is (nearly) constant; its coefficient is weakly identified."""
 
 
-@dataclass(frozen=True)
-class MagSample:
-    """One synchronized vector + scalar magnetometer reading."""
+# The `maglog v1` row: each record column and its CSV columns, in file order.
+# An optional be_truth column follows them.
+MAGLOG_V1 = {"timestamp": 0, "b_vec": slice(1, 4), "b_total": 4, "speed": 5}
+MAGLOG_V1_WIDTH = 6
 
-    b_vec: tuple[float, float, float]
-    b_total: float
-    speed: float
-    timestamp: float
+
+@dataclass(frozen=True)
+class MagLog:
+    """A calibration log: synchronized vector + scalar magnetometer readings.
+
+    One row per sample, in columns timestamp (n,), b_vec (n, 3), b_total (n,)
+    and speed (n,). The record is checked once, here: the shapes agree, every
+    value is finite, b_total > 0 and timestamps strictly increase. The
+    columns are frozen copies.
+    """
+
+    timestamp: np.ndarray
+    b_vec: np.ndarray
+    b_total: np.ndarray
+    speed: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = (*self.b_vec, self.b_total, self.speed, self.timestamp)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidSampleError(f"sample fields must be finite, got {self}")
-        if self.b_total <= 0:
-            raise InvalidSampleError(f"b_total must be > 0, got {self.b_total}")
+        cols = {k: np.array(getattr(self, k), dtype=float) for k in MAGLOG_V1}
+        n = len(np.atleast_1d(cols["timestamp"]))
+        for k, c in cols.items():
+            if c.shape != ((n, 3) if k == "b_vec" else (n,)):
+                rows = len(np.atleast_1d(c))  # a length mismatch names the first lone row
+                raise InvalidSampleError(
+                    min(n, rows) if rows != n else 0, f"{k} has shape {c.shape} for {n} timestamps"
+                )
+        t, b_vec, b_total, speed = cols.values()
+        finite = np.isfinite(np.column_stack([t, b_vec, b_total, speed])).all(axis=1)
+        for bad, what in ((~finite, "must be finite"), (b_total <= 0, "needs b_total > 0")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                got = f"timestamp {t[i]}, b_vec {b_vec[i].tolist()}, b_total {b_total[i]}"
+                raise InvalidSampleError(i, f"sample {what}, got {got}, speed {speed[i]}")
+        _check_timestamps(t)
+        for k, c in cols.items():
+            c.setflags(write=False)
+            object.__setattr__(self, k, c)
+
+    def __len__(self) -> int:
+        return self.timestamp.shape[0]
 
 
 @dataclass(frozen=True)
@@ -105,12 +138,11 @@ def _check_timestamps(t: np.ndarray) -> None:
     if bad.size:
         i = int(bad[0]) + 1
         raise InvalidSampleError(
-            f"timestamps must be strictly increasing: row {i} has "
-            f"{float(t[i])} after {float(t[i - 1])}"
+            i, f"timestamps must be strictly increasing, got {t[i]} after {t[i - 1]}"
         )
 
 
-def build_regressor_matrix(log: Sequence[MagSample]) -> np.ndarray:
+def build_regressor_matrix(log: MagLog) -> np.ndarray:
     """Regressor rows for log[1:]; log[0] seeds the rate differences.
 
     Row layout: [0:3] direction cosines c = b_vec / b_total, [3:9] b_total *
@@ -121,19 +153,16 @@ def build_regressor_matrix(log: Sequence[MagSample]) -> np.ndarray:
     """
     if len(log) < 2:
         raise InsufficientDataError("need at least 2 samples to form rate terms")
-    cols = np.array([(s.timestamp, s.b_total, *s.b_vec, s.speed) for s in log])
-    t, b_total, b_vec, speed = cols[:, 0], cols[:, 1], cols[:, 2:5], cols[:, 5]
-    _check_timestamps(t)
-    cos = b_vec / b_total[:, None]
-    rates = np.diff(cos, axis=0) / np.diff(t)[:, None]
+    cos = log.b_vec / log.b_total[:, None]
+    rates = np.diff(cos, axis=0) / np.diff(log.timestamp)[:, None]
     c = cos[1:]
-    bt = b_total[1:, None]
+    bt = log.b_total[1:, None]
     rows = np.empty((len(log) - 1, N_COEFFS), dtype=float)
     rows[:, 0:3] = c
     rows[:, 3:9] = (c[:, [0, 1, 2, 0, 0, 1]] * c[:, [0, 1, 2, 1, 2, 2]]) * bt
     rows[:, 9:18] = (c[:, :, None] * rates[:, None, :]).reshape(-1, 9) * bt
     rows[:, 18] = 1.0
-    rows[:, 19] = speed[1:]
+    rows[:, 19] = log.speed[1:]
     return rows
 
 
@@ -142,24 +171,17 @@ def _warn_on_poor_excitation(a: np.ndarray) -> list[int]:
     # construction, so it is exempt from the check.
     variances = a.var(axis=0)
     limit = EXCITATION_RATIO * float(variances.max())
-    weak = [
-        c + 1
-        for c in range(N_COEFFS)
-        if c != 18 and variances[c] < limit
-    ]
+    weak = [c + 1 for c in range(N_COEFFS) if c != 18 and variances[c] < limit]
     if weak:
         warnings.warn(
-            f"regressor columns {weak} are barely excited; "
-            "their coefficients are unreliable",
+            f"regressor columns {weak} are barely excited; their coefficients are unreliable",
             ExcitationWarning,
             stacklevel=3,
         )
     return weak
 
 
-def fit(
-    log: Sequence[MagSample], b_earth: Sequence[float]
-) -> CalibrationCoefficients:
+def fit(log: MagLog, b_earth: Sequence[float]) -> CalibrationCoefficients:
     """Least-squares coefficients from a log with known ambient field.
 
     b_earth is aligned 1:1 with log; the first entry is unused because the
@@ -169,18 +191,16 @@ def fit(
     truth = _checked_truth(log, b_earth)
     a = build_regressor_matrix(log)
     if a.shape[0] < N_COEFFS:
-        raise InsufficientDataError(
-            f"need >= {N_COEFFS} usable rows, got {a.shape[0]}"
-        )
+        raise InsufficientDataError(f"need >= {N_COEFFS} usable rows, got {a.shape[0]}")
     _warn_on_poor_excitation(a)
-    y = np.array([s.b_total for s in log[1:]]) - truth[1:]
+    y = log.b_total[1:] - truth[1:]
     eps, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < N_COEFFS:
         raise RankDeficientError(int(rank))
     return CalibrationCoefficients(eps)
 
 
-def _checked_truth(log: Sequence[MagSample], b_earth: Sequence[float]) -> np.ndarray:
+def _checked_truth(log: MagLog, b_earth: Sequence[float]) -> np.ndarray:
     """b_earth as a float array, checked to hold one finite entry per sample."""
     if len(b_earth) != len(log):
         raise CalibrationError(f"b_earth has {len(b_earth)} entries for {len(log)} samples")
@@ -191,29 +211,21 @@ def _checked_truth(log: Sequence[MagSample], b_earth: Sequence[float]) -> np.nda
     return truth
 
 
-def compensate_log(
-    log: Sequence[MagSample], eps: CalibrationCoefficients
-) -> np.ndarray:
-    """Ambient-field estimates for log[1:] (rates from backward differences)."""
-    a = build_regressor_matrix(log)
-    b_total = np.array([s.b_total for s in log[1:]])
-    return b_total - a @ eps.eps
+def compensate_log(log: MagLog, eps: CalibrationCoefficients) -> np.ndarray:
+    """Ambient-field estimates for rows 1.. of log (rates from backward differences)."""
+    return log.b_total[1:] - build_regressor_matrix(log) @ eps.eps
 
 
-def residual_rms(
-    log: Sequence[MagSample],
-    b_earth: Sequence[float],
-    eps: CalibrationCoefficients,
-) -> float:
+def residual_rms(log: MagLog, b_earth: Sequence[float], eps: CalibrationCoefficients) -> float:
     """RMS of (estimated - true) ambient field over the usable rows."""
     resid = compensate_log(log, eps) - _checked_truth(log, b_earth)[1:]
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def load_maglog(path: str) -> tuple[list[MagSample], Optional[np.ndarray]]:
+def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
     """Parse a `maglog v1` file.
 
-    Returns the samples and, when every row carries the optional be_truth
+    Returns the log and, when every row carries the optional be_truth
     column, the aligned truth array (otherwise None).
     """
     # A non-ASCII byte reads as U+FFFD, which the header or value check rejects.
@@ -221,56 +233,47 @@ def load_maglog(path: str) -> tuple[list[MagSample], Optional[np.ndarray]]:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "maglog v1":
         raise CalibrationError("line 1: expected header 'maglog v1'")
-    samples: list[MagSample] = []
-    truths: list[float] = []
+    table = np.empty((len(lines) - 1, MAGLOG_V1_WIDTH + 1), dtype=float)
+    linenos: list[int] = []
+    n_truth = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) not in (6, 7):
-            raise CalibrationError(
-                f"line {lineno}: expected 6 or 7 CSV fields, got {len(fields)}"
-            )
+        if len(fields) not in (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1):
+            raise CalibrationError(f"line {lineno}: expected 6 or 7 CSV fields, got {len(fields)}")
         try:
-            vals = [float(f) for f in fields]
+            table[len(linenos), : len(fields)] = list(map(float, fields))
         except ValueError as exc:
             raise CalibrationError(f"line {lineno}: bad value: {exc}") from exc
-        try:
-            samples.append(
-                MagSample(
-                    b_vec=(vals[1], vals[2], vals[3]),
-                    b_total=vals[4],
-                    speed=vals[5],
-                    timestamp=vals[0],
-                )
-            )
-        except InvalidSampleError as exc:
-            raise CalibrationError(f"line {lineno}: {exc}") from exc
-        if len(vals) == 7:
-            if not math.isfinite(vals[6]):
-                raise CalibrationError(
-                    f"line {lineno}: be_truth must be finite, got {vals[6]}"
-                )
-            truths.append(vals[6])
-    if truths and len(truths) != len(samples):
+        linenos.append(lineno)
+        n_truth += len(fields) > MAGLOG_V1_WIDTH
+    table = table[: len(linenos)]
+    if n_truth not in (0, len(linenos)):
         raise CalibrationError("be_truth column present on some rows but not all")
-    _check_timestamps(np.array([s.timestamp for s in samples]))
-    return samples, (np.array(truths) if truths else None)
+    try:
+        log = MagLog(**{k: table[:, c] for k, c in MAGLOG_V1.items()})
+    except InvalidSampleError as exc:
+        raise CalibrationError(f"line {linenos[exc.row]}: {exc.reason}") from exc
+    truth = table[:, MAGLOG_V1_WIDTH].copy() if n_truth else None
+    if truth is not None and not np.isfinite(truth).all():
+        i = int(np.argmax(~np.isfinite(truth)))
+        raise CalibrationError(f"line {linenos[i]}: be_truth must be finite, got {truth[i]}")
+    return log, truth
 
 
-def save_maglog(
-    path: str, log: Sequence[MagSample], b_earth: Optional[Sequence[float]] = None
-) -> None:
+def save_maglog(path: str, log: MagLog, b_earth: Optional[Sequence[float]] = None) -> None:
     if b_earth is not None and len(b_earth) != len(log):
         raise CalibrationError("b_earth length must match log length")
+    table = np.empty((len(log), MAGLOG_V1_WIDTH + (b_earth is not None)), dtype=float)
+    for k, c in MAGLOG_V1.items():
+        table[:, c] = getattr(log, k)
+    if b_earth is not None:
+        table[:, MAGLOG_V1_WIDTH] = b_earth
     with open(path, "w", encoding="ascii") as fh:
         fh.write("maglog v1\n")
-        for i, s in enumerate(log):
-            fields = [s.timestamp, *s.b_vec, s.b_total, s.speed]
-            if b_earth is not None:
-                fields.append(float(b_earth[i]))
-            fh.write(",".join(repr(float(v)) for v in fields))
-            fh.write("\n")
+        for row in table.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_coefficients(eps: CalibrationCoefficients, path: str) -> None:
@@ -286,9 +289,7 @@ def load_coefficients(path: str) -> CalibrationCoefficients:
     if not lines or lines[0].strip() != "tlcoef v1":
         raise CalibrationError("line 1: expected header 'tlcoef v1'")
     if len(lines) != N_COEFFS + 1:
-        raise CalibrationError(
-            f"expected {N_COEFFS} coefficient rows, got {len(lines) - 1}"
-        )
+        raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(lines) - 1}")
     eps = np.empty(N_COEFFS, dtype=float)
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -300,9 +301,7 @@ def load_coefficients(path: str) -> CalibrationCoefficients:
         except ValueError as exc:
             raise CalibrationError(f"line {lineno}: bad value: {exc}") from exc
         if idx != lineno - 1:
-            raise CalibrationError(
-                f"line {lineno}: expected index {lineno - 1}, got {idx}"
-            )
+            raise CalibrationError(f"line {lineno}: expected index {lineno - 1}, got {idx}")
         if not math.isfinite(val):
             raise CalibrationError(f"line {lineno}: coefficient must be finite, got {val}")
         eps[idx - 1] = val

@@ -35,7 +35,7 @@ from magplan.models import (
     transition_log_density_from_means,
     wrap_angle_array,
 )
-from magplan.tlcal import MagSample
+from magplan.tlcal import MagLog
 
 LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -91,18 +91,18 @@ def make_tl_log(
     noise_sigma: float = 0.0,
     seed: int = 0,
     speed_amp: float = 0.15,
-) -> tuple[list[MagSample], np.ndarray]:
+) -> tuple[MagLog, np.ndarray]:
     """Synthesize a calibration log whose readings obey the 20-term model.
 
     Direction cosines come from a tumbling attitude profile; the vector
     channel is scaled to the (possibly noisy) total reading so the cosine
     computation returns the attitude exactly. speed_amp sets how much the
     platform speed varies (near zero makes the speed column almost
-    constant). Returns (samples, b_earth).
+    constant). Returns (log, b_earth).
     """
     rng = np.random.default_rng(seed)
     eps = np.asarray(eps, dtype=float)
-    samples: list[MagSample] = []
+    rows: list[tuple[float, ...]] = []
     b_earth = np.empty(n)
     prev_c = _attitude(0.0)
     for i in range(n):
@@ -122,16 +122,15 @@ def make_tl_log(
         bt = (be + p) / (1.0 - q)
         if noise_sigma > 0:
             bt += rng.normal(0.0, noise_sigma)
-        samples.append(
-            MagSample(
-                b_vec=(c[0] * bt, c[1] * bt, c[2] * bt),
-                b_total=bt,
-                speed=speed,
-                timestamp=t,
-            )
-        )
+        rows.append((t, c[0] * bt, c[1] * bt, c[2] * bt, bt, speed))
         prev_c = c
-    return samples, b_earth
+    return log_from_rows(rows), b_earth
+
+
+def log_from_rows(rows) -> MagLog:
+    """A MagLog from `maglog v1` rows (timestamp, bx, by, bz, btotal, speed)."""
+    table = np.array(rows, dtype=float)
+    return MagLog(table[:, 0], table[:, 1:4], table[:, 4], table[:, 5])
 
 
 # --- Dense-grid Bayes filter in one dimension -------------------------------

@@ -123,6 +123,17 @@ def test_calibrate_non_ascii_log_is_an_error(tmp_path, capsys):
     assert "line 4: bad value" in capsys.readouterr().err
 
 
+def test_calibrate_non_ascii_path_is_escaped_in_the_report(tmp_path):
+    log, be = make_tl_log(EPS_STAR, 400)
+    log_path = tmp_path / "vol\u00e9.maglog"
+    tlcal.save_maglog(str(log_path), log, be)
+    out = tmp_path / "cal"
+    assert main(["calibrate", str(log_path), "--out", str(out), "--quiet"]) == 0
+    report = (out / "calibration_report.txt").read_bytes().decode("ascii")
+    assert "vol\\xe9.maglog\n" in report
+    assert "warnings: none" in report
+
+
 def test_calibrate_missing_log_file(tmp_path, capsys):
     assert main(["calibrate", str(tmp_path / "ghost.maglog"), "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -284,6 +295,36 @@ def test_sweep_requires_sweep_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "w_h_values,seeds,cells",
+    [
+        ("0.1234561, 0.1234562", "0", "w_h=0.1234561 seed=0 and w_h=0.1234562 seed=0"),
+        ("0, 0", "0", "w_h=0.0 seed=0 and w_h=0.0 seed=0"),
+        ("0", "1, 1", "w_h=0.0 seed=1 and w_h=0.0 seed=1"),
+    ],
+)
+def test_sweep_rejects_colliding_trace_names(tmp_path, capsys, w_h_values, seeds, cells):
+    # Two cells that would write the same trace file stop the sweep before
+    # any episode runs.
+    cfg = write_cfg(tmp_path, extra={"sweep.w_h_values": w_h_values, "sweep.seeds": seeds})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep cells {cells} would both write trace_wh")
+    assert not out.exists()
+
+
+def test_sweep_has_no_seed_flag(tmp_path, capsys):
+    # Every cell runs its own sweep.seeds entry, so a --seed would be inert.
+    cfg = write_cfg(tmp_path, extra={"sweep.w_h_values": "0", "sweep.seeds": "0"})
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", cfg, "--out", str(out), "--seed", "7"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- export ---
 
 
@@ -349,6 +390,14 @@ def test_export_malformed_trace_is_an_error(run_trace, tmp_path, capsys):
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and fragment in err
+
+
+def test_export_non_ascii_trace_name_is_escaped(run_trace, tmp_path):
+    renamed = run_trace.rename(run_trace.with_name("trac\u00e9.csv"))
+    out = tmp_path / "plots"
+    assert main(["export", str(renamed), "--kind", "detcov", "--out", str(out), "--quiet"]) == 0
+    text = (out / "export_detcov.csv").read_bytes().decode("ascii")
+    assert "# source: trac\\xe9.csv\n" in text
 
 
 def test_export_missing_trace(tmp_path, capsys):

@@ -16,7 +16,7 @@ from magplan.tlcal import (
     ExcitationWarning,
     InsufficientDataError,
     InvalidSampleError,
-    MagSample,
+    MagLog,
     RankDeficientError,
     build_regressor_matrix,
     compensate_log,
@@ -27,7 +27,7 @@ from magplan.tlcal import (
     save_coefficients,
     save_maglog,
 )
-from oracles import make_tl_log, tl_row_reference
+from oracles import log_from_rows, make_tl_log, tl_row_reference
 
 # Representative interference model: permanent terms of tens of nT, induced
 # and eddy factors small enough to keep the total perturbation below ~1%.
@@ -47,30 +47,95 @@ def cosine_log(
     b_total: float = 1.0,
     speed: float = 0.0,
     dt: float = 0.1,
-) -> list[MagSample]:
-    """Samples whose vector channel is cosines * b_total, dt apart."""
-    return [
-        MagSample((c[0] * b_total, c[1] * b_total, c[2] * b_total), b_total, speed, dt * k)
-        for k, c in enumerate(cosines)
-    ]
+) -> MagLog:
+    """A log whose vector channel is cosines * b_total, dt apart."""
+    return log_from_rows(
+        [
+            (dt * k, c[0] * b_total, c[1] * b_total, c[2] * b_total, b_total, speed)
+            for k, c in enumerate(cosines)
+        ]
+    )
 
 
-# --- samples and cosines ---
+# --- the log record and cosines ---
 
 
 def test_direction_cosines_basic():
-    s = MagSample((3.0, 4.0, 0.0), 5.0, 0.2, 0.0)
-    a = build_regressor_matrix([s, MagSample(s.b_vec, s.b_total, s.speed, 1.0)])
+    log = log_from_rows([(0.0, 3.0, 4.0, 0.0, 5.0, 0.2), (1.0, 3.0, 4.0, 0.0, 5.0, 0.2)])
+    a = build_regressor_matrix(log)
     assert a[0, 0:3].tolist() == [0.6, 0.8, 0.0]
 
 
 def test_sample_validation():
-    with pytest.raises(InvalidSampleError):
-        MagSample((1.0, 0.0, 0.0), 0.0, 0.2, 0.0)
-    with pytest.raises(InvalidSampleError):
-        MagSample((1.0, 0.0, 0.0), -3.0, 0.2, 0.0)
-    with pytest.raises(InvalidSampleError):
-        MagSample((math.nan, 0.0, 0.0), 1.0, 0.2, 0.0)
+    # Row 1 of each two-row log is the bad one.
+    for b_vec, b_total in (
+        ((1.0, 0.0, 0.0), 0.0),
+        ((1.0, 0.0, 0.0), -3.0),
+        ((math.nan, 0.0, 0.0), 1.0),
+    ):
+        with pytest.raises(InvalidSampleError, match="row 1: sample"):
+            MagLog([0.0, 1.0], [(1.0, 0.0, 0.0), b_vec], [1.0, b_total], [0.2, 0.2])
+
+
+GOOD_ROWS = [
+    (0.0, 3.0, 4.0, 0.0, 5.0, 0.2),
+    (0.1, 3.0, 0.0, 4.0, 5.0, 0.3),
+    (0.2, 0.0, 3.0, 4.0, 5.0, 0.4),
+    (0.3, 4.0, 3.0, 0.0, 5.0, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "column,value,fragment",
+    [
+        (0, math.nan, "row 2: sample must be finite"),
+        (0, math.inf, "row 2: sample must be finite"),
+        (2, math.nan, "row 2: sample must be finite"),
+        (3, -math.inf, "row 2: sample must be finite"),
+        (4, math.inf, "row 2: sample must be finite"),
+        (5, math.nan, "row 2: sample must be finite"),
+        (4, 0.0, "row 2: sample needs b_total > 0"),
+        (4, -5.0, "row 2: sample needs b_total > 0"),
+        (0, 0.1, "row 2: timestamps must be strictly increasing, got 0.1 after 0.1"),
+        (0, 0.05, "row 2: timestamps must be strictly increasing, got 0.05 after 0.1"),
+    ],
+)
+def test_maglog_rejects_bad_row(column, value, fragment):
+    rows = [list(r) for r in GOOD_ROWS]
+    rows[2][column] = value
+    with pytest.raises(InvalidSampleError, match=fragment) as info:
+        log_from_rows(rows)
+    assert info.value.row == 2
+
+
+def test_maglog_rejects_mismatched_columns():
+    good = log_from_rows(GOOD_ROWS)
+    t, b_vec, b_total, speed = good.timestamp, good.b_vec, good.b_total, good.speed
+    with pytest.raises(InvalidSampleError, match=r"row 3: b_vec has shape \(3, 3\)"):
+        MagLog(t, b_vec[:3], b_total, speed)
+    with pytest.raises(InvalidSampleError, match=r"row 2: b_total has shape \(4,\) for 2 "):
+        MagLog(t[:2], b_vec[:2], b_total, speed)
+    with pytest.raises(InvalidSampleError, match=r"row 4: speed has shape \(5,\)"):
+        MagLog(t, b_vec, b_total, np.append(speed, 0.6))
+    with pytest.raises(InvalidSampleError, match=r"row 0: b_vec has shape \(4, 2\)"):
+        MagLog(t, b_vec[:, :2], b_total, speed)
+
+
+def test_maglog_columns_are_frozen_copies():
+    b_total = np.array([5.0, 5.0])
+    log = MagLog([0.0, 1.0], [(3.0, 4.0, 0.0), (3.0, 0.0, 4.0)], b_total, [0.2, 0.2])
+    b_total[0] = -1.0
+    assert log.b_total.tolist() == [5.0, 5.0]
+    assert len(log) == 2 and log.b_vec.shape == (2, 3)
+    with pytest.raises(ValueError):
+        log.b_vec[0, 0] = 1.0
+
+
+def test_fit_rejects_an_empty_log():
+    empty = MagLog(np.empty(0), np.empty((0, 3)), np.empty(0), np.empty(0))
+    assert len(empty) == 0
+    with pytest.raises(InsufficientDataError):
+        fit(empty, [])
 
 
 @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
@@ -78,8 +143,8 @@ def test_cosines_unit_norm_when_total_matches(cx, cy, cz):
     norm = math.sqrt(cx * cx + cy * cy + cz * cz)
     if norm < 1e-3:
         return
-    s = MagSample((cx, cy, cz), norm, 0.0, 0.0)
-    c = build_regressor_matrix([s, MagSample(s.b_vec, norm, 0.0, 0.1)])[0, 0:3]
+    log = log_from_rows([(0.0, cx, cy, cz, norm, 0.0), (0.1, cx, cy, cz, norm, 0.0)])
+    c = build_regressor_matrix(log)[0, 0:3]
     assert float(c @ c) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -126,31 +191,32 @@ def test_row_speed_column():
 
 
 @st.composite
-def increasing_logs(draw) -> list[MagSample]:
+def increasing_logs(draw) -> list[tuple[float, ...]]:
+    """`maglog v1` rows (timestamp, bx, by, bz, btotal, speed)."""
     n = draw(st.integers(2, 8))
     t = draw(st.floats(-1e3, 1e3))
-    log = []
+    rows = []
     for _ in range(n):
         b_vec = draw(st.tuples(*[st.floats(-1e5, 1e5)] * 3))
-        log.append(MagSample(b_vec, draw(st.floats(1e3, 1e5)), draw(st.floats(0, 2)), t))
+        rows.append((t, *b_vec, draw(st.floats(1e3, 1e5)), draw(st.floats(0, 2))))
         t += draw(st.floats(1e-3, 10))
-    return log
+    return rows
 
 
 @given(increasing_logs())
-def test_row_matches_longhand_reference(log):
-    a = build_regressor_matrix(log)
-    assert a.shape == (len(log) - 1, N_COEFFS)
-    for i, s in enumerate(log[1:], start=1):
-        prev = log[i - 1]
-        c = tuple(v / s.b_total for v in s.b_vec)
-        c_prev = tuple(v / prev.b_total for v in prev.b_vec)
-        r = tuple((c[k] - c_prev[k]) / (s.timestamp - prev.timestamp) for k in range(3))
+def test_row_matches_longhand_reference(rows):
+    a = build_regressor_matrix(log_from_rows(rows))
+    assert a.shape == (len(rows) - 1, N_COEFFS)
+    for i in range(1, len(rows)):
+        (t_prev, *b_prev, bt_prev, _), (t, *b_vec, b_total, speed) = rows[i - 1], rows[i]
+        c = tuple(v / b_total for v in b_vec)
+        c_prev = tuple(v / bt_prev for v in b_prev)
+        r = tuple((c[k] - c_prev[k]) / (t - t_prev) for k in range(3))
         row = a[i - 1]
         assert row[0:3].tolist() == list(c)
-        assert (row[18], row[19]) == (1.0, s.speed)
+        assert (row[18], row[19]) == (1.0, speed)
         # The scaled products may differ from the longhand grouping by an ulp.
-        expected = tl_row_reference(c, r, s.b_total, s.speed)[3:18]
+        expected = tl_row_reference(c, r, b_total, speed)[3:18]
         assert row[3:18].tolist() == pytest.approx(expected, rel=1e-13)
 
 
@@ -158,14 +224,13 @@ def test_matrix_skips_seed_sample_and_checks_order():
     log, _ = make_tl_log(np.zeros(N_COEFFS), n=6)
     a = build_regressor_matrix(log)
     assert a.shape == (5, N_COEFFS)
-    shuffled = [log[0], log[2], log[1], *log[3:]]
-    with pytest.raises(InvalidSampleError):
-        build_regressor_matrix(shuffled)
+    # The record itself holds the timestamp order, so no matrix sees a bad one.
+    t = log.timestamp
+    for bad_t in (t[[0, 2, 1, 3, 4, 5]], np.r_[t[:2], t[1], t[3:]]):
+        with pytest.raises(InvalidSampleError, match="row 2"):
+            MagLog(bad_t, log.b_vec, log.b_total, log.speed)
     with pytest.raises(InsufficientDataError):
-        build_regressor_matrix(log[:1])
-    repeated = MagSample(log[2].b_vec, log[2].b_total, log[2].speed, log[1].timestamp)
-    with pytest.raises(InvalidSampleError, match="row 2"):
-        build_regressor_matrix([log[0], log[1], repeated, *log[3:]])
+        build_regressor_matrix(MagLog(t[:1], log.b_vec[:1], log.b_total[:1], log.speed[:1]))
 
 
 # --- fitting ---
@@ -233,11 +298,9 @@ def test_fit_insufficient_rows():
 
 def test_fit_constant_attitude_is_rank_deficient():
     base, _ = make_tl_log(np.zeros(N_COEFFS), n=3)
-    frozen = base[0]
-    log = [
-        MagSample(frozen.b_vec, frozen.b_total, 0.2 + 0.01 * i, 0.1 * i)
-        for i in range(60)
-    ]
+    log = log_from_rows(
+        [(0.1 * i, *base.b_vec[0], base.b_total[0], 0.2 + 0.01 * i) for i in range(60)]
+    )
     b_earth = np.full(60, 25000.0)
     with pytest.raises(RankDeficientError) as exc:
         with pytest.warns(ExcitationWarning):
@@ -256,7 +319,7 @@ def test_fit_warns_on_barely_moving_speed_column():
 def test_solution_invariant_under_row_permutation():
     log, b_earth = make_tl_log(EPS_STAR, n=250, noise_sigma=1.0, seed=3)
     a = build_regressor_matrix(log)
-    y = np.array([s.b_total for s in log[1:]]) - b_earth[1:]
+    y = log.b_total[1:] - b_earth[1:]
     sol, *_ = np.linalg.lstsq(a, y, rcond=None)
     perm = np.random.default_rng(0).permutation(len(y))
     sol_p, *_ = np.linalg.lstsq(a[perm], y[perm], rcond=None)
@@ -277,16 +340,14 @@ def test_compensate_log_recovers_truth():
 def test_compensate_zero_coefficients_is_identity():
     log, _ = make_tl_log(np.zeros(N_COEFFS), n=10)
     eps = CalibrationCoefficients(np.zeros(N_COEFFS))
-    assert compensate_log(log, eps).tolist() == [s.b_total for s in log[1:]]
+    assert compensate_log(log, eps).tolist() == log.b_total[1:].tolist()
 
 
 def test_bias_only_interference():
     eps_bias = np.zeros(N_COEFFS)
     eps_bias[18] = 100.0
     log, b_earth = make_tl_log(eps_bias, n=300)
-    assert np.allclose(
-        np.array([s.b_total for s in log]) - b_earth, 100.0, atol=1e-9
-    )
+    assert np.allclose(log.b_total - b_earth, 100.0, atol=1e-9)
     eps = fit(log, b_earth)
     assert eps.eps[18] == pytest.approx(100.0, rel=1e-9)
     assert np.allclose(np.delete(eps.eps, 18), np.delete(eps_bias, 18), atol=1e-7)
@@ -297,13 +358,15 @@ def test_compensation_linear_in_coefficients(seed):
     rng = np.random.default_rng(seed)
     e1 = rng.normal(0, 1, N_COEFFS)
     e2 = rng.normal(0, 1, N_COEFFS)
-    s = MagSample((20000.0, 9000.0, 12000.0), 25000.0, 0.3, 1.0)
-    prev = MagSample(s.b_vec, s.b_total, s.speed, 0.9)
-    base = s.b_total
-    # One reading s after prev is compensated as the single row of [prev, s].
-    d1 = base - compensate_log([prev, s], CalibrationCoefficients(e1))[0]
-    d2 = base - compensate_log([prev, s], CalibrationCoefficients(e2))[0]
-    d12 = base - compensate_log([prev, s], CalibrationCoefficients(e1 + e2))[0]
+    base = 25000.0
+    # One reading after a previous one is compensated as the single row of a
+    # 2-row log.
+    pair = log_from_rows(
+        [(0.9, 20000.0, 9000.0, 12000.0, base, 0.3), (1.0, 20000.0, 9000.0, 12000.0, base, 0.3)]
+    )
+    d1 = base - compensate_log(pair, CalibrationCoefficients(e1))[0]
+    d2 = base - compensate_log(pair, CalibrationCoefficients(e2))[0]
+    d12 = base - compensate_log(pair, CalibrationCoefficients(e1 + e2))[0]
     assert d12 == pytest.approx(d1 + d2, rel=1e-9, abs=1e-9)
 
 
@@ -318,8 +381,9 @@ def test_maglog_round_trip(tmp_path):
     assert truth is not None
     assert np.array_equal(truth, b_earth)
     assert len(back) == len(log)
-    for a, b in zip(back, log):
-        assert a == b  # repr round-trip is exact, dataclass equality holds
+    for name in ("timestamp", "b_vec", "b_total", "speed"):
+        # The repr round trip is exact.
+        assert np.array_equal(getattr(back, name), getattr(log, name))
 
 
 def test_maglog_without_truth_column(tmp_path):
@@ -329,6 +393,29 @@ def test_maglog_without_truth_column(tmp_path):
     back, truth = load_maglog(path)
     assert truth is None
     assert len(back) == 5
+
+
+def test_save_maglog_writes_fixed_text(tmp_path):
+    log = log_from_rows(
+        [
+            (0.0, 3.0, 4.0, 0.0, 5.0, 0.2),
+            (0.1, -1.5, 2.25, 1e-05, 25000.5, 0.0),
+            (2.0, 1e20, -0.0, 7.0, 0.125, 3.0),
+        ]
+    )
+    path = tmp_path / "log.maglog"
+    body = [
+        "0.0,3.0,4.0,0.0,5.0,0.2",
+        "0.1,-1.5,2.25,1e-05,25000.5,0.0",
+        "2.0,1e+20,-0.0,7.0,0.125,3.0",
+    ]
+    save_maglog(path, log)
+    assert path.read_text() == "maglog v1\n" + "".join(line + "\n" for line in body)
+    save_maglog(path, log, [25000, 24999.875, 0.1])
+    truth = (",25000.0", ",24999.875", ",0.1")
+    assert path.read_text() == "maglog v1\n" + "".join(
+        line + t + "\n" for line, t in zip(body, truth)
+    )
 
 
 @pytest.mark.parametrize(
@@ -344,6 +431,11 @@ def test_maglog_without_truth_column(tmp_path):
         ("maglog v1\n0,1,1,1,2,0.2,inf\n1,1,1,1,2,0.2,25000\n", "line 2: be_truth"),
         ("maglog v1\n0,1,1,1,2,0.2\n1,1,1\xe9,1,2,0.2\n", "line 3: bad value"),
         ("maglog v1\xe9\n0,1,1,1,2,0.2\n", "line 1: expected header"),
+        ("maglog v1\n0,1,1,1,2,0.2\n\n1,1,nan,1,2,0.2\n", "line 4: sample must be finite"),
+        (
+            "maglog v1\n0,1,1,1,2,0.2\n\n2,1,1,1,2,0.2\n1,1,1,1,2,0.2\n",
+            "line 5: timestamps must be strictly increasing",
+        ),
     ],
 )
 def test_maglog_parse_errors(tmp_path, text, fragment):
