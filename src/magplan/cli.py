@@ -52,12 +52,12 @@ def _load_episode(
     return cfg, build_episode_config(cfg, base_dir, seed)
 
 
-def _provenance(cfg: dict[str, str], seed: int) -> dict[str, str]:
-    return {
-        "config_hash": config_hash(cfg),
-        "seed": str(seed),
-        "magplan_version": __version__,
-    }
+def _provenance(cfg: dict[str, str], seed: Optional[int] = None) -> dict[str, str]:
+    """Preamble keys of an output file; `seed` only for a file of one episode."""
+    prov = {"config_hash": config_hash(cfg), "magplan_version": __version__}
+    if seed is not None:
+        prov["seed"] = str(seed)
+    return prov
 
 
 def cmd_genmap(args: argparse.Namespace) -> int:
@@ -159,7 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"w_h={cell.w_h:g} seed={cell.seed}: {len(cell.trace)} steps ({note})",
         )
     summary_path = os.path.join(out, "summary.csv")
-    simloop.write_summary(result, summary_path, _provenance(cfg, base.seed))
+    simloop.write_summary(result, summary_path, _provenance(cfg))
     _say(args, f"wrote {summary_path}")
     failures = sum(1 for c in result.cells if c.trace is None)
     return 1 if failures else 0

@@ -9,7 +9,11 @@ from raw total-field readings.
 
 Log file format (`maglog v1`): first line `maglog v1`, then one CSV row per
 sample: `timestamp,bx,by,bz,btotal,speed[,be_truth]`. The trailing column is
-the known ambient field and is required for fitting.
+the known ambient field and is required for fitting. A cell is a decimal
+number as `float` spells it, optionally padded with spaces (`nan`/`inf`
+included, `_` digit separators not); blank lines are skipped. The body is
+parsed in one call, and a file that fails it is walked to name its first
+bad line.
 
 Coefficient file format (`tlcoef v1`): first line `tlcoef v1`, then 20 rows
 `index,value` with index 1..20 in the ordering above.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -134,7 +138,8 @@ class CalibrationCoefficients:
 
 
 def _check_timestamps(t: np.ndarray) -> None:
-    bad = np.flatnonzero(np.diff(t) <= 0)
+    # Compared, not differenced: a difference of two finite values can overflow.
+    bad = np.flatnonzero(t[1:] <= t[:-1])
     if bad.size:
         i = int(bad[0]) + 1
         raise InvalidSampleError(
@@ -222,40 +227,74 @@ def residual_rms(log: MagLog, b_earth: Sequence[float], eps: CalibrationCoeffici
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
-    """Parse a `maglog v1` file.
+def _parse_rows(rows: Sequence[str]) -> np.ndarray:
+    """The CSV rows as one (n, width) float array; ValueError if any cell is not a number.
 
-    Returns the log and, when every row carries the optional be_truth
-    column, the aligned truth array (otherwise None).
+    numpy's text reader converts each cell with the correctly rounded routine
+    that `float` uses, so repr-written values round-trip bit for bit.
+    """
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _is_number(cell: str) -> bool:
+    # An empty cell is a bad value in a row; alone it would read as a blank line.
+    try:
+        return cell != "" and _parse_rows([cell]).size == 1
+    except ValueError:
+        return False
+
+
+def _raise_first_bad_line(rows: Sequence[str], linenos: Sequence[int]) -> NoReturn:
+    """Name the first of `rows` that does not fit a `maglog v1` table."""
+    for lineno, line in zip(linenos, rows):
+        fields = line.split(",")
+        if len(fields) not in (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1):
+            raise CalibrationError(f"line {lineno}: expected 6 or 7 CSV fields, got {len(fields)}")
+        try:
+            _parse_rows([line])
+        except ValueError:
+            cell = next((f for f in fields if not _is_number(f)), line)
+            raise CalibrationError(
+                f"line {lineno}: bad value: could not convert string to float: {cell!r}"
+            ) from None
+    raise CalibrationError("be_truth column present on some rows but not all")
+
+
+def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
+    """The body of a `maglog v1` file as one float table, and each row's file line.
+
+    Apart from `load_maglog` so that the file's lines are freed before the
+    record is built, which keeps the peak memory of a load lower.
     """
     # A non-ASCII byte reads as U+FFFD, which the header or value check rejects.
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "maglog v1":
         raise CalibrationError("line 1: expected header 'maglog v1'")
-    table = np.empty((len(lines) - 1, MAGLOG_V1_WIDTH + 1), dtype=float)
-    linenos: list[int] = []
-    n_truth = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) not in (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1):
-            raise CalibrationError(f"line {lineno}: expected 6 or 7 CSV fields, got {len(fields)}")
-        try:
-            table[len(linenos), : len(fields)] = list(map(float, fields))
-        except ValueError as exc:
-            raise CalibrationError(f"line {lineno}: bad value: {exc}") from exc
-        linenos.append(lineno)
-        n_truth += len(fields) > MAGLOG_V1_WIDTH
-    table = table[: len(linenos)]
-    if n_truth not in (0, len(linenos)):
-        raise CalibrationError("be_truth column present on some rows but not all")
+    linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    rows = [lines[n - 1] for n in linenos]
+    try:
+        # loadtxt warns on empty input, so a header-only file skips it.
+        table = _parse_rows(rows) if rows else np.empty((0, MAGLOG_V1_WIDTH))
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] not in (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1):
+        _raise_first_bad_line(rows, linenos)
+    return table, linenos
+
+
+def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
+    """Parse a `maglog v1` file.
+
+    Returns the log and, when every row carries the optional be_truth
+    column, the aligned truth array (otherwise None).
+    """
+    table, linenos = _read_table(path)
     try:
         log = MagLog(**{k: table[:, c] for k, c in MAGLOG_V1.items()})
     except InvalidSampleError as exc:
         raise CalibrationError(f"line {linenos[exc.row]}: {exc.reason}") from exc
-    truth = table[:, MAGLOG_V1_WIDTH].copy() if n_truth else None
+    truth = table[:, MAGLOG_V1_WIDTH].copy() if table.shape[1] > MAGLOG_V1_WIDTH else None
     if truth is not None and not np.isfinite(truth).all():
         i = int(np.argmax(~np.isfinite(truth)))
         raise CalibrationError(f"line {linenos[i]}: be_truth must be finite, got {truth[i]}")
@@ -285,13 +324,14 @@ def save_coefficients(eps: CalibrationCoefficients, path: str) -> None:
 
 def load_coefficients(path: str) -> CalibrationCoefficients:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "tlcoef v1":
         raise CalibrationError("line 1: expected header 'tlcoef v1'")
-    if len(lines) != N_COEFFS + 1:
-        raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(lines) - 1}")
+    rows = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    if len(rows) != N_COEFFS:
+        raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(rows)}")
     eps = np.empty(N_COEFFS, dtype=float)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for want, (lineno, line) in enumerate(rows, start=1):
         fields = line.split(",")
         if len(fields) != 2:
             raise CalibrationError(f"line {lineno}: expected 'index,value'")
@@ -300,8 +340,8 @@ def load_coefficients(path: str) -> CalibrationCoefficients:
             val = float(fields[1])
         except ValueError as exc:
             raise CalibrationError(f"line {lineno}: bad value: {exc}") from exc
-        if idx != lineno - 1:
-            raise CalibrationError(f"line {lineno}: expected index {lineno - 1}, got {idx}")
+        if idx != want:
+            raise CalibrationError(f"line {lineno}: expected index {want}, got {idx}")
         if not math.isfinite(val):
             raise CalibrationError(f"line {lineno}: coefficient must be finite, got {val}")
         eps[idx - 1] = val

@@ -258,6 +258,28 @@ def test_sweep_writes_cells_and_summary(tmp_path, capsys):
     assert read_trace(str(out / "trace_wh5_seed0.csv")).comments["w_h"] == "5.0"
 
 
+def test_sweep_summary_records_no_base_seed(tmp_path):
+    # sim.seed is not a sweep cell's seed, so the summary must not name it.
+    cfg = write_cfg(
+        tmp_path,
+        extra={
+            "sim.seed": "7",
+            "sim.step_budget": "2",
+            "sweep.w_h_values": "0",
+            "sweep.seeds": "1",
+        },
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    preamble = [l for l in summary if l.startswith("#")]
+    assert preamble[0] == "# magplan-summary v1"
+    assert any(l.startswith("# config_hash: ") for l in preamble)
+    assert not any(l.startswith("# seed:") for l in preamble)
+    assert summary[len(preamble) + 1].split(",")[:2] == ["0.0", "1"]
+    assert read_trace(str(out / "trace_wh0_seed1.csv")).comments["seed"] == "1"
+
+
 def test_sweep_failing_cells_exit_nonzero(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

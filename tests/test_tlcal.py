@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from magplan.tlcal import (
+    MAGLOG_V1,
     N_COEFFS,
     CalibrationCoefficients,
     CalibrationError,
@@ -436,6 +439,13 @@ def test_save_maglog_writes_fixed_text(tmp_path):
             "maglog v1\n0,1,1,1,2,0.2\n\n2,1,1,1,2,0.2\n1,1,1,1,2,0.2\n",
             "line 5: timestamps must be strictly increasing",
         ),
+        # A whitespace-only line is skipped and keeps its place in the count.
+        ("maglog v1\n0,1,1,1,2,0.2\n \t \n1,1,1\n", "line 4: expected 6 or 7 CSV fields, got 3"),
+        # There is no comment syntax.
+        ("maglog v1\n0,1,1,1,2,0.2 # note\n", "line 2: bad value: .*'0.2 # note'"),
+        # `float` takes digit separators; the maglog grammar does not.
+        ("maglog v1\n0,1,1,1,2,0.2\n1,1,1,1,2,1_0\n", "line 3: bad value: .*'1_0'"),
+        ("maglog v1\n0,1,,1,2,0.2\n", "line 2: bad value: .*''"),
     ],
 )
 def test_maglog_parse_errors(tmp_path, text, fragment):
@@ -443,6 +453,76 @@ def test_maglog_parse_errors(tmp_path, text, fragment):
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(CalibrationError, match=fragment):
         load_maglog(path)
+
+
+def test_maglog_header_only_is_an_empty_log(tmp_path):
+    # The suite turns warnings into errors, so this also pins "no warning".
+    path = tmp_path / "empty.maglog"
+    path.write_text("maglog v1\n\n")
+    log, truth = load_maglog(path)
+    assert len(log) == 0 and log.b_vec.shape == (0, 3)
+    assert truth is None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# The timestamps step by more than the largest float, which must not overflow.
+EXTREMES = np.array(
+    [
+        [-1e308, -0.0, 5e-324, -5e-324, 5e-324, -0.0, 1.7976931348623157e308],
+        [1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.7976931348623157e308,
+         5e-324, -0.0],
+        [1.7976931348623157e308, 1.0, 2.0, 3.0, 25000.5, 1e-300, 0.0],
+    ]
+)
+
+
+@st.composite
+def maglog_tables(draw) -> np.ndarray:
+    """A valid (n, 7) maglog table: increasing timestamps, positive b_total, be_truth last."""
+    n = draw(st.integers(1, 8))  # a header-only file has no be_truth column to round-trip
+    table = draw(arrays(np.float64, (n, 7), elements=FINITE))
+    table[:, 0] = sorted(draw(st.lists(FINITE, min_size=n, max_size=n, unique=True)))
+    table[:, 4] = draw(arrays(np.float64, n, elements=st.floats(min_value=5e-324, max_value=1e308)))
+    return table
+
+
+@given(table=maglog_tables(), with_truth=st.booleans())
+@example(table=EXTREMES, with_truth=True)
+@example(table=EXTREMES, with_truth=False)
+def test_maglog_round_trip_is_bitwise(tmp_path_factory, table, with_truth):
+    log = MagLog(**{k: table[:, c] for k, c in MAGLOG_V1.items()})
+    path = tmp_path_factory.mktemp("rt") / "log.maglog"
+    save_maglog(path, log, table[:, 6] if with_truth else None)
+    back, truth = load_maglog(path)
+    assert (truth is not None) == with_truth
+    cols = [back.timestamp, back.b_vec, back.b_total, back.speed] + ([truth] if with_truth else [])
+    got = np.column_stack(cols)
+    assert np.array_equal(got.view(np.uint64), table[:, : got.shape[1]].view(np.uint64))
+
+
+def test_maglog_reads_every_float_spelling(tmp_path):
+    # Forms `float` accepts that save_maglog never writes.
+    rows = ["-0,1e5,+3, 2.5 ,.5,5.,1E-3", "1E-3, 2.5 ,.5,5.,1e5,-0,+3"]
+    path = tmp_path / "forms.maglog"
+    path.write_text("maglog v1\n" + "\n".join(rows) + "\n")
+    log, truth = load_maglog(path)
+    got = np.column_stack([log.timestamp, log.b_vec, log.b_total, log.speed, truth])
+    want = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_load_maglog_memory_bounded(tmp_path):
+    log, b_earth = make_tl_log(EPS_STAR, n=10_000, noise_sigma=0.5, seed=2)
+    path = tmp_path / "big.maglog"
+    save_maglog(path, log, b_earth)
+    assert 1.1e6 < path.stat().st_size < 1.4e6
+    tracemalloc.start()
+    try:
+        load_maglog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_coefficients_round_trip(tmp_path):
@@ -459,7 +539,7 @@ def test_coefficients_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "mutation",
-    ["header", "count", "index", "value", "nan", "inf", "non_ascii"],
+    ["header", "count", "index", "value", "nan", "inf", "non_ascii", "blank_lines", "blank_first"],
 )
 def test_coefficients_parse_errors(tmp_path, mutation):
     path = tmp_path / "c.tlcoef"
@@ -475,6 +555,10 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         lines[5] = "5,potato"
     elif mutation == "non_ascii":
         lines[5] = "5,0.0\xe9"
+    elif mutation == "blank_lines":
+        lines[2:3] = ["", "", "2,abc"]
+    elif mutation == "blank_first":
+        lines.insert(0, "")
     else:
         lines[5] = f"5,{mutation}"
     path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
@@ -484,6 +568,10 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         assert "line 6: coefficient must be finite" in str(info.value)
     if mutation == "non_ascii":
         assert "line 6: bad value" in str(info.value)
+    if mutation == "blank_lines":
+        assert "line 5: bad value" in str(info.value)
+    if mutation == "blank_first":
+        assert "line 1: expected header" in str(info.value)
 
 
 def test_coefficients_vector_validated():
