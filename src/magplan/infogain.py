@@ -30,7 +30,12 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   is wrapped by two exact shifts rather than np.remainder, which is exact
   only while both headings lie in [-pi, pi]: cur headings outside that
   range are wrapped once per call (in-range ones pass through untouched),
-  and every motion step already returns wrapped headings.
+  and every motion step already returns wrapped headings. Each call lays
+  cur and the means out once as contiguous (3, n) coordinate planes and
+  allocates one tile's buffers: the tile and the two float scratch buffers
+  of the Gaussian. Every tile reuses them, and is reduced in place by the
+  body of `logsumexp` (peak subtracted, exp, sum and log on the tile buffer
+  itself), so the loop makes no tile-sized temporaries.
 
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
@@ -63,6 +68,7 @@ from .magmap import MagMap, interpolate
 from .models import (
     ControlInput,
     ModelSet,
+    coordinate_planes,
     in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
@@ -116,11 +122,19 @@ def logsumexp(a, axis=None) -> np.ndarray:
 
     A slice that is all -inf gives -inf; nan propagates.
     """
-    a = np.asarray(a, dtype=float)
-    peak = np.max(a, axis=axis, keepdims=True)
+    return _logsumexp_into(np.array(a, dtype=float), axis)
+
+
+def _logsumexp_into(a: np.ndarray, axis=None) -> np.ndarray:
+    """`logsumexp(a, axis)` for a float array, reduced in place: `a` is left
+    holding exp(a - peak)."""
+    # The ufunc reductions are np.max and np.sum without their Python wrappers.
+    peak = np.maximum.reduce(a, axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
+    a -= peak
+    np.exp(a, out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+        out = np.log(np.add.reduce(a, axis=axis, keepdims=True))
     return np.squeeze(out + peak, axis=axis)
 
 
@@ -129,18 +143,20 @@ def _log_predicted_density(
 ) -> np.ndarray:
     """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles, given
     the prev particles' motion `means` and `log_w = _safe_log(w_prev)`."""
-    nxt = in_range_headings(cur_states)
-    n, m = nxt.shape[0], means.shape[0]
+    cur = coordinate_planes(in_range_headings(cur_states))
+    mu = coordinate_planes(means)
+    n, m = cur.shape[1], mu.shape[1]
     rows = max(1, TILE_ELEMENTS // m)
-    buf = np.empty((min(rows, n), m))
+    bufs = np.empty((3, min(rows, n), m))
     out = np.empty(n)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        tile = transition_log_density_from_means(
-            nxt[r0:r1], means, motion, out=buf[: r1 - r0]
+        tile, tmp, shift = bufs[:, : r1 - r0]
+        transition_log_density_from_means(
+            cur[:, r0:r1, None], mu, motion, out=tile, scratch=(tmp, shift)
         )
         tile += log_w
-        out[r0:r1] = logsumexp(tile, axis=1)
+        out[r0:r1] = _logsumexp_into(tile, axis=1)
     return out
 
 
@@ -256,7 +272,10 @@ def eer(
         # (a, i, j): log p(x_i | hypothesis j one step earlier), whose motion
         # mean is x_j, and log p(z_j | x_i). unicycle_rollout has wrapped every
         # heading, as the transition density requires.
-        log_t = transition_log_density_from_means(states, states, models.motion)
+        planes = coordinate_planes(states)
+        log_t = transition_log_density_from_means(
+            planes[..., :, None], planes[..., None, :], models.motion
+        )
         log_lik = sensor_log_likelihood(
             z_pred[:, None, :], z_pred[:, :, None], inside[:, :, None], models.sensor
         )

@@ -204,14 +204,23 @@ def _check_densities_valid(noise: MotionNoise) -> None:
         )
 
 
-def wrap_residual(d: np.ndarray) -> np.ndarray:
+def wrap_residual(d: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
     """`wrap_angle_array(d)` in place, by two exact shifts instead of np.remainder.
 
     Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
-    holds for the difference of two headings in [-pi, pi].
+    holds for the difference of two headings in [-pi, pi]. Each shift is a
+    comparison written as 0.0 or 1.0 into the float buffer `shift`, scaled
+    by 2*pi and added, so a caller that passes `shift` (d's shape) makes no
+    temporaries; it is allocated when not given.
     """
-    d += (d < 0) * TWO_PI
-    d -= (d > math.pi) * TWO_PI
+    if shift is None:
+        shift = np.empty_like(d)
+    np.less(d, 0.0, out=shift)
+    shift *= TWO_PI
+    d += shift
+    np.greater(d, math.pi, out=shift)
+    shift *= TWO_PI
+    d -= shift
     return d
 
 
@@ -227,26 +236,39 @@ def in_range_headings(states: np.ndarray) -> np.ndarray:
     return out
 
 
+def coordinate_planes(states: np.ndarray) -> np.ndarray:
+    """The x, y and heading columns of an (..., 3) stack as one contiguous
+    (3, ...) array, so each coordinate is read at unit stride."""
+    states = np.asarray(states, dtype=float)
+    return np.ascontiguousarray(states.transpose(-1, *range(states.ndim - 1)))
+
+
 def transition_log_density_from_means(
-    next_states: np.ndarray,
-    means: np.ndarray,
+    nxt: np.ndarray,
+    mu: np.ndarray,
     noise: MotionNoise,
     out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Pairwise log N(next_i; mean_j, noise) for (..., N, 3) and (..., M, 3) stacks.
+    """Pairwise log N(next; mean, noise) from (3, ...) coordinate planes.
 
-    Leading axes broadcast, giving a (..., N, M) block, written into `out`
-    when given. The angular residual is wrapped before the Gaussian is
-    evaluated so a heading step across the +/-pi seam is not scored as a
-    near-full turn. Every heading must lie in [-pi, pi] (see
-    `in_range_headings`); motion steps always return such headings.
+    `nxt` holds the next states' and `mu` the motion means' x, y and heading
+    planes (see `coordinate_planes`), shaped to broadcast against each other:
+    `nxt[:, :, None]` against `mu[:, None, :]` gives the (N, M) block of
+    every next state i against every mean j, and leading axes stack blocks.
+    The block is written into `out` when given. `scratch` is two float
+    buffers of the block's shape; a caller that evaluates many blocks passes
+    the same ones each time, and they are allocated when not given.
+
+    The angular residual is wrapped before the Gaussian is evaluated so a
+    heading step across the +/-pi seam is not scored as a near-full turn.
+    Every heading must lie in [-pi, pi] (see `in_range_headings`); motion
+    steps always return such headings.
     """
     _check_densities_valid(noise)
-    nxt = next_states[..., :, None, :]
-    mu = means[..., None, :, :]
     if out is None:
-        out = np.empty(np.broadcast_shapes(nxt.shape[:-1], mu.shape[:-1]))
-    tmp = np.empty_like(out)
+        out = np.empty(np.broadcast_shapes(nxt.shape[1:], mu.shape[1:]))
+    tmp, shift = scratch if scratch is not None else (np.empty_like(out), np.empty_like(out))
     log_norm = -(
         math.log(noise.sigma_x)
         + math.log(noise.sigma_y)
@@ -255,15 +277,20 @@ def transition_log_density_from_means(
     )
     # In place, in the operation order of the plain expression, so the result
     # is bitwise the same: q = ((dx/sx)^2 + (dy/sy)^2) + (dth/st)^2, then
-    # log_norm - 0.5 * q.
-    np.subtract(nxt[..., 0], mu[..., 0], out=out)
+    # log_norm - 0.5 * q. Each residual next - mu starts as a copy of the
+    # next-state plane, which is cheaper than one subtraction that
+    # broadcasts both operands.
+    np.copyto(out, nxt[0])
+    out -= mu[0]
     out /= noise.sigma_x
     np.square(out, out=out)
-    np.subtract(nxt[..., 1], mu[..., 1], out=tmp)
+    np.copyto(tmp, nxt[1])
+    tmp -= mu[1]
     tmp /= noise.sigma_y
     out += np.square(tmp, out=tmp)
-    np.subtract(nxt[..., 2], mu[..., 2], out=tmp)
-    wrap_residual(tmp)
+    np.copyto(tmp, nxt[2])
+    tmp -= mu[2]
+    wrap_residual(tmp, shift)
     tmp /= noise.sigma_theta
     out += np.square(tmp, out=tmp)
     out *= 0.5

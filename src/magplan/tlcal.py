@@ -16,7 +16,8 @@ parsed in one call, and a file that fails it is walked to name its first
 bad line.
 
 Coefficient file format (`tlcoef v1`): first line `tlcoef v1`, then 20 rows
-`index,value` with index 1..20 in the ordering above.
+`index,value` with index 1..20 in the ordering above; a value cell is a
+number in the `maglog v1` grammar.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class MagLog:
 
     One row per sample, in columns timestamp (n,), b_vec (n, 3), b_total (n,)
     and speed (n,). The record is checked once, here: the shapes agree, every
-    value is finite, b_total > 0 and timestamps strictly increase. The
-    columns are frozen copies.
+    value is finite, b_total > 0 and timestamps strictly increase by steps
+    no larger than the largest float. The columns are frozen copies.
     """
 
     timestamp: np.ndarray
@@ -138,13 +139,15 @@ class CalibrationCoefficients:
 
 
 def _check_timestamps(t: np.ndarray) -> None:
-    # Compared, not differenced: a difference of two finite values can overflow.
-    bad = np.flatnonzero(t[1:] <= t[:-1])
+    # The rate terms divide by these steps, so each must be positive and finite.
+    # A step between two finite timestamps overflows to inf past the largest float.
+    with np.errstate(over="ignore"):
+        step = np.diff(t)
+    bad = np.flatnonzero(~((step > 0) & (step < np.inf)))
     if bad.size:
         i = int(bad[0]) + 1
-        raise InvalidSampleError(
-            i, f"timestamps must be strictly increasing, got {t[i]} after {t[i - 1]}"
-        )
+        what = "be strictly increasing" if step[i - 1] <= 0 else "step by a finite amount"
+        raise InvalidSampleError(i, f"timestamps must {what}, got {t[i]} after {t[i - 1]}")
 
 
 def build_regressor_matrix(log: MagLog) -> np.ndarray:
@@ -236,12 +239,19 @@ def _parse_rows(rows: Sequence[str]) -> np.ndarray:
     return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
 
 
-def _is_number(cell: str) -> bool:
-    # An empty cell is a bad value in a row; alone it would read as a blank line.
+def _parse_cell(cell: str) -> Optional[float]:
+    """One CSV cell in the number grammar of `_parse_rows`, or None if it is not a number."""
+    # An empty cell is a bad value; alone it would read as a blank line.
     try:
-        return cell != "" and _parse_rows([cell]).size == 1
+        return float(_parse_rows([cell])[0, 0]) if cell != "" else None
     except ValueError:
-        return False
+        return None
+
+
+def _bad_value(lineno: int, cell: str) -> CalibrationError:
+    return CalibrationError(
+        f"line {lineno}: bad value: could not convert string to float: {cell!r}"
+    )
 
 
 def _raise_first_bad_line(rows: Sequence[str], linenos: Sequence[int]) -> NoReturn:
@@ -253,9 +263,8 @@ def _raise_first_bad_line(rows: Sequence[str], linenos: Sequence[int]) -> NoRetu
         try:
             _parse_rows([line])
         except ValueError:
-            cell = next((f for f in fields if not _is_number(f)), line)
-            raise CalibrationError(
-                f"line {lineno}: bad value: could not convert string to float: {cell!r}"
+            raise _bad_value(
+                lineno, next((f for f in fields if _parse_cell(f) is None), line)
             ) from None
     raise CalibrationError("be_truth column present on some rows but not all")
 
@@ -337,9 +346,11 @@ def load_coefficients(path: str) -> CalibrationCoefficients:
             raise CalibrationError(f"line {lineno}: expected 'index,value'")
         try:
             idx = int(fields[0])
-            val = float(fields[1])
         except ValueError as exc:
             raise CalibrationError(f"line {lineno}: bad value: {exc}") from exc
+        val = _parse_cell(fields[1])
+        if val is None:
+            raise _bad_value(lineno, fields[1])
         if idx != want:
             raise CalibrationError(f"line {lineno}: expected index {want}, got {idx}")
         if not math.isfinite(val):

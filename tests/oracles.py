@@ -29,6 +29,7 @@ from magplan.models import (
     MotionNoise,
     Pose,
     SensorNoise,
+    coordinate_planes,
     measurement_log_likelihood_array,
     in_range_headings,
     motion_mean_array,
@@ -452,15 +453,34 @@ def interpolate_two_axis(grid: MagMap, pts: np.ndarray) -> np.ndarray:
     )
 
 
+# --- Max-shifted log-sum-exp, one expression ---------------------------------
+#
+# The library reduces in place, on a copy or on a tile buffer; this is the
+# same max-shifted reduction written as one out-of-place expression, so the
+# two can be compared bitwise (Blanchard, Higham and Higham, IMA J. Numer.
+# Anal. 41(4), 2021).
+
+
+def plain_logsumexp(a, axis=None) -> np.ndarray:
+    """log(sum(exp(a - peak))) + peak over `axis`, where peak is the max and a
+    non-finite max (an all -inf slice, +inf or nan) shifts by 0 instead."""
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True)) + peak
+    return np.squeeze(out, axis=axis)
+
+
 # --- Dense predicted density and scalar wrappers ----------------------------
 #
 # `dense_log_predicted_density` is the library's predicted density as it was
 # before row tiling: the whole N x N transition matrix at once, the heading
 # residual wrapped with np.remainder, reduced with the library's logsumexp
-# (so the two can be compared bitwise). `transition_log_density_matrix` is
-# the pairwise transition matrix over the library's kernel, which only tests
-# call. The scalar wrappers below evaluate the library's array forms at one
-# pose or one point.
+# (so the two can be compared bitwise; `plain_logsumexp` pins that one).
+# `transition_log_density_matrix` is the pairwise transition matrix over the
+# library's kernel, which only tests call. The scalar wrappers below evaluate
+# the library's array forms at one pose or one point.
 
 
 def dense_log_predicted_density(
@@ -497,10 +517,9 @@ def transition_log_density_matrix(
     noise: MotionNoise,
 ) -> np.ndarray:
     """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
-    nxt = in_range_headings(np.atleast_2d(next_states))
-    return transition_log_density_from_means(
-        nxt, motion_mean_array(prev_states, u, dt), noise
-    )
+    nxt = coordinate_planes(in_range_headings(np.atleast_2d(next_states)))
+    mu = coordinate_planes(motion_mean_array(prev_states, u, dt))
+    return transition_log_density_from_means(nxt[:, :, None], mu[:, None, :], noise)
 
 
 def transition_density(

@@ -54,6 +54,7 @@ from oracles import (
     future_entropy,
     gaussian_entropy_bits,
     kalman_posterior_entropy_bits,
+    plain_logsumexp,
     predicted_entropy_at_horizon,
     sample,
 )
@@ -196,6 +197,7 @@ def kernel_args(prev: np.ndarray, w: np.ndarray):
         (150, 0, True),  # tiles of 109 rows, the last one 41
         (150, 3, True),  # zero weights
         (700, 0, True),  # tiles of 23 rows, the last one 10
+        (1001, 0, True),  # tiles of 16 rows, the last one 9
     ],
 )
 def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, ragged):
@@ -602,6 +604,27 @@ def test_logsumexp_matches_scipy():
         assert np.allclose(np.asarray(got)[finite], np.asarray(want)[finite], rtol=0, atol=1e-12)
     assert logsumexp(np.full((2, 4), -np.inf), axis=1).tolist() == [-np.inf, -np.inf]
     assert math.isnan(float(logsumexp(np.array([0.0, np.nan]))))
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1, 2])
+def test_logsumexp_matches_plain_formula_bitwise(axis):
+    # Both the public function and the in-place body the tile loop calls.
+    rng = np.random.default_rng(21)
+    a = rng.normal(0.0, 100.0, (4, 6, 50))  # exp(a) stays finite where nan or inf sets no shift
+    a[0, 1] = -np.inf  # an all -inf slice along the last axis
+    a[1, 2, rng.random(50) < 0.5] = -np.inf
+    a[1, 3, 7] = np.nan
+    a[2] = rng.normal(0.0, 1.0, (6, 50))  # many terms of one size: the sum order shows
+    a[2, 4, 9] = np.inf
+    # Slow-path exp inputs: a - peak in the subnormal band (-746, -708].
+    a[3] = 10.0 - rng.uniform(708.0, 746.0, (6, 50))
+    a[3, :, 0] = 10.0
+    assert ((a[3, :, 1:] - 10.0 > -746.0) & (a[3, :, 1:] - 10.0 <= -708.0)).all()
+    want = plain_logsumexp(a, axis=axis)
+    assert bit_equal(logsumexp(a, axis=axis), want)
+    assert bit_equal(infogain._logsumexp_into(a.copy(), axis=axis), want)
+    if axis == 2:
+        assert np.isneginf(want[0, 1]) and np.isnan(want[1, 3]) and np.isposinf(want[2, 4])
 
 
 def test_estimate_types_reject_nonfinite():

@@ -111,6 +111,20 @@ def test_maglog_rejects_bad_row(column, value, fragment):
     assert info.value.row == 2
 
 
+def test_maglog_rejects_a_timestamp_step_past_the_largest_float():
+    # Both steps of the first log exceed the largest float; the second log
+    # steps by exactly the largest float, and its rate terms stay finite.
+    huge = np.finfo(float).max
+    rows = [list(r) for r in GOOD_ROWS[:3]]
+    for row, t in zip(rows, (-1e308, 1e308, huge)):
+        row[0] = t
+    with pytest.raises(InvalidSampleError, match="row 1: timestamps must step by a finite amount"):
+        log_from_rows(rows)
+    for row, t in zip(rows, (-huge / 2, huge / 2, huge)):
+        row[0] = t
+    assert np.isfinite(build_regressor_matrix(log_from_rows(rows))).all()
+
+
 def test_maglog_rejects_mismatched_columns():
     good = log_from_rows(GOOD_ROWS)
     t, b_vec, b_total, speed = good.timestamp, good.b_vec, good.b_total, good.speed
@@ -446,6 +460,10 @@ def test_save_maglog_writes_fixed_text(tmp_path):
         # `float` takes digit separators; the maglog grammar does not.
         ("maglog v1\n0,1,1,1,2,0.2\n1,1,1,1,2,1_0\n", "line 3: bad value: .*'1_0'"),
         ("maglog v1\n0,1,,1,2,0.2\n", "line 2: bad value: .*''"),
+        (
+            "maglog v1\n-1e308,1,1,1,2,0.2\n\n1e308,1,1,1,2,0.2\n",
+            "line 4: timestamps must step by a finite amount",
+        ),
     ],
 )
 def test_maglog_parse_errors(tmp_path, text, fragment):
@@ -465,11 +483,13 @@ def test_maglog_header_only_is_an_empty_log(tmp_path):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# The timestamps step by more than the largest float, which must not overflow.
+# Any two of these differ by at most the largest float, a finite timestamp step.
+HALF_MAX = float(np.finfo(float).max / 2)
+# The timestamps step by the largest float, the widest step a log may take.
 EXTREMES = np.array(
     [
-        [-1e308, -0.0, 5e-324, -5e-324, 5e-324, -0.0, 1.7976931348623157e308],
-        [1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.7976931348623157e308,
+        [-HALF_MAX, -0.0, 5e-324, -5e-324, 5e-324, -0.0, 1.7976931348623157e308],
+        [HALF_MAX, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.7976931348623157e308,
          5e-324, -0.0],
         [1.7976931348623157e308, 1.0, 2.0, 3.0, 25000.5, 1e-300, 0.0],
     ]
@@ -481,7 +501,8 @@ def maglog_tables(draw) -> np.ndarray:
     """A valid (n, 7) maglog table: increasing timestamps, positive b_total, be_truth last."""
     n = draw(st.integers(1, 8))  # a header-only file has no be_truth column to round-trip
     table = draw(arrays(np.float64, (n, 7), elements=FINITE))
-    table[:, 0] = sorted(draw(st.lists(FINITE, min_size=n, max_size=n, unique=True)))
+    timestamps = st.floats(-HALF_MAX, HALF_MAX)
+    table[:, 0] = sorted(draw(st.lists(timestamps, min_size=n, max_size=n, unique=True)))
     table[:, 4] = draw(arrays(np.float64, n, elements=st.floats(min_value=5e-324, max_value=1e308)))
     return table
 
@@ -539,7 +560,10 @@ def test_coefficients_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "mutation",
-    ["header", "count", "index", "value", "nan", "inf", "non_ascii", "blank_lines", "blank_first"],
+    [
+        "header", "count", "index", "value", "nan", "inf", "non_ascii", "blank_lines",
+        "blank_first", "1_0",
+    ],
 )
 def test_coefficients_parse_errors(tmp_path, mutation):
     path = tmp_path / "c.tlcoef"
@@ -566,7 +590,7 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         load_coefficients(path)
     if mutation in ("nan", "inf"):
         assert "line 6: coefficient must be finite" in str(info.value)
-    if mutation == "non_ascii":
+    if mutation in ("non_ascii", "1_0"):
         assert "line 6: bad value" in str(info.value)
     if mutation == "blank_lines":
         assert "line 5: bad value" in str(info.value)
