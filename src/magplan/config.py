@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import textio
 from .magmap import (
     GridGeometry,
     MagMap,
@@ -37,7 +38,7 @@ class ConfigError(Exception):
     """A config file is malformed, has unknown keys, or fails validation."""
 
 
-# Every key the schema admits, with the kind `_get` parses its value as.
+# Every key the schema admits, with its value's kind; `_get` parses all but the path.
 KNOWN_KEYS: dict[str, str] = {
     "schema_version": "int",
     "map.file": "path",
@@ -122,7 +123,7 @@ def canonical_text(cfg: dict[str, str]) -> str:
 
 
 def config_hash(cfg: dict[str, str]) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode("ascii", "replace")).hexdigest()[:16]
+    return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()[:16]
 
 
 _MISSING = object()
@@ -135,17 +136,13 @@ def _get(cfg: dict[str, str], key: str, default=_MISSING):
             raise ConfigError(f"missing required key {key!r}")
         return default
     raw = cfg[key]
+    cell_kind = int if kind.startswith("int") else float
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "float_list":
-            return [float(v) for v in raw.split(",") if v.strip() != ""]
-        if kind == "int_list":
-            return [int(v) for v in raw.split(",") if v.strip() != ""]
-        return raw
-    except ValueError as exc:
+        if kind.endswith("_list"):
+            # Empty entries are list syntax (a trailing comma), not cells.
+            return [textio.parse_cell(v, cell_kind) for v in raw.split(",") if v.strip()]
+        return textio.parse_cell(raw, cell_kind)
+    except textio.TextError as exc:
         raise ConfigError(f"key {key!r}: bad {kind} value {raw!r}") from exc
 
 

@@ -11,7 +11,9 @@ File format (text, one map per file)::
     ...
     v v v ... v        (row height-1, maximum y)
 
-Values are decimal nT, written with full round-trip precision.
+Values are nT, written with round-trip precision. Cells follow the `textio`
+number grammar (width and height are integers), blank lines are skipped and
+errors name the file line.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import textio
 
 
 class MapError(Exception):
@@ -205,28 +209,17 @@ def generate_synthetic(spec: SyntheticMapSpec, geometry: GridGeometry) -> MagMap
 
 def save_map(grid: MagMap, path: str) -> None:
     """Write the documented text format; load_map inverts it losslessly."""
+    x, y = map(float, grid.origin)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            "magmap v1 %d %d %r %r %r\n"
-            % (
-                grid.width,
-                grid.height,
-                float(grid.origin[0]),
-                float(grid.origin[1]),
-                float(grid.cell_size),
-            )
-        )
-        for row in grid.values:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        fh.write(f"magmap v1 {grid.width} {grid.height} {x!r} {y!r} {float(grid.cell_size)!r}\n")
+        for row in grid.values.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_map(path: str) -> MagMap:
     """Parse a map file; MapFormatError carries the offending line number."""
-    # A non-ASCII byte reads as U+FFFD, which the header or value check rejects.
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not any(line.strip() for line in lines):
+    lines = textio.read_lines(path)
+    if not any(line.strip() for line in lines):
         raise MapFormatError("empty map file", line=1)
     header = lines[0].split()
     if len(header) != 7 or header[0] != "magmap" or header[1] != "v1":
@@ -235,30 +228,18 @@ def load_map(path: str) -> MagMap:
             line=1,
         )
     try:
-        width, height = int(header[2]), int(header[3])
-        origin = (float(header[4]), float(header[5]))
-        cell_size = float(header[6])
-    except ValueError as exc:
-        raise MapFormatError(f"bad header field: {exc}", line=1) from exc
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != height:
-        raise MapFormatError(
-            f"declared {height} rows but found {len(body)}", line=len(lines)
-        )
-    values = np.empty((height, width), dtype=float)
-    for j, line in enumerate(body):
-        fields = line.split()
-        if len(fields) != width:
-            raise MapFormatError(
-                f"row has {len(fields)} values, expected {width}", line=j + 2
-            )
-        try:
-            values[j] = [float(f) for f in fields]
-        except ValueError as exc:
-            raise MapFormatError(f"bad value: {exc}", line=j + 2) from exc
-        if not bool(np.all(np.isfinite(values[j])) and np.all(values[j] > 0)):
-            raise MapFormatError("field values must be finite and > 0", line=j + 2)
+        width, height = (textio.parse_cell(f, int) for f in header[2:4])
+        origin_x, origin_y, cell_size = (textio.parse_cell(f) for f in header[4:])
+        geometry = GridGeometry((origin_x, origin_y), cell_size, width, height)
+    except (textio.TextError, MapError) as exc:
+        raise MapFormatError(str(exc), line=1) from None
     try:
-        return MagMap(origin, cell_size, values)
-    except MapError as exc:
-        raise MapFormatError(str(exc), line=1) from exc
+        values, linenos = textio.read_table(lines, 1, None, (width,))
+    except textio.TextError as exc:
+        raise MapFormatError(exc.reason, exc.line) from None
+    if len(values) != height:
+        raise MapFormatError(f"declared {height} rows but found {len(values)}", line=len(lines))
+    bad = ~((values > 0) & (values < np.inf)).all(axis=1)
+    if bad.any():
+        raise MapFormatError("field values must be finite and > 0", line=linenos[np.argmax(bad)])
+    return MagMap(geometry.origin, geometry.cell_size, values)

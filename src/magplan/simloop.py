@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import infogain, pflocal
+from . import infogain, pflocal, textio
 from .infogain import iqr_reject
 from .magmap import MagMap
 from .models import (
@@ -503,26 +503,25 @@ class TraceData:
 
 def read_trace(path: str) -> TraceData:
     """Parse a trace file; a malformed one raises EpisodeError naming the file."""
-    # A non-ASCII byte reads as U+FFFD, which the header or cell check rejects.
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    lines = textio.read_lines(path)
     comments: dict[str, str] = {}
-    body: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            stripped = line[1:].strip()
-            if ":" in stripped:
-                key, _, val = stripped.partition(":")
-                comments[key.strip()] = val.strip()
-        elif line.strip():
-            body.append((lineno, line.split(",")))
-    if not body:
+    for line in lines:
+        key, colon, val = line[1:].partition(":")
+        if line.startswith("#") and colon:
+            comments[key.strip()] = val.strip()
+    # Comment lines drop out of the table like blank ones, keeping their line numbers.
+    body = ["" if line.startswith("#") else line for line in lines]
+    start = next((n for n, line in enumerate(body) if line.strip()), None)
+    if start is None:
         raise EpisodeError(f"{path}: no header row")
-    (_, header), *rows = body
-    if not rows:
+    header = body[start].split(",")
+    ints = [c for c, name in enumerate(header) if name in _TRACE_INTEGER_FIELDS]
+    try:
+        table, linenos = textio.read_table(body, start + 1, ",", (len(header),), ints)
+    except textio.TextError as exc:
+        raise EpisodeError(f"{path}: {exc}") from None
+    if not linenos:
         raise EpisodeError(f"{path}: trace has no data rows")
-    if any(len(cells) != len(header) for _, cells in rows):
-        raise EpisodeError(f"{path}: ragged trace rows")
     n_fixed = len(_trace_columns(0))
     n_actions = (len(header) - n_fixed) // len(_TRACE_PER_ACTION)
     expected = _trace_columns(n_actions)
@@ -533,23 +532,20 @@ def read_trace(path: str) -> TraceData:
             f"{path}: header does not match the trace schema "
             f"(unknown columns: {unknown}; missing columns: {missing})"
         )
-    kinds = [int if name in _TRACE_INTEGER_FIELDS else float for name in header]
-    table = np.empty((len(rows), len(header)))
-    for r, (lineno, cells) in enumerate(rows):
-        try:
-            table[r] = [kind(cell) for kind, cell in zip(kinds, cells)]
-        except ValueError as exc:
-            raise EpisodeError(f"{path}: line {lineno}: {exc}") from None
     # Only the per-action columns may hold nan/inf: a failed action writes them.
-    nonfinite = np.argwhere(~np.isfinite(table[:, :n_fixed]))
-    if len(nonfinite):
-        r, c = nonfinite[0]
-        lineno, cells = rows[r]
-        raise EpisodeError(f"{path}: line {lineno}: {header[c]} must be finite, got {cells[c]!r}")
+    # The flag columns hold 0 or 1, as write_trace writes them.
+    fixed = table[:, :n_fixed]
+    is_flag = np.array([_TRACE_INTEGER_FIELDS.get(name) is bool for name in header[:n_fixed]])
+    nonflag = is_flag & (fixed != 0) & (fixed != 1)
+    for bad, what in ((~np.isfinite(fixed), "be finite"), (nonflag, "be 0 or 1")):
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            cell = lines[linenos[r] - 1].split(",")[c]
+            raise EpisodeError(f"{path}: line {linenos[r]}: {header[c]} must {what}, got {cell!r}")
     fields, c = {}, 0
     for field, names in trace_schema(n_actions):
         shape = np.shape(names)
-        block = table[:, c : c + math.prod(shape)].reshape(len(rows), *shape)
+        block = table[:, c : c + math.prod(shape)].reshape(len(table), *shape)
         fields[field] = block.astype(_TRACE_INTEGER_FIELDS.get(field, float))
         c += math.prod(shape)
     return TraceData(

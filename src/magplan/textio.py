@@ -1,0 +1,78 @@
+"""The number grammar and table reader shared by every magplan text format.
+
+A float cell is what numpy's text parser reads as float64: ASCII digits,
+sign, exponent, `nan`, `inf` and padding spaces. An integer cell is what it
+reads as int64, so `1.0` and `1e0` are not integers. `_` digit separators,
+non-ASCII digits and empty cells are bad values. numpy rounds as `float`
+does, so repr-written values round-trip bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+
+class TextError(ValueError):
+    """A cell or a table row breaks the grammar; `line` is its 1-based file line, if any."""
+
+    def __init__(self, reason: str, line: Optional[int] = None):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason, self.line = reason, line
+
+
+def read_lines(path) -> list[str]:
+    """The file's lines; a non-ASCII byte reads as U+FFFD, which no grammar accepts."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        return fh.read().splitlines()
+
+
+def parse_cell(cell: str, kind: type = float, line: Optional[int] = None):
+    """One cell as a Python `kind` (float or int); TextError, naming `line`, if it is not one."""
+    value = ()
+    if cell:  # an empty string would read as a blank line, not as a bad cell
+        try:
+            value = np.loadtxt([cell], delimiter=",", comments=None, dtype=kind, ndmin=1)
+        except ValueError:
+            pass
+    if len(value) != 1:
+        raise TextError(f"bad value: could not convert string to {kind.__name__}: {cell!r}", line)
+    return value[0].item()
+
+
+def read_table(
+    lines: Sequence[str], start: int, delimiter: Optional[str], widths: Sequence[int], ints=()
+) -> tuple[np.ndarray, list[int]]:
+    """The non-blank `lines[start:]` as one float table, and each row's file line.
+
+    Each row has one of `widths` fields (`delimiter` None splits on
+    whitespace); the columns `ints` hold integer cells. If the one numpy
+    call fails, a TextError names the first bad line: a field count not in
+    `widths` or unlike the first row's, or a bad cell.
+    """
+    linenos = [n + 1 for n in range(start, len(lines)) if lines[n].strip()]
+    rows = [lines[n - 1] for n in linenos]
+    if not rows:  # loadtxt warns on empty input
+        return np.empty((0, widths[0])), linenos
+    try:
+        table = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
+        if ints:  # the same cells again, in the integer grammar
+            np.loadtxt(rows, delimiter=delimiter, comments=None, dtype=int, usecols=ints)
+        if table.shape[1] in widths:
+            return table, linenos
+    except ValueError:
+        pass
+    noun = "CSV fields" if delimiter == "," else "fields"
+    first = len(rows[0].split(delimiter))
+    for lineno, row in zip(linenos, rows):
+        fields = row.split(delimiter)
+        if len(fields) not in widths:
+            want = " or ".join(map(str, widths))
+            raise TextError(f"expected {want} {noun}, got {len(fields)}", lineno)
+        if len(fields) != first:
+            reason = f"expected {first} {noun} as on line {linenos[0]}, got {len(fields)}"
+            raise TextError(reason, lineno)
+        for c, cell in enumerate(fields):
+            parse_cell(cell, int if c in ints else float, lineno)
+    raise TextError("rows do not form one table", linenos[0])

@@ -9,25 +9,24 @@ from raw total-field readings.
 
 Log file format (`maglog v1`): first line `maglog v1`, then one CSV row per
 sample: `timestamp,bx,by,bz,btotal,speed[,be_truth]`. The trailing column is
-the known ambient field and is required for fitting. A cell is a decimal
-number as `float` spells it, optionally padded with spaces (`nan`/`inf`
-included, `_` digit separators not); blank lines are skipped. The body is
-parsed in one call, and a file that fails it is walked to name its first
-bad line.
+the known ambient field and is required for fitting.
 
 Coefficient file format (`tlcoef v1`): first line `tlcoef v1`, then 20 rows
-`index,value` with index 1..20 in the ordering above; a value cell is a
-number in the `maglog v1` grammar.
+`index,value` with the integer index 1..20 in the ordering above.
+
+Cells of both follow the `textio` number grammar, blank lines are skipped
+and errors name the file line.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import NoReturn, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+
+from . import textio
 
 N_COEFFS = 20
 
@@ -157,20 +156,29 @@ def build_regressor_matrix(log: MagLog) -> np.ndarray:
     quadratic cosine products (xx, yy, zz, xy, xz, yz), [9:18] b_total *
     (cosine x rate) grid in row-major (cx, cy, cz) x (cx_dot, cy_dot,
     cz_dot) order, [18] constant 1, [19] speed. Rates are the backward
-    differences (c_i - c_{i-1}) / (t_i - t_{i-1}).
+    differences (c_i - c_{i-1}) / (t_i - t_{i-1}). Matrix row i belongs to
+    sample i + 1; a sample whose regressors overflow raises
+    InvalidSampleError naming it.
     """
     if len(log) < 2:
         raise InsufficientDataError("need at least 2 samples to form rate terms")
-    cos = log.b_vec / log.b_total[:, None]
-    rates = np.diff(cos, axis=0) / np.diff(log.timestamp)[:, None]
-    c = cos[1:]
-    bt = log.b_total[1:, None]
-    rows = np.empty((len(log) - 1, N_COEFFS), dtype=float)
-    rows[:, 0:3] = c
-    rows[:, 3:9] = (c[:, [0, 1, 2, 0, 0, 1]] * c[:, [0, 1, 2, 1, 2, 2]]) * bt
-    rows[:, 9:18] = (c[:, :, None] * rates[:, None, :]).reshape(-1, 9) * bt
+    # A valid log can still overflow in the cosines, the rates or the products,
+    # so the finished matrix is checked once instead of each step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = log.b_vec / log.b_total[:, None]
+        rates = np.diff(cos, axis=0) / np.diff(log.timestamp)[:, None]
+        c = cos[1:]
+        bt = log.b_total[1:, None]
+        rows = np.empty((len(log) - 1, N_COEFFS), dtype=float)
+        rows[:, 0:3] = c
+        rows[:, 3:9] = (c[:, [0, 1, 2, 0, 0, 1]] * c[:, [0, 1, 2, 1, 2, 2]]) * bt
+        rows[:, 9:18] = (c[:, :, None] * rates[:, None, :]).reshape(-1, 9) * bt
     rows[:, 18] = 1.0
     rows[:, 19] = log.speed[1:]
+    if not np.isfinite(rows).all():
+        i = int(np.argmax(~np.isfinite(rows).all(axis=1))) + 1
+        got = f"b_vec {log.b_vec[i].tolist()}, b_total {log.b_total[i]}"
+        raise InvalidSampleError(i, f"regressors overflow, got {got}")
     return rows
 
 
@@ -230,66 +238,15 @@ def residual_rms(log: MagLog, b_earth: Sequence[float], eps: CalibrationCoeffici
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def _parse_rows(rows: Sequence[str]) -> np.ndarray:
-    """The CSV rows as one (n, width) float array; ValueError if any cell is not a number.
-
-    numpy's text reader converts each cell with the correctly rounded routine
-    that `float` uses, so repr-written values round-trip bit for bit.
-    """
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-
-
-def _parse_cell(cell: str) -> Optional[float]:
-    """One CSV cell in the number grammar of `_parse_rows`, or None if it is not a number."""
-    # An empty cell is a bad value; alone it would read as a blank line.
+def _load_table(path: str, header: str, widths: Sequence[int], ints=()):
+    """A `header` file's body table and row lines; the file's lines die with this call."""
+    lines = textio.read_lines(path)
+    if not lines or lines[0].strip() != header:
+        raise CalibrationError(f"line 1: expected header {header!r}")
     try:
-        return float(_parse_rows([cell])[0, 0]) if cell != "" else None
-    except ValueError:
-        return None
-
-
-def _bad_value(lineno: int, cell: str) -> CalibrationError:
-    return CalibrationError(
-        f"line {lineno}: bad value: could not convert string to float: {cell!r}"
-    )
-
-
-def _raise_first_bad_line(rows: Sequence[str], linenos: Sequence[int]) -> NoReturn:
-    """Name the first of `rows` that does not fit a `maglog v1` table."""
-    for lineno, line in zip(linenos, rows):
-        fields = line.split(",")
-        if len(fields) not in (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1):
-            raise CalibrationError(f"line {lineno}: expected 6 or 7 CSV fields, got {len(fields)}")
-        try:
-            _parse_rows([line])
-        except ValueError:
-            raise _bad_value(
-                lineno, next((f for f in fields if _parse_cell(f) is None), line)
-            ) from None
-    raise CalibrationError("be_truth column present on some rows but not all")
-
-
-def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
-    """The body of a `maglog v1` file as one float table, and each row's file line.
-
-    Apart from `load_maglog` so that the file's lines are freed before the
-    record is built, which keeps the peak memory of a load lower.
-    """
-    # A non-ASCII byte reads as U+FFFD, which the header or value check rejects.
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "maglog v1":
-        raise CalibrationError("line 1: expected header 'maglog v1'")
-    linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    rows = [lines[n - 1] for n in linenos]
-    try:
-        # loadtxt warns on empty input, so a header-only file skips it.
-        table = _parse_rows(rows) if rows else np.empty((0, MAGLOG_V1_WIDTH))
-    except ValueError:
-        table = None
-    if table is None or table.shape[1] not in (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1):
-        _raise_first_bad_line(rows, linenos)
-    return table, linenos
+        return textio.read_table(lines, 1, ",", widths, ints)
+    except textio.TextError as exc:
+        raise CalibrationError(str(exc)) from None
 
 
 def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
@@ -298,7 +255,7 @@ def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
     Returns the log and, when every row carries the optional be_truth
     column, the aligned truth array (otherwise None).
     """
-    table, linenos = _read_table(path)
+    table, linenos = _load_table(path, "maglog v1", (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1))
     try:
         log = MagLog(**{k: table[:, c] for k, c in MAGLOG_V1.items()})
     except InvalidSampleError as exc:
@@ -332,28 +289,18 @@ def save_coefficients(eps: CalibrationCoefficients, path: str) -> None:
 
 
 def load_coefficients(path: str) -> CalibrationCoefficients:
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "tlcoef v1":
-        raise CalibrationError("line 1: expected header 'tlcoef v1'")
-    rows = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    if len(rows) != N_COEFFS:
-        raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(rows)}")
-    eps = np.empty(N_COEFFS, dtype=float)
-    for want, (lineno, line) in enumerate(rows, start=1):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise CalibrationError(f"line {lineno}: expected 'index,value'")
-        try:
-            idx = int(fields[0])
-        except ValueError as exc:
-            raise CalibrationError(f"line {lineno}: bad value: {exc}") from exc
-        val = _parse_cell(fields[1])
-        if val is None:
-            raise _bad_value(lineno, fields[1])
-        if idx != want:
-            raise CalibrationError(f"line {lineno}: expected index {want}, got {idx}")
-        if not math.isfinite(val):
-            raise CalibrationError(f"line {lineno}: coefficient must be finite, got {val}")
-        eps[idx - 1] = val
+    table, linenos = _load_table(path, "tlcoef v1", (2,), ints=(0,))
+    if len(table) != N_COEFFS:
+        raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(table)}")
+    index, eps = table.T
+    # The first row with a wrong index or a non-finite value, checked in that order.
+    bad = (index != np.arange(1, N_COEFFS + 1)) | ~np.isfinite(eps)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = (
+            f"expected index {i + 1}, got {index[i]:.0f}"
+            if index[i] != i + 1
+            else f"coefficient must be finite, got {eps[i]}"
+        )
+        raise CalibrationError(f"line {linenos[i]}: {what}")
     return CalibrationCoefficients(eps)

@@ -66,3 +66,10 @@ def bit_equal(a, b) -> bool:
     """Same shape and the same float64 bit patterns (so -0.0 != 0.0)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# "４２" in fullwidth digits, which Python's int and float read as 42 and no
+# magplan format accepts.
+FULLWIDTH_42 = "４２"
+# Its UTF-8 bytes spelled as a latin-1 string, for tests that write files as latin-1.
+FULLWIDTH_42_LATIN1 = FULLWIDTH_42.encode("utf-8").decode("latin-1")

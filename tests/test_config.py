@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import pathlib
 
@@ -21,6 +22,8 @@ from magplan.config import (
     sweep_params,
 )
 from magplan.magmap import save_map
+
+from conftest import FULLWIDTH_42
 
 BASE = {
     "schema_version": "1",
@@ -163,6 +166,28 @@ def test_hash_sensitive_to_values():
     assert set(config_hash(BASE)) <= set("0123456789abcdef")
 
 
+def test_hash_sees_non_ascii_values():
+    # Two values that differ only in non-ASCII characters hash apart.
+    paths = [f"map_{c}.magmap" for c in "\u00e9\u00e8\u4e00"]
+    hashes = {config_hash(dict(BASE, **{"map.file": path})) for path in paths}
+    assert len(hashes) == 3
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("peak", "1a67891c891403d1"),
+        ("peak_episode", "a76acb3aa3bb58c0"),
+        ("peak_sweep", "db2499a7cc721c0d"),
+        ("benchmark", "b8050726e4225529"),
+    ],
+)
+def test_shipped_config_hashes_are_pinned(name, digest):
+    # Every output's provenance records this hash, so it must not drift.
+    path = pathlib.Path(__file__).parents[1] / "configs" / f"{name}.cfg"
+    assert config_hash(load_config(str(path))) == digest
+
+
 def test_canonical_text_is_sorted():
     lines = canonical_text({"b.k": "2", "a.k": "1"}).splitlines()
     assert lines == ["a.k = 1", "b.k = 2"]
@@ -265,6 +290,18 @@ def test_build_episode_bad_number(tmp_path):
         build_episode_config(dict(BASE, **{"planner.w_h": "high"}), str(tmp_path))
     with pytest.raises(ConfigError, match="bad int value"):
         build_episode_config(dict(BASE, **{"sim.seed": "0.5"}), str(tmp_path))
+    # One number grammar: no digit separators, no non-ASCII digits, and an int
+    # takes no decimal point or exponent.
+    cases = [("planner.w_h", "float"), ("sim.seed", "int"), ("actions.omegas_deg", "float_list")]
+    for (key, kind), value in itertools.product(cases, ["1_0", FULLWIDTH_42, "5, 1_0"]):
+        with pytest.raises(ConfigError, match=f"key '{key}': bad {kind} value '{value}'"):
+            build_episode_config(dict(BASE, **{key: value}), str(tmp_path))
+    for value in ("1_0", FULLWIDTH_42, "0, 1.0", "1e0"):
+        with pytest.raises(ConfigError, match=f"key 'sweep.seeds': bad int_list value '{value}'"):
+            sweep_params(dict(BASE, **{"sweep.w_h_values": "0", "sweep.seeds": value}))
+    for value in ("1.0", "1e0"):
+        with pytest.raises(ConfigError, match=f"key 'sim.seed': bad int value '{value}'"):
+            build_episode_config(dict(BASE, **{"sim.seed": value}), str(tmp_path))
 
 
 def test_build_episode_empty_action_list(tmp_path):

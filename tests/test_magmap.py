@@ -22,7 +22,7 @@ from magplan.magmap import (
     sample_points,
     save_map,
 )
-from conftest import bit_equal
+from conftest import FULLWIDTH_42_LATIN1, bit_equal
 from oracles import interpolate_two_axis, sample
 
 
@@ -312,6 +312,18 @@ def test_saved_header_layout(tmp_path):
         ("magmap v1 2 2 0 0 1\n1 -3\n1 1\n", 2),
         ("magmap v1 2 2 0 0 1\n1 1\n1 1\xe9\n", 3),
         ("magmap\xe9 v1 2 2 0 0 1\n1 1\n1 1\n", 1),
+        # One number grammar: no digit separators, no non-ASCII digits, and an
+        # integer field takes no decimal point or exponent.
+        ("magmap v1 2 2 0 0 1_0\n1 1\n1 1\n", 1),
+        ("magmap v1 2 2 0 0 1\n1 1\n1 1_0\n", 3),
+        (f"magmap v1 2 2 0 0 {FULLWIDTH_42_LATIN1}\n1 1\n1 1\n", 1),
+        (f"magmap v1 2 2 0 0 1\n1 1\n1 {FULLWIDTH_42_LATIN1}\n", 3),
+        ("magmap v1 2.0 2 0 0 1\n1 1\n1 1\n", 1),
+        ("magmap v1 2 2e0 0 0 1\n1 1\n1 1\n", 1),
+        ("magmap v1 -1 0 0 0 1\n", 1),
+        # A blank line keeps its place in the count.
+        ("magmap v1 2 2 0 0 1\n\n1 oops\n1 1\n", 3),
+        ("magmap v1 2 2 0 0 1\n1 1\n\n1 inf\n", 4),
     ],
 )
 def test_malformed_files_name_the_line(tmp_path, text: str, bad_line: int):

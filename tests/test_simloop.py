@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import STD_MOTION, STD_SENSOR, bit_equal
+from conftest import FULLWIDTH_42_LATIN1, STD_MOTION, STD_SENSOR, bit_equal
 from magplan import infogain, magmap, models, pflocal, planner, simloop
 from magplan.magmap import OutOfMapError
 from magplan.models import (
@@ -367,7 +367,7 @@ def test_trace_reader_rejects_malformed(tmp_path):
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("step,time_s\n0,0.1\n1\n")
-    with pytest.raises(EpisodeError, match="ragged"):
+    with pytest.raises(EpisodeError, match="ragged.csv: line 3: expected 2 CSV fields, got 1"):
         read_trace(str(ragged))
 
     good = tmp_path / "good.csv"
@@ -400,6 +400,26 @@ def test_trace_reader_rejects_malformed(tmp_path):
     failedaction = tmp_path / "failedaction.csv"
     failedaction.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
     assert read_trace(str(failedaction)).costs[1].tolist() == [1.1, math.inf]
+
+    # One number grammar: no digit separators, no non-ASCII digits, and an
+    # integer column (step, action_index and the flags) takes no decimal point.
+    # The flags hold 0 or 1, as write_trace writes them.
+    for c, cell, error in [
+        (22, "1_0", "bad value: could not convert string to float: '1_0'"),
+        (22, FULLWIDTH_42_LATIN1, "bad value: could not convert string to float"),
+        (0, "1_0", "bad value: could not convert string to int: '1_0'"),
+        (0, FULLWIDTH_42_LATIN1, "bad value: could not convert string to int"),
+        (6, "1.0", "bad value: could not convert string to int: '1.0'"),
+        (24, "5", "resampled must be 0 or 1, got '5'"),
+        (25, "-1", "collapsed must be 0 or 1, got '-1'"),
+    ]:
+        cells = lines[5].split(",")
+        cells[c] = cell
+        grammar = tmp_path / "grammar.csv"
+        grammar.write_bytes("".join(lines[:5] + [",".join(cells)] + lines[6:]).encode("latin-1"))
+        with pytest.raises(EpisodeError) as info:
+            read_trace(str(grammar))
+        assert str(info.value).startswith(f"{grammar}: line 6: {error}")
 
     nonascii = tmp_path / "nonascii.csv"
     nonascii.write_bytes(text.replace(",2.0,", ",2.0\xe9,", 1).encode("latin-1"))

@@ -30,6 +30,7 @@ from magplan.tlcal import (
     save_coefficients,
     save_maglog,
 )
+from conftest import FULLWIDTH_42_LATIN1
 from oracles import log_from_rows, make_tl_log, tl_row_reference
 
 # Representative interference model: permanent terms of tens of nT, induced
@@ -123,6 +124,24 @@ def test_maglog_rejects_a_timestamp_step_past_the_largest_float():
     for row, t in zip(rows, (-huge / 2, huge / 2, huge)):
         row[0] = t
     assert np.isfinite(build_regressor_matrix(log_from_rows(rows))).all()
+
+
+@pytest.mark.parametrize(
+    "b_total",
+    [
+        1e-10,  # the direction cosine b_vec / b_total overflows
+        1.0,  # the cosine is finite, and its products overflow
+    ],
+)
+def test_regressors_that_overflow_name_the_sample(b_total):
+    # A valid log: every value finite, b_total > 0, increasing timestamps.
+    log = log_from_rows([(0.0, 1e300, 0.0, 0.0, b_total, 0.2), (1.0, 1e300, 0.0, 0.0, b_total, 0.2)])
+    zero = CalibrationCoefficients(np.zeros(N_COEFFS))
+    for build in (build_regressor_matrix, lambda log: compensate_log(log, zero)):
+        # The suite turns warnings into errors, so this also pins "no overflow warning".
+        with pytest.raises(InvalidSampleError, match="row 1: regressors overflow") as info:
+            build(log)
+        assert info.value.row == 1
 
 
 def test_maglog_rejects_mismatched_columns():
@@ -442,7 +461,7 @@ def test_save_maglog_writes_fixed_text(tmp_path):
         ("maglog v1\n1,2,3\n", "line 2"),
         ("maglog v1\n0,1,1,1,2,0.2\nnope,1,1,1,2,0.2\n", "line 3"),
         ("maglog v1\n0,1,1,1,-2,0.2\n", "line 2"),
-        ("maglog v1\n0,1,1,1,2,0.2,25000\n1,1,1,1,2,0.2\n", "be_truth"),
+        ("maglog v1\n0,1,1,1,2,0.2,25000\n1,1,1,1,2,0.2\n", "line 3: expected 7 CSV fields as on line 2, got 6"),
         ("maglog v1\n1,1,1,1,2,0.2\n0.5,1,1,1,2,0.2\n", "increasing"),
         ("maglog v1\n0,1,1,1,2,0.2,25000\n1,1,1,1,2,0.2,nan\n", "line 3: be_truth"),
         ("maglog v1\n0,1,1,1,2,0.2,inf\n1,1,1,1,2,0.2,25000\n", "line 2: be_truth"),
@@ -459,6 +478,7 @@ def test_save_maglog_writes_fixed_text(tmp_path):
         ("maglog v1\n0,1,1,1,2,0.2 # note\n", "line 2: bad value: .*'0.2 # note'"),
         # `float` takes digit separators; the maglog grammar does not.
         ("maglog v1\n0,1,1,1,2,0.2\n1,1,1,1,2,1_0\n", "line 3: bad value: .*'1_0'"),
+        (f"maglog v1\n0,1,1,1,2,0.2\n1,1,1,1,2,{FULLWIDTH_42_LATIN1}\n", "line 3: bad value"),
         ("maglog v1\n0,1,,1,2,0.2\n", "line 2: bad value: .*''"),
         (
             "maglog v1\n-1e308,1,1,1,2,0.2\n\n1e308,1,1,1,2,0.2\n",
@@ -562,7 +582,9 @@ def test_coefficients_round_trip(tmp_path):
     "mutation",
     [
         "header", "count", "index", "value", "nan", "inf", "non_ascii", "blank_lines",
-        "blank_first", "1_0",
+        "blank_first", "1_0", FULLWIDTH_42_LATIN1,
+        # Spellings of the index 5 that Python's int or float reads as 5.
+        "index:0_5", "index:5.0", "index:5e0", f"index:{FULLWIDTH_42_LATIN1}",
     ],
 )
 def test_coefficients_parse_errors(tmp_path, mutation):
@@ -583,6 +605,8 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         lines[2:3] = ["", "", "2,abc"]
     elif mutation == "blank_first":
         lines.insert(0, "")
+    elif mutation.startswith("index:"):
+        lines[5] = mutation.removeprefix("index:") + ",0.0"
     else:
         lines[5] = f"5,{mutation}"
     path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
@@ -590,7 +614,7 @@ def test_coefficients_parse_errors(tmp_path, mutation):
         load_coefficients(path)
     if mutation in ("nan", "inf"):
         assert "line 6: coefficient must be finite" in str(info.value)
-    if mutation in ("non_ascii", "1_0"):
+    if mutation in ("non_ascii", "1_0", FULLWIDTH_42_LATIN1) or mutation.startswith("index:"):
         assert "line 6: bad value" in str(info.value)
     if mutation == "blank_lines":
         assert "line 5: bad value" in str(info.value)
