@@ -14,7 +14,7 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from . import __version__, simloop, tlcal
+from . import __version__, simloop, textio, tlcal
 from .config import (
     ConfigError,
     build_episode_config,
@@ -24,13 +24,11 @@ from .config import (
     sweep_params,
 )
 from .magmap import MapError, save_map
-from .simloop import EpisodeError, StepFailure, _fmt
+from .simloop import EpisodeError, StepFailure
 from .tlcal import CalibrationError
 
 # Mean planning-step time `magplan benchmark` must stay under.
 PLANNING_BUDGET_MS = 100.0
-# ASCII output files spell a non-ASCII input path with backslash escapes.
-PATH_ERRORS = "backslashreplace"
 
 
 def _say(args: argparse.Namespace, message: str) -> None:
@@ -84,18 +82,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     tlcal.save_coefficients(coeffs, coef_path)
     excitation = [str(w.message) for w in caught]
     report_path = os.path.join(out, "calibration_report.txt")
-    with open(report_path, "w", encoding="ascii", errors=PATH_ERRORS) as fh:
-        fh.write("magplan calibration report\n")
-        fh.write(f"log: {args.log}\n")
-        fh.write(f"samples: {len(log)}\n")
-        fh.write(f"usable_rows: {len(log) - 1}\n")
-        fh.write(f"residual_rms_nt: {_fmt(rms)}\n")
-        fh.write(f"coefficients: {coef_path}\n")
-        if excitation:
-            for msg in excitation:
-                fh.write(f"warning: {msg}\n")
-        else:
-            fh.write("warnings: none\n")
+    textio.write_table(report_path, [
+        "magplan calibration report",
+        f"log: {args.log}",
+        f"samples: {textio.spell(len(log), integer=True)}",
+        f"usable_rows: {textio.spell(len(log) - 1, integer=True)}",
+        f"residual_rms_nt: {textio.spell(rms)}",
+        f"coefficients: {coef_path}",
+        *([f"warning: {msg}" for msg in excitation] or ["warnings: none"]),
+    ])
     _say(args, f"fit {len(log) - 1} rows, residual RMS {rms:.6g} nT")
     for msg in excitation:
         _say(args, f"warning: {msg}")
@@ -133,7 +128,7 @@ def _check_trace_names(w_h_values: Sequence[float], seeds: Sequence[int]) -> Non
     seen: dict[str, str] = {}
     for w_h in w_h_values:
         for seed in seeds:
-            name, cell = _trace_name(w_h, seed), f"w_h={_fmt(w_h)} seed={seed}"
+            name, cell = _trace_name(w_h, seed), f"w_h={textio.spell(w_h)} seed={seed}"
             if name in seen:
                 raise ConfigError(f"sweep cells {seen[name]} and {cell} would both write {name}")
             seen[name] = cell
@@ -150,7 +145,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _say(args, f"w_h={cell.w_h:g} seed={cell.seed}: FAILED ({cell.error})")
             continue
         prov = _provenance(cfg, cell.seed)
-        prov["w_h"] = _fmt(cell.w_h)
+        prov["w_h"] = textio.spell(cell.w_h)
         path = os.path.join(out, _trace_name(cell.w_h, cell.seed))
         simloop.write_trace(cell.trace, path, prov)
         note = "goal" if cell.trace.reached_goal else "budget"
@@ -169,22 +164,19 @@ def cmd_export(args: argparse.Namespace) -> int:
     data = simloop.read_trace(args.trace)
     out = _out_dir(args)
     path = os.path.join(out, f"export_{args.kind}.csv")
-    with open(path, "w", encoding="ascii", errors=PATH_ERRORS) as fh:
-        fh.write(f"# magplan-export {args.kind} v1\n")
-        fh.write(f"# source: {os.path.basename(args.trace)}\n")
-        fh.write(f"# magplan_version: {__version__}\n")
-        columns = {"time_s": data.time_s}
-        if args.kind == "trajectory":
-            for name in ("truth_x", "truth_y", "est_x", "est_y"):
-                columns[name] = data.columns[name]
-        elif args.kind == "detcov":
-            columns["detcov"] = data.det_pos_cov
-        else:
-            columns["entropy_raw"] = data.entropy_bits
-            columns["entropy_filtered"] = simloop.filter_entropy(data.entropy_bits)
-        fh.write(",".join(["step", *columns]) + "\n")
-        for i, step in enumerate(data.step):
-            fh.write(",".join([str(step), *(_fmt(c[i]) for c in columns.values())]) + "\n")
+    columns = {"time_s": data.time_s}
+    if args.kind == "trajectory":
+        for name in ("truth_x", "truth_y", "est_x", "est_y"):
+            columns[name] = data.columns[name]
+    elif args.kind == "detcov":
+        columns["detcov"] = data.det_pos_cov
+    else:
+        columns["entropy_raw"] = data.entropy_bits
+        columns["entropy_filtered"] = simloop.filter_entropy(data.entropy_bits)
+    prov = {"source": os.path.basename(args.trace), "magplan_version": __version__}
+    head = [*textio.preamble(f"export {args.kind}", prov), ",".join(["step", *columns])]
+    rows = zip(data.step.tolist(), *(c.tolist() for c in columns.values()))
+    textio.write_table(path, head, rows, ints=(0,))
     _say(args, f"wrote {path}")
     return 0
 
@@ -196,29 +188,34 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     path = os.path.join(out, "benchmark.txt")
     lines = [
         "magplan planning benchmark",
-        f"steps_timed: {len(result.times_ms)}",
-        f"n_particles: {result.n_particles}",
-        f"eer_hypotheses: {result.m_count}",
-        f"horizon_steps: {result.horizon_steps}",
-        f"n_actions: {result.n_actions}",
-        f"mean_ms: {result.mean_ms:.3f}",
-        f"max_ms: {result.max_ms:.3f}",
-        f"budget_ms: {PLANNING_BUDGET_MS}",
+        f"steps_timed: {textio.spell(len(result.times_ms), integer=True)}",
+        f"n_particles: {textio.spell(result.n_particles, integer=True)}",
+        f"eer_hypotheses: {textio.spell(result.m_count, integer=True)}",
+        f"horizon_steps: {textio.spell(result.horizon_steps, integer=True)}",
+        f"n_actions: {textio.spell(result.n_actions, integer=True)}",
+        # Times to the microsecond: finer digits are timer noise.
+        f"mean_ms: {textio.spell(round(result.mean_ms, 3))}",
+        f"max_ms: {textio.spell(round(result.max_ms, 3))}",
+        f"budget_ms: {textio.spell(PLANNING_BUDGET_MS)}",
         f"within_budget: {'yes' if result.mean_ms < PLANNING_BUDGET_MS else 'no'}",
     ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write_table(path, lines)
     for line in lines[1:]:
         _say(args, line)
     _say(args, f"wrote {path}")
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
+    """An integer option, in the textio grammar of every integer magplan reads."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        return textio.parse_cell(text, int)
+    except textio.TextError as exc:
+        raise argparse.ArgumentTypeError(exc.reason) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -238,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
-        "--seed", type=int, default=None, help="override the config's sim.seed"
+        "--seed", type=_int, default=None, help="override the config's sim.seed"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -209,11 +209,9 @@ def generate_synthetic(spec: SyntheticMapSpec, geometry: GridGeometry) -> MagMap
 
 def save_map(grid: MagMap, path: str) -> None:
     """Write the documented text format; load_map inverts it losslessly."""
-    x, y = map(float, grid.origin)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"magmap v1 {grid.width} {grid.height} {x!r} {y!r} {float(grid.cell_size)!r}\n")
-        for row in grid.values.tolist():
-            fh.write(" ".join(map(repr, row)) + "\n")
+    size = [textio.spell(n, integer=True) for n in (grid.width, grid.height)]
+    place = map(textio.spell, (*grid.origin, grid.cell_size))
+    textio.write_table(path, [" ".join(["magmap", "v1", *size, *place])], grid.values.tolist(), " ")
 
 
 def load_map(path: str) -> MagMap:

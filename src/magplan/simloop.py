@@ -410,17 +410,6 @@ def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> BenchmarkResult
     )
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_preamble(fh, kind: str, provenance: dict[str, str]) -> None:
-    """The `# magplan-<kind> v1` first line, then one comment per provenance key."""
-    fh.write(f"# magplan-{kind} v1\n")
-    for key in sorted(provenance):
-        fh.write(f"# {key}: {provenance[key]}\n")
-
-
 # The trace columns in file order, grouped by the TraceData field that holds
 # them. A group's names have the shape of one row's value of that field: one
 # name is a scalar, a tuple a vector, the covariance a 3x3 block.
@@ -458,21 +447,20 @@ def write_trace(trace: EpisodeTrace, path: str, provenance: dict[str, str]) -> N
     byte-identical files.
     """
     schema = trace_schema(trace.n_actions)
-    with open(path, "w", encoding="ascii") as fh:
-        _write_preamble(fh, "trace", provenance)
-        fh.write(f"# reached_goal: {'1' if trace.reached_goal else '0'}\n")
-        fh.write(",".join(_trace_columns(trace.n_actions)) + "\n")
-        for r in trace.rows:
-            # The row's values keyed by TraceData field, each group as a flat list.
-            values = {**vars(r), "truth": r.truth.as_array().tolist(),
-                      "est": r.est.as_array().tolist(), "covariance": r.covariance.ravel().tolist(),
-                      "action_v": r.action.v, "action_omega": r.action.omega}
-            cells = (
-                str(int(v)) if field in _TRACE_INTEGER_FIELDS else _fmt(v)
-                for field, names in schema
-                for v in ((values[field],) if isinstance(names, str) else values[field])
-            )
-            fh.write(",".join(cells) + "\n")
+    columns = _trace_columns(trace.n_actions)
+    ints = [c for c, name in enumerate(columns) if name in _TRACE_INTEGER_FIELDS]
+    head = [*textio.preamble("trace", provenance),
+            f"# reached_goal: {textio.spell(trace.reached_goal, integer=True)}", ",".join(columns)]
+
+    def cells(r: TraceRow) -> list:
+        # The row's values keyed by TraceData field, each group as a flat list.
+        values = {**vars(r), "truth": r.truth.as_array().tolist(),
+                  "est": r.est.as_array().tolist(), "covariance": r.covariance.ravel().tolist(),
+                  "action_v": r.action.v, "action_omega": r.action.omega}
+        return [v for field, names in schema
+                for v in ((values[field],) if isinstance(names, str) else values[field])]
+
+    textio.write_table(path, head, map(cells, trace.rows), ints=ints)
 
 
 @dataclass(frozen=True)
@@ -557,49 +545,36 @@ def read_trace(path: str) -> TraceData:
 
 
 def write_metrics(metrics: MetricsRecord, path: str, provenance: dict[str, str]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        _write_preamble(fh, "metrics", provenance)
-        for key in (
-            "rmse_position", "mean_error", "final_error",
-            "final_det_pos_cov", "mean_det_pos_cov", "path_length",
-        ):
-            fh.write(f"# {key}: {_fmt(getattr(metrics, key))}\n")
-        fh.write(f"# steps: {metrics.steps}\n")
-        fh.write(f"# reached_goal: {'1' if metrics.reached_goal else '0'}\n")
-        fh.write("step,det_pos_cov,entropy_raw,entropy_filtered,position_error\n")
-        for k in range(metrics.steps):
-            fh.write(
-                ",".join(
-                    [str(k), _fmt(metrics.det_pos_cov[k]), _fmt(metrics.entropy_raw[k]),
-                     _fmt(metrics.entropy_filtered[k]), _fmt(metrics.position_error[k])]
-                )
-                + "\n"
-            )
+    scalars = ("rmse_position", "mean_error", "final_error",
+               "final_det_pos_cov", "mean_det_pos_cov", "path_length")
+    head = [
+        *textio.preamble("metrics", provenance),
+        *(f"# {key}: {textio.spell(getattr(metrics, key))}" for key in scalars),
+        f"# steps: {textio.spell(metrics.steps, integer=True)}",
+        f"# reached_goal: {textio.spell(metrics.reached_goal, integer=True)}",
+        "step,det_pos_cov,entropy_raw,entropy_filtered,position_error",
+    ]
+    series = (metrics.det_pos_cov, metrics.entropy_raw, metrics.entropy_filtered,
+              metrics.position_error)
+    rows = zip(range(metrics.steps), *(s.tolist() for s in series))
+    textio.write_table(path, head, rows, ints=(0,))
 
 
 def write_summary(result: SweepResult, path: str, provenance: dict[str, str]) -> None:
-    """One CSV row per (w_h, seed) sweep cell."""
-    with open(path, "w", encoding="ascii") as fh:
-        _write_preamble(fh, "summary", provenance)
-        fh.write(
-            "w_h,seed,steps,reached_goal,final_det_pos_cov,mean_det_pos_cov,"
-            "rmse_position,mean_error,final_error,path_length,error\n"
-        )
-        for c in result.cells:
-            if c.metrics is None:
-                msg = (c.error or "failed").replace(",", ";").replace("\n", " ")
-                fh.write(f"{_fmt(c.w_h)},{c.seed},0,0,,,,,,,{msg}\n")
-                continue
-            m = c.metrics
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(c.w_h), str(c.seed), str(m.steps),
-                        "1" if m.reached_goal else "0",
-                        _fmt(m.final_det_pos_cov), _fmt(m.mean_det_pos_cov),
-                        _fmt(m.rmse_position), _fmt(m.mean_error),
-                        _fmt(m.final_error), _fmt(m.path_length), "",
-                    ]
-                )
-                + "\n"
-            )
+    """One CSV row per (w_h, seed) sweep cell; a failed cell keeps its error in the last column."""
+    head = [
+        *textio.preamble("summary", provenance),
+        "w_h,seed,steps,reached_goal,final_det_pos_cov,mean_det_pos_cov,"
+        "rmse_position,mean_error,final_error,path_length,error",
+    ]
+    rows = []
+    for c in result.cells:
+        m = c.metrics
+        if m is None:
+            msg = (c.error or "failed").replace(",", ";").replace("\n", " ")
+            rows.append([c.w_h, c.seed, 0, 0, *[""] * 6, msg])
+        else:
+            rows.append([c.w_h, c.seed, m.steps, m.reached_goal, m.final_det_pos_cov,
+                         m.mean_det_pos_cov, m.rmse_position, m.mean_error, m.final_error,
+                         m.path_length, ""])
+    textio.write_table(path, head, rows, ints=(1, 2, 3))

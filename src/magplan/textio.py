@@ -1,15 +1,18 @@
-"""The number grammar and table reader shared by every magplan text format.
+"""The number grammar, table reader and file writer of every magplan text format.
 
 A float cell is what numpy's text parser reads as float64: ASCII digits,
 sign, exponent, `nan`, `inf` and padding spaces. An integer cell is what it
 reads as int64, so `1.0` and `1e0` are not integers. `_` digit separators,
 non-ASCII digits and empty cells are bad values. numpy rounds as `float`
-does, so repr-written values round-trip bit for bit.
+does, so the `repr` that `spell` writes round-trips bit for bit.
+
+Every output file goes through `write_table`: ASCII, with any non-ASCII
+character (say, in a file name) written as a backslash escape.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,3 +79,30 @@ def read_table(
         for c, cell in enumerate(fields):
             parse_cell(cell, int if c in ints else float, lineno)
     raise TextError("rows do not form one table", linenos[0])
+
+
+def spell(value, integer: bool = False) -> str:
+    """An output cell: `str(int(v))` if `integer`, else `repr(float(v))`; a str as it is."""
+    return _spelled([value], (0,) if integer else ())[0]
+
+
+def _spelled(row: Sequence, ints: frozenset) -> list[str]:
+    # `spell` of each cell; one comprehension per row costs less than a call per cell.
+    return [
+        v if isinstance(v, str) else str(int(v)) if c in ints else repr(float(v))
+        for c, v in enumerate(row)
+    ]
+
+
+def preamble(kind: str, provenance: dict[str, str]) -> list[str]:
+    """The `# magplan-<kind> v1` line, then a `# key: value` line per provenance key, sorted."""
+    return [f"# magplan-{kind} v1", *(f"# {key}: {provenance[key]}" for key in sorted(provenance))]
+
+
+def write_table(path, head: Sequence[str], rows: Iterable = (), delimiter=",", ints=()) -> None:
+    """Write the `head` lines, then each row's `spell`ed cells; `ints` are integer columns."""
+    ints = frozenset(ints)
+    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
+        fh.writelines(line + "\n" for line in head)
+        for row in rows:
+            fh.write(delimiter.join(_spelled(row, ints)) + "\n")

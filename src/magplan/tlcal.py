@@ -184,8 +184,10 @@ def build_regressor_matrix(log: MagLog) -> np.ndarray:
 
 def _warn_on_poor_excitation(a: np.ndarray) -> list[int]:
     # Column 19 (the constant bias regressor) has zero variance by
-    # construction, so it is exempt from the check.
-    variances = a.var(axis=0)
+    # construction, so it is exempt from the check. Huge finite regressors
+    # may square to inf, which marks every finite column as weak.
+    with np.errstate(over="ignore"):
+        variances = a.var(axis=0)
     limit = EXCITATION_RATIO * float(variances.max())
     weak = [c + 1 for c in range(N_COEFFS) if c != 18 and variances[c] < limit]
     if weak:
@@ -275,17 +277,11 @@ def save_maglog(path: str, log: MagLog, b_earth: Optional[Sequence[float]] = Non
         table[:, c] = getattr(log, k)
     if b_earth is not None:
         table[:, MAGLOG_V1_WIDTH] = b_earth
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("maglog v1\n")
-        for row in table.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    textio.write_table(path, ["maglog v1"], table.tolist())
 
 
 def save_coefficients(eps: CalibrationCoefficients, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("tlcoef v1\n")
-        for i, v in enumerate(eps.eps, start=1):
-            fh.write(f"{i},{float(v)!r}\n")
+    textio.write_table(path, ["tlcoef v1"], enumerate(eps.eps.tolist(), start=1), ints=(0,))
 
 
 def load_coefficients(path: str) -> CalibrationCoefficients:

@@ -73,3 +73,7 @@ def bit_equal(a, b) -> bool:
 FULLWIDTH_42 = "４２"
 # Its UTF-8 bytes spelled as a latin-1 string, for tests that write files as latin-1.
 FULLWIDTH_42_LATIN1 = FULLWIDTH_42.encode("utf-8").decode("latin-1")
+
+# Floats whose spelling a writer can get wrong: signed zero, the smallest
+# subnormal, the largest float, nan and inf. Their repr round-trips.
+ODD_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf)

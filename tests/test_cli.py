@@ -10,7 +10,9 @@ import pytest
 from magplan import __version__, tlcal
 from magplan.cli import main
 from magplan.magmap import load_map
-from magplan.simloop import read_trace
+from magplan.models import ControlInput, Pose
+from magplan.simloop import EpisodeTrace, TraceRow, read_trace, write_trace
+from conftest import FULLWIDTH_42, ODD_FLOATS
 from oracles import make_tl_log
 from test_config import BASE, render
 from test_tlcal import EPS_STAR
@@ -175,6 +177,18 @@ def test_run_seed_override(tmp_path):
     assert read_trace(str(other / "trace.csv")).comments["seed"] == "5"
     assert (other / "trace.csv").read_bytes() != (base / "trace.csv").read_bytes()
     assert (other / "trace.csv").read_bytes() == (again / "trace.csv").read_bytes()
+
+
+def test_run_rejects_a_seed_outside_the_integer_grammar(tmp_path, capsys):
+    # Python's int reads these as 10 and 42; a config's sim.seed rejects them too.
+    cfg = write_cfg(tmp_path, extra={"sim.step_budget": "6"})
+    out = tmp_path / "ep"
+    for seed in ("1_0", FULLWIDTH_42):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", cfg, "--out", str(out), "--seed", seed])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_uses_map_file_relative_to_config(tmp_path):
@@ -422,6 +436,54 @@ def test_export_non_ascii_trace_name_is_escaped(run_trace, tmp_path):
     assert "# source: trac\\xe9.csv\n" in text
 
 
+NEG0, TINY, BIG, NAN, INF = ODD_FLOATS
+# Per export kind: the header and the rows of the two-step odd_trace.
+EXPORT_TEXT = {
+    "trajectory": [
+        "step,time_s,truth_x,truth_y,est_x,est_y",
+        "0,5e-324,-0.0,1.7976931348623157e+308,0.5,-0.0",
+        "1,0.2,1.5,5e-324,1.7976931348623157e+308,1e-05",
+    ],
+    "detcov": ["step,time_s,detcov", "0,5e-324,-0.0", "1,0.2,5e-324"],
+    "entropy": [
+        "step,time_s,entropy_raw,entropy_filtered",
+        "0,5e-324,1.7976931348623157e+308,1.7976931348623157e+308",
+        "1,0.2,-0.0,-0.0",
+    ],
+}
+
+
+def odd_trace(path) -> None:
+    """A two-step, one-action trace file holding every ODD_FLOATS value.
+
+    Only the per-action cells may be nan or inf, so the exported columns hold
+    the finite ones.
+    """
+    rows = tuple(
+        TraceRow(
+            step=k, time_s=t, truth=Pose(tx, ty, 0.0), z=25000.0, action_index=0,
+            action=ControlInput(0.2, 0.0), est=Pose(ex, ey, NEG0), covariance=np.eye(3),
+            det_pos_cov=det, entropy_bits=h, ess=10.0, resampled=False, collapsed=False,
+            eer_bits=(NAN,), distances=(INF,), costs=(-INF,),
+        )
+        for k, (t, tx, ty, ex, ey, det, h) in enumerate(
+            [(TINY, NEG0, BIG, 0.5, NEG0, NEG0, BIG), (0.2, 1.5, TINY, BIG, 1e-05, TINY, NEG0)]
+        )
+    )
+    write_trace(EpisodeTrace(rows, False, 1), str(path), {"seed": "1"})
+
+
+@pytest.mark.parametrize("kind", sorted(EXPORT_TEXT))
+def test_export_writes_fixed_text(tmp_path, kind):
+    trace = tmp_path / "odd.csv"
+    odd_trace(trace)
+    out = tmp_path / "plots"
+    assert main(["export", str(trace), "--kind", kind, "--out", str(out), "--quiet"]) == 0
+    head = [f"# magplan-export {kind} v1", f"# magplan_version: {__version__}", "# source: odd.csv"]
+    want = "".join(line + "\n" for line in head + EXPORT_TEXT[kind])
+    assert (out / f"export_{kind}.csv").read_text() == want
+
+
 def test_export_missing_trace(tmp_path, capsys):
     assert main(["export", str(tmp_path / "none.csv"), "--kind", "detcov", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -453,7 +515,7 @@ def test_benchmark_rejects_zero_motion_sigma(tmp_path, capsys):
 def test_benchmark_rejects_non_positive_steps(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "bench"
-    for steps in ("0", "-2", "three"):
+    for steps in ("0", "-2", "three", "1_0", FULLWIDTH_42):
         with pytest.raises(SystemExit) as info:
             main(["benchmark", "--config", cfg, "--out", str(out), "--steps", steps])
         assert info.value.code == 2

@@ -22,7 +22,7 @@ from magplan.magmap import (
     sample_points,
     save_map,
 )
-from conftest import FULLWIDTH_42_LATIN1, bit_equal
+from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS, bit_equal
 from oracles import interpolate_two_axis, sample
 
 
@@ -284,6 +284,18 @@ def test_save_load_round_trip(tmp_path):
     assert back.cell_size == m.cell_size
     # repr() of a float round-trips exactly, so equality is bitwise.
     assert np.array_equal(back.values, m.values)
+
+
+def test_save_map_writes_fixed_text(tmp_path):
+    neg0, tiny, big = ODD_FLOATS[:3]
+    m = grid_of([[tiny, big, 1.0], [0.1, 2.5, 1e20]], origin=(neg0, tiny), cell_size=0.125)
+    path = tmp_path / "m.magmap"
+    save_map(m, path)
+    assert path.read_text() == (
+        "magmap v1 3 2 -0.0 5e-324 0.125\n"
+        "5e-324 1.7976931348623157e+308 1.0\n"
+        "0.1 2.5 1e+20\n"
+    )
 
 
 def test_saved_header_layout(tmp_path):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FULLWIDTH_42_LATIN1, STD_MOTION, STD_SENSOR, bit_equal
+from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS, STD_MOTION, STD_SENSOR, bit_equal
 from magplan import infogain, magmap, models, pflocal, planner, simloop
 from magplan.magmap import OutOfMapError
 from magplan.models import (
@@ -24,7 +24,9 @@ from magplan.simloop import (
     EpisodeError,
     EpisodeRunner,
     EpisodeTrace,
+    MetricsRecord,
     StepFailure,
+    SweepCell,
     SweepResult,
     TraceRow,
     benchmark_planning,
@@ -455,6 +457,66 @@ def test_metrics_file_contents(base_cfg, tmp_path):
     first = body[1].split(",")
     assert float(first[1]) == m.det_pos_cov[0]
     assert float(first[4]) == m.position_error[0]
+
+
+def odd_metrics(**scalars) -> MetricsRecord:
+    """Two steps of metrics with every ODD_FLOATS value in the series."""
+    neg0, tiny, big, nan, inf = ODD_FLOATS
+    return MetricsRecord(
+        det_pos_cov=np.array([neg0, tiny]), entropy_raw=np.array([big, nan]),
+        entropy_filtered=np.array([inf, 0.1]), position_error=np.array([1e-05, 2.5]),
+        steps=2, **scalars,
+    )
+
+
+def test_write_metrics_writes_fixed_text(tmp_path):
+    neg0, tiny, big, nan, inf = ODD_FLOATS
+    m = odd_metrics(
+        rmse_position=tiny, mean_error=neg0, final_error=big, final_det_pos_cov=nan,
+        mean_det_pos_cov=inf, path_length=1e20, reached_goal=True,
+    )
+    path = tmp_path / "metrics.csv"
+    write_metrics(m, str(path), {"seed": "7", "config_hash": "abc"})
+    assert path.read_text() == (
+        "# magplan-metrics v1\n"
+        "# config_hash: abc\n"
+        "# seed: 7\n"
+        "# rmse_position: 5e-324\n"
+        "# mean_error: -0.0\n"
+        "# final_error: 1.7976931348623157e+308\n"
+        "# final_det_pos_cov: nan\n"
+        "# mean_det_pos_cov: inf\n"
+        "# path_length: 1e+20\n"
+        "# steps: 2\n"
+        "# reached_goal: 1\n"
+        "step,det_pos_cov,entropy_raw,entropy_filtered,position_error\n"
+        "0,-0.0,1.7976931348623157e+308,inf,1e-05\n"
+        "1,5e-324,nan,0.1,2.5\n"
+    )
+
+
+def test_write_summary_writes_fixed_text(tmp_path):
+    neg0, tiny, big, nan, inf = ODD_FLOATS
+    m = odd_metrics(
+        final_det_pos_cov=neg0, mean_det_pos_cov=tiny, rmse_position=big, mean_error=nan,
+        final_error=inf, path_length=0.1, reached_goal=False,
+    )
+    cells = (
+        SweepCell(neg0, 3, None, m, None),
+        SweepCell(2.5, 4, None, None, "step 5: off the map, at\nx = 1e+20"),
+    )
+    path = tmp_path / "summary.csv"
+    prov = {"magplan_version": "0.1.0", "config_hash": "abc"}
+    write_summary(SweepResult(cells), str(path), prov)
+    assert path.read_text() == (
+        "# magplan-summary v1\n"
+        "# config_hash: abc\n"
+        "# magplan_version: 0.1.0\n"
+        "w_h,seed,steps,reached_goal,final_det_pos_cov,mean_det_pos_cov,"
+        "rmse_position,mean_error,final_error,path_length,error\n"
+        "-0.0,3,2,0,-0.0,5e-324,1.7976931348623157e+308,nan,inf,0.1,\n"
+        "2.5,4,0,0,,,,,,,step 5: off the map; at x = 1e+20\n"
+    )
 
 
 # --- sweep ---

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from magplan.tlcal import (
     save_coefficients,
     save_maglog,
 )
-from conftest import FULLWIDTH_42_LATIN1
+from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS
 from oracles import log_from_rows, make_tl_log, tl_row_reference
 
 # Representative interference model: permanent terms of tens of nT, induced
@@ -352,6 +353,21 @@ def test_fit_warns_on_barely_moving_speed_column():
     assert np.allclose(eps.eps[:18], EPS_STAR[:18], rtol=1e-4, atol=1e-6)
 
 
+def test_fit_on_regressors_whose_squares_overflow_reports_the_rank():
+    # Finite cosines near 1e150 square past the largest float in the column
+    # variances; fit must still end in its own warning and error, not numpy's.
+    n = 25
+    t = 0.1 * np.arange(n)
+    b_vec = np.column_stack([1e150 * (1 + 0.01 * np.arange(n)), np.sin(t), np.cos(t)])
+    log = MagLog(t, b_vec, np.ones(n), 0.2 + 0.1 * np.sin(t))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RankDeficientError) as exc:
+            fit(log, np.ones(n))
+    assert [w.category for w in caught] == [ExcitationWarning]
+    assert exc.value.rank == 2
+
+
 def test_solution_invariant_under_row_permutation():
     log, b_earth = make_tl_log(EPS_STAR, n=250, noise_sigma=1.0, seed=3)
     a = build_regressor_matrix(log)
@@ -451,6 +467,18 @@ def test_save_maglog_writes_fixed_text(tmp_path):
     truth = (",25000.0", ",24999.875", ",0.1")
     assert path.read_text() == "maglog v1\n" + "".join(
         line + t + "\n" for line, t in zip(body, truth)
+    )
+
+
+def test_save_coefficients_writes_fixed_text(tmp_path):
+    neg0, tiny, big = ODD_FLOATS[:3]
+    eps = [neg0, tiny, big, 0.1, -2.5, 1e-05, 1e20, *(0.25 * i for i in range(13))]
+    path = tmp_path / "c.tlcoef"
+    save_coefficients(CalibrationCoefficients(eps), path)
+    assert path.read_text() == (
+        "tlcoef v1\n1,-0.0\n2,5e-324\n3,1.7976931348623157e+308\n4,0.1\n5,-2.5\n"
+        "6,1e-05\n7,1e+20\n8,0.0\n9,0.25\n10,0.5\n11,0.75\n12,1.0\n13,1.25\n14,1.5\n"
+        "15,1.75\n16,2.0\n17,2.25\n18,2.5\n19,2.75\n20,3.0\n"
     )
 
 
