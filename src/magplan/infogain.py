@@ -35,7 +35,13 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   allocates one tile's buffers: the tile and the two float scratch buffers
   of the Gaussian. Every tile reuses them, and is reduced in place by the
   body of `logsumexp` (peak subtracted, exp, sum and log on the tile buffer
-  itself), so the loop makes no tile-sized temporaries.
+  itself), so the loop makes no tile-sized temporaries. In a peaked belief
+  most peak-shifted terms lie far below the peak, where numpy's `exp`
+  leaves its fast loop (below about -707.8, near and past the underflow to
+  subnormals and 0). So the exp step (`_exp_into`) clamps every term at
+  FAST_FLOOR = -700, zeroes the clamped lanes and writes back the exact
+  exp of the few terms in the band (-746, -700]; the result is plain
+  `np.exp`'s, bit for bit.
 
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
@@ -81,9 +87,21 @@ from .pflocal import ParticleBelief, _safe_log
 
 LN2 = math.log(2.0)
 
-# Element budget of one row tile of the N x N transition block (16k float64
-# elements, 128 KB per buffer), the fastest size measured at N = 150 to 4000.
-TILE_ELEMENTS = 16384
+# Element budget of one row tile of the N x N transition block (32k float64
+# elements, 256 KB per buffer). With the exp step's clamp in place, 32768
+# beat 16384 in alternating probes on captured closed-loop inputs at N = 150
+# (one tile), 600 and 2000 and on dense_filter inputs, for about 0.4 MB more
+# tile buffers; BENCH_13.json has the numbers.
+TILE_ELEMENTS = 32768
+
+# numpy's float64 exp runs its fast loop for inputs above about -707.8 and
+# a slow one below (2-vCPU AVX-512 Xeon, numpy 2.4.6, 16k elements: 18 us
+# at -707.5, 290 us at -707.9, 2.9 ms where the results are subnormal and
+# 280 us at -800, where they are 0). `_exp_into` clamps at FAST_FLOOR. exp
+# of anything below about -745.13 is under half the smallest subnormal, so
+# every input at or below ZERO_BELOW has exp +0.0.
+FAST_FLOOR = -700.0
+ZERO_BELOW = -746.0
 
 
 class InfoGainError(Exception):
@@ -127,15 +145,45 @@ def logsumexp(a, axis=None) -> np.ndarray:
 
 def _logsumexp_into(a: np.ndarray, axis=None) -> np.ndarray:
     """`logsumexp(a, axis)` for a float array, reduced in place: `a` is left
-    holding exp(a - peak)."""
+    holding exp(a - peak).
+
+    The exp step is `_exp_into`: terms at or below FAST_FLOOR are clamped
+    onto exp's fast loop and zeroed, and the band (ZERO_BELOW, FAST_FLOOR]
+    gets its exact exp back, so every bit equals plain `np.exp`'s.
+    """
     # The ufunc reductions are np.max and np.sum without their Python wrappers.
     peak = np.maximum.reduce(a, axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
     a -= peak
-    np.exp(a, out=a)
+    _exp_into(a)
     with np.errstate(divide="ignore"):
         out = np.log(np.add.reduce(a, axis=axis, keepdims=True))
     return np.squeeze(out + peak, axis=axis)
+
+
+def _exp_into(d: np.ndarray) -> np.ndarray:
+    """`np.exp(d, out=d)`, bit for bit, with every lane on exp's fast loop.
+
+    Lanes at or below FAST_FLOOR are clamped to it, exponentiated and
+    zeroed; the band (ZERO_BELOW, FAST_FLOOR] then gets its exact exp back.
+    The result equals plain exp for five reasons: lanes above the floor
+    (+inf included) are not touched; band lanes go through the same
+    `np.exp`; lanes at or below ZERO_BELOW give +0.0 either way; nan
+    survives the clamp and the multiply; and -inf gives 0. The band is found
+    by one XOR of two masks, so no index array is built over the (often
+    many) zero lanes, and `take` and `put` index `d` in its own order,
+    whatever its memory layout.
+    """
+    keep = d > FAST_FLOOR
+    if keep.all():
+        return np.exp(d, out=d)
+    band = np.flatnonzero(np.greater(d, ZERO_BELOW) ^ keep)
+    exact = np.exp(np.take(d, band))
+    np.maximum(d, FAST_FLOOR, out=d)
+    np.exp(d, out=d)
+    d *= keep
+    np.put(d, band, exact)
+    return d
 
 
 def _log_predicted_density(

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from magplan.infogain import EntropyEstimate
-from magplan.infogain import logsumexp as lib_logsumexp
 from magplan.magmap import MagMap, sample_points
 from magplan.models import (
     ControlInput,
@@ -476,8 +475,9 @@ def plain_logsumexp(a, axis=None) -> np.ndarray:
 #
 # `dense_log_predicted_density` is the library's predicted density as it was
 # before row tiling: the whole N x N transition matrix at once, the heading
-# residual wrapped with np.remainder, reduced with the library's logsumexp
-# (so the two can be compared bitwise; `plain_logsumexp` pins that one).
+# residual wrapped with np.remainder, reduced with `plain_logsumexp` above
+# (plain `np.exp`, out of place), so a bitwise comparison with the tiled
+# kernel pins the library's whole reduction, its exp step included.
 # `transition_log_density_matrix` is the pairwise transition matrix over the
 # library's kernel, which only tests call. The scalar wrappers below evaluate
 # the library's array forms at one pose or one point.
@@ -506,7 +506,7 @@ def dense_log_predicted_density(
         + (dy / noise.sigma_y) ** 2
         + (dth / noise.sigma_theta) ** 2
     )
-    return lib_logsumexp(log_t + log_w[None, :], axis=1)
+    return plain_logsumexp(log_t + log_w[None, :], axis=1)
 
 
 def transition_log_density_matrix(

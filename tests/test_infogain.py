@@ -57,6 +57,7 @@ from oracles import (
     plain_logsumexp,
     predicted_entropy_at_horizon,
     sample,
+    transition_log_density_matrix,
 )
 
 TURN_RATES = [math.radians(d) for d in (-25.0, -15.0, -5.0, 5.0, 15.0, 25.0)]
@@ -194,10 +195,11 @@ def kernel_args(prev: np.ndarray, w: np.ndarray):
     [
         (1, 0, False),  # one particle
         (40, 0, False),  # well below one tile
-        (150, 0, True),  # tiles of 109 rows, the last one 41
-        (150, 3, True),  # zero weights
-        (700, 0, True),  # tiles of 23 rows, the last one 10
-        (1001, 0, True),  # tiles of 16 rows, the last one 9
+        (150, 0, False),  # one tile, as in the shipped configs
+        (150, 3, False),  # zero weights
+        (300, 3, True),  # tiles of 109 rows, the last one 82, zero weights
+        (700, 0, True),  # tiles of 46 rows, the last one 10
+        (1001, 0, True),  # tiles of 32 rows, the last one 9
     ],
 )
 def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, ragged):
@@ -208,6 +210,30 @@ def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, rag
     got = infogain._log_predicted_density(cur, *kernel_args(prev, w))
     want = dense_log_predicted_density(cur, *kernel_args(prev, w))
     assert bit_equal(got, want)
+
+
+# peak_sweep.cfg's motion noise, narrow against a prior-wide cloud.
+PEAKED_MOTION = MotionNoise(0.01, 0.01, math.radians(0.15))
+
+
+@pytest.mark.parametrize("n", [150, 600])  # one tile; tiles of 54 rows, the last one 6
+def test_peaked_predicted_density_matches_dense_oracle_bitwise(n):
+    # The closed loop's case: most peak-shifted terms underflow to 0 and some
+    # fall in exp's slow band, so the exp step takes its clamped branch.
+    rng = np.random.default_rng(n)
+    prev = np.column_stack(
+        [rng.normal(5.0, 0.3, n), rng.normal(0.0, 0.3, n), rng.normal(0.3, math.radians(5.0), n)]
+    )
+    means = motion_mean_array(prev, KERNEL_U, STD_DT)
+    sigmas = [PEAKED_MOTION.sigma_x, PEAKED_MOTION.sigma_y, PEAKED_MOTION.sigma_theta]
+    cur = means[rng.integers(0, n, n)] + rng.normal(0.0, sigmas, (n, 3))
+    log_w = _safe_log(rng.dirichlet(np.ones(n)))
+    log_t = transition_log_density_matrix(cur, prev, KERNEL_U, STD_DT, PEAKED_MOTION) + log_w
+    shifted = log_t - log_t.max(axis=1, keepdims=True)
+    assert (shifted <= -746.0).mean() > 0.5
+    assert ((shifted > -746.0) & (shifted <= infogain.FAST_FLOOR)).sum() > n
+    got = infogain._log_predicted_density(cur, means, log_w, PEAKED_MOTION)
+    assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, PEAKED_MOTION))
 
 
 def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):
@@ -240,7 +266,7 @@ def test_unwrapped_headings_stay_near_dense_oracle():
 
 def test_entropy_memory_bounded_by_tiles(ramp_grid):
     # One N x N float matrix at N = 4000 is 128 MB; the tiled estimate holds
-    # a few 128 KB tile buffers plus O(N) vectors, under eight tile buffers
+    # a few 256 KB tile buffers plus O(N) vectors, under eight tile buffers
     # in all. numpy reports its array allocations to tracemalloc.
     n = 4000
     u = ControlInput(0.2, 0.1)
@@ -620,11 +646,78 @@ def test_logsumexp_matches_plain_formula_bitwise(axis):
     a[3] = 10.0 - rng.uniform(708.0, 746.0, (6, 50))
     a[3, :, 0] = 10.0
     assert ((a[3, :, 1:] - 10.0 > -746.0) & (a[3, :, 1:] - 10.0 <= -708.0)).all()
+    a = np.concatenate([a, floor_block(rng)])
     want = plain_logsumexp(a, axis=axis)
     assert bit_equal(logsumexp(a, axis=axis), want)
     assert bit_equal(infogain._logsumexp_into(a.copy(), axis=axis), want)
+    f = np.asfortranarray(a)  # another layout, so another summation order
+    assert bit_equal(logsumexp(f, axis=axis), plain_logsumexp(f, axis=axis))
     if axis == 2:
         assert np.isneginf(want[0, 1]) and np.isnan(want[1, 3]) and np.isposinf(want[2, 4])
+        assert np.isnan(want[4, 2]) and np.isfinite(want[4, [0, 1, 3, 4, 5]]).all()
+    # No term below the floor anywhere: the exp step's plain branch.
+    a = rng.normal(0.0, 50.0, (4, 6, 50))
+    assert (a - a.max() > infogain.FAST_FLOOR).all()
+    want = plain_logsumexp(a, axis=axis)
+    assert bit_equal(logsumexp(a, axis=axis), want)
+    assert bit_equal(infogain._logsumexp_into(a.copy(), axis=axis), want)
+
+
+# Peak-shifted lanes at the exp step's floor and zero bound and either side of
+# them, in numpy's slow exp range, and far below it.
+FLOOR_LANES = np.array(
+    [
+        -700.0,
+        np.nextafter(-700.0, -np.inf),
+        np.nextafter(-700.0, np.inf),
+        -705.0,
+        -707.9,
+        -708.4,
+        -745.13,
+        -746.0,
+        np.nextafter(-746.0, -np.inf),
+        -800.0,
+        -1e300,
+    ]
+)
+
+
+def floor_block(rng: np.random.Generator) -> np.ndarray:
+    """(2, 6, 50) slices whose peak is 0.0, so that a - peak is a itself
+    along the last axis: FLOOR_LANES in most of them, and the exp step's
+    edge cases."""
+    k = len(FLOOR_LANES)
+    b = np.empty((2, 6, 50))
+    b[..., 0] = 0.0
+    b[..., 1 : k + 1] = FLOOR_LANES
+    b[0, 0, k + 1 :] = rng.uniform(-690.0, 0.0, 50 - k - 1)  # most lanes kept
+    b[0, 1, 1:] = rng.uniform(-760.0, -700.0, 49)  # every lane but the peak low
+    b[0, 1, -2:] = -700.0, np.nextafter(-700.0, -np.inf)
+    b[0, 2, k + 1 :] = rng.uniform(-800.0, -600.0, 50 - k - 1)
+    b[0, 2, -3:] = -np.inf, np.nan, -np.inf  # a nan among low lanes: its peak is nan
+    b[0, 3, k + 1 :] = -np.inf  # -inf in the low lanes of a finite-peak slice
+    b[0, 4] = rng.permutation(b[0, 0])
+    b[0, 5, 1:] = rng.uniform(-1000.0, -600.0, 49)
+    b[1] = rng.uniform(-760.0, -690.0, (6, 50))
+    b[1, :, 0] = 0.0
+    return b
+
+
+def test_exp_step_matches_plain_exp_bitwise():
+    rng = np.random.default_rng(23)
+    a = floor_block(rng)
+    cases = [
+        a,
+        np.concatenate([FLOOR_LANES, [0.0, -np.inf, np.inf, np.nan, -0.0]]),
+        rng.uniform(-699.0, 5.0, (7, 9)),  # no lane at or below the floor
+        np.asfortranarray(a),
+        a.copy()[:, ::2, 1::3],  # a strided view: the band is written back through it
+        np.array(-745.5),
+    ]
+    for d in cases:
+        want = np.exp(d)
+        assert infogain._exp_into(d) is d
+        assert bit_equal(d, want)
 
 
 def test_estimate_types_reject_nonfinite():
