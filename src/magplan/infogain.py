@@ -23,6 +23,9 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
 
       H = - sum_i w_cur_i * log(sum_j T_ij w_prev_j),   w_cur = w_prev.
 
+* Both are `_entropy_nats`, with 0 * (-inf) counted as 0. The filter step
+  takes the first term from its reweighting, which reduces the same N terms.
+
 * The pairwise sum over j is formed in row tiles of at most
   TILE_ELEMENTS elements, each a block of whole rows i reduced by its own
   max-shifted log-sum-exp, so it equals the dense N x N form bit for bit
@@ -56,10 +59,11 @@ successive size-M draws in action order. One batched noise-free rollout
 moves all actions over the whole horizon (they share one speed; omega * dt
 broadcasts per action). Because the rollout is noise free, the terminal
 hypotheses are themselves the transition means of the step before them, so
-the (A, M, M) transition block is centred on them directly. The (A, M, M)
-likelihood block follows from the predicted map values alone: z_j is the
-map value at hypothesis j. A failure confined to one action's rollout (a
-non-finite estimate) fails that action alone.
+the filter's kernel `_log_predicted_density` takes them as both cloud and
+means in one stacked (A, M) call, and both entropies are `_entropy_nats`.
+The (A, M, M) likelihood block follows from the predicted map values alone:
+z_j is the map value at hypothesis j. A failure confined to one action's
+rollout (a non-finite estimate) fails that action alone.
 """
 
 from __future__ import annotations
@@ -190,30 +194,49 @@ def _log_predicted_density(
     cur_states: np.ndarray, means: np.ndarray, log_w: np.ndarray, motion: MotionNoise
 ) -> np.ndarray:
     """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles, given
-    the prev particles' motion `means` and `log_w = _safe_log(w_prev)`."""
+    the prev particles' motion `means` and `log_w = _safe_log(w_prev)`. Leading
+    axes stack clouds, cur (..., n, 3), means (..., m, 3) and log_w (..., m)
+    into (..., n); each tile holds the same rows of every cloud."""
     cur = coordinate_planes(in_range_headings(cur_states))
-    mu = coordinate_planes(means)
-    n, m = cur.shape[1], mu.shape[1]
-    rows = max(1, TILE_ELEMENTS // m)
-    bufs = np.empty((3, min(rows, n), m))
-    out = np.empty(n)
+    mu = coordinate_planes(means)[..., None, :]
+    lead, n, m = cur.shape[1:-1], cur.shape[-1], mu.shape[-1]
+    rows = max(1, TILE_ELEMENTS // (math.prod(lead) * m))
+    bufs = np.empty((3, *lead, min(rows, n), m))
+    out = np.empty((*lead, n))
+    log_w = log_w[..., None, :]
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        tile, tmp, shift = bufs[:, : r1 - r0]
+        tile, tmp, shift = bufs[..., : r1 - r0, :]
         transition_log_density_from_means(
-            cur[:, r0:r1, None], mu, motion, out=tile, scratch=(tmp, shift)
+            cur[..., r0:r1, None], mu, motion, out=tile, scratch=(tmp, shift)
         )
         tile += log_w
-        out[r0:r1] = _logsumexp_into(tile, axis=1)
+        out[..., r0:r1] = _logsumexp_into(tile, axis=-1)
     return out
 
 
-def _expectation(weights: np.ndarray, log_terms: np.ndarray, what: str) -> float:
-    # 0 * (-inf) is a legitimate 0 contribution; positive weight on -inf is not.
-    terms = np.where(weights > 0, weights * log_terms, 0.0)
-    if not np.all(np.isfinite(terms)):
-        raise EntropyError(f"{what}: positive-weight particle with zero density")
-    return float(terms.sum())
+def _entropy_nats(w, log_pred, log_lik=None, log_evidence=None, axis=-1) -> np.ndarray:
+    """log_evidence - sum over `axis` of w * (log_lik + log_pred), in nats; with
+    no measurement, -sum w * log_pred. A zero weight on a -inf term counts 0;
+    a positive one makes the result non-finite, which the caller reports."""
+    log_terms = log_pred if log_lik is None else log_lik + log_pred
+    terms = np.zeros(np.broadcast(w, log_terms).shape)
+    np.multiply(w, log_terms, out=terms, where=w > 0)
+    total = np.add.reduce(terms, axis=axis)
+    return -total if log_evidence is None else log_evidence - total
+
+
+def _particle_entropy(w_cur, log_pred, log_lik=None, log_evidence=None) -> EntropyEstimate:
+    """The filter's entropy from cur's weights and its per-particle log terms: the
+    posterior given z's log_lik and log evidence log(sum_i L_i w_prev_i)."""
+    measured = log_lik is not None
+    if measured and not math.isfinite(log_evidence):
+        raise EntropyError("measurement has zero mass under the predicted belief")
+    nats = _entropy_nats(w_cur, log_pred, log_lik, log_evidence)
+    if not math.isfinite(nats):
+        what = "posterior" if measured else "predicted"
+        raise EntropyError(f"{what} entropy: positive-weight particle with zero density")
+    return EntropyEstimate(float(nats) / LN2, len(w_cur), with_measurement=measured)
 
 
 def entropy_posterior(
@@ -231,7 +254,8 @@ def entropy_posterior(
     """
     log_w, log_pred = _prev_terms(prev, cur, u, models)
     log_lik = measurement_log_likelihood_array(z, cur.particles, grid, models.sensor)
-    return _posterior_entropy(log_w, log_lik, log_pred, cur.weights)
+    log_evidence = float(logsumexp(log_lik + log_w))
+    return _particle_entropy(cur.weights, log_pred, log_lik, log_evidence)
 
 
 def _prev_terms(
@@ -245,31 +269,11 @@ def _prev_terms(
     return log_w, _log_predicted_density(cur.particles, means, log_w, models.motion)
 
 
-def _posterior_entropy(
-    log_w_prev: np.ndarray, log_lik: np.ndarray, log_pred: np.ndarray, w_cur: np.ndarray
-) -> EntropyEstimate:
-    """The posterior entropy from its per-particle log terms and cur's weights."""
-    log_evidence = float(logsumexp(log_lik + log_w_prev))
-    if not math.isfinite(log_evidence):
-        raise EntropyError("measurement has zero mass under the predicted belief")
-    nats = log_evidence - _expectation(w_cur, log_lik + log_pred, "posterior entropy")
-    return EntropyEstimate(nats / LN2, len(w_cur), with_measurement=True)
-
-
-def _predicted_entropy(log_pred: np.ndarray, w_cur: np.ndarray) -> EntropyEstimate:
-    """The no-measurement entropy from the log predicted density and cur's weights."""
-    nats = -_expectation(w_cur, log_pred, "predicted entropy")
-    return EntropyEstimate(nats / LN2, len(w_cur), with_measurement=False)
-
-
 def entropy_predicted(
-    prev: ParticleBelief,
-    cur: ParticleBelief,
-    u: ControlInput,
-    models: ModelSet,
+    prev: ParticleBelief, cur: ParticleBelief, u: ControlInput, models: ModelSet
 ) -> EntropyEstimate:
     """Entropy of the motion-predicted belief, no measurement incorporated."""
-    return _predicted_entropy(_prev_terms(prev, cur, u, models)[1], cur.weights)
+    return _particle_entropy(cur.weights, _prev_terms(prev, cur, u, models)[1])
 
 
 def eer(
@@ -312,28 +316,23 @@ def eer(
     states = unicycle_rollout(b.particles[idx], actions[0].v, omega, models.dt, horizon_steps)
 
     w = 1.0 / m_count
-    log_w = math.log(w)
     pts = states[..., :2].reshape(-1, 2)
     z_pred = interpolate(grid, grid.clamp(pts)).reshape(n_actions, m_count)
     inside = grid.contains(pts).reshape(n_actions, m_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        # (a, i, j): log p(x_i | hypothesis j one step earlier), whose motion
-        # mean is x_j, and log p(z_j | x_i). unicycle_rollout has wrapped every
-        # heading, as the transition density requires.
-        planes = coordinate_planes(states)
-        log_t = transition_log_density_from_means(
-            planes[..., :, None], planes[..., None, :], models.motion
-        )
+        # Hypothesis j one step earlier has motion mean x_j, so the terminal
+        # hypotheses are both cloud and means; unicycle_rollout wrapped headings.
+        log_w = np.full((n_actions, m_count), math.log(w))
+        log_pred = _log_predicted_density(states, states, log_w, models.motion)
+        h_base = _entropy_nats(w, log_pred)
+        # (a, i, j): log p(z_j | x_i).
         log_lik = sensor_log_likelihood(
             z_pred[:, None, :], z_pred[:, :, None], inside[:, :, None], models.sensor
         )
-        log_pred = logsumexp(log_t + log_w, axis=2)
-        h_base = -(w * log_pred).sum(axis=1)
-        log_joint = log_lik + log_w
+        log_joint = log_lik + math.log(w)
         log_evidence = logsumexp(log_joint, axis=1)
         w_post = np.exp(log_joint - log_evidence[:, None, :])
-        terms = np.where(w_post > 0, w_post * (log_lik + log_pred[:, :, None]), 0.0)
-        h_future = log_evidence - terms.sum(axis=1)
+        h_future = _entropy_nats(w_post, log_pred[:, :, None], log_lik, log_evidence, axis=1)
         # p(z_j | x_j) sits on the likelihood block's diagonal; normalize
         # across j so the future-entropy average is a proper expectation.
         log_pz = np.diagonal(log_lik, axis1=1, axis2=2)
@@ -341,11 +340,11 @@ def eer(
         nats = h_base - np.einsum("aj,aj->a", pbar, h_future)
 
     checks = (
-        (np.isfinite(log_pred).all(axis=1),
+        (np.isfinite(h_base),
          "horizon baseline entropy: positive-weight particle with zero density"),
         (np.isfinite(log_evidence).all(axis=1),
          "a predicted measurement has zero mass under the rollout"),
-        (np.isfinite(terms).all(axis=(1, 2)),
+        (np.isfinite(h_future).all(axis=1),
          "future entropy: positive-weight hypothesis with zero density"),
     )
     out: list[EerValue | EntropyError] = []

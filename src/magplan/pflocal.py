@@ -191,22 +191,24 @@ def update(
     long before the posterior is actually degenerate.
     """
     log_lik = measurement_log_likelihood_array(z, b.particles, grid, noise)
-    return _reweighted(b, _safe_log(b.weights), log_lik)
+    return _reweighted(b, _safe_log(b.weights), log_lik)[0]
 
 
-def _reweighted(b: ParticleBelief, log_w: np.ndarray, log_lik: np.ndarray) -> ParticleBelief:
-    """`b` reweighted by `log_lik`; `log_w` is `_safe_log(b.weights)`."""
+def _reweighted(b: ParticleBelief, log_w: np.ndarray, log_lik: np.ndarray):
+    """`b` reweighted by `log_lik` (`log_w` is `_safe_log(b.weights)`), and its
+    log mass, reduced as `infogain.logsumexp` reduces it, np.log included."""
     log_w = log_w + log_lik
     peak = float(np.max(log_w))
     if not math.isfinite(peak):
         raise WeightCollapseError("every particle has zero posterior mass")
     shifted = np.exp(log_w - peak)
     total = float(shifted.sum())
-    if peak + math.log(total) < math.log(COLLAPSE_THRESHOLD):
+    log_mass = float(np.log(total)) + peak
+    if log_mass < math.log(COLLAPSE_THRESHOLD):
         raise WeightCollapseError(
-            f"unnormalized posterior mass underflowed (log mass {peak + math.log(total):.1f})"
+            f"unnormalized posterior mass underflowed (log mass {log_mass:.1f})"
         )
-    return _snapshot(ParticleBelief, b.particles, shifted / total, b.rng)
+    return _snapshot(ParticleBelief, b.particles, shifted / total, b.rng), log_mass
 
 
 def effective_sample_size(b: ParticleBelief) -> float:

@@ -203,10 +203,10 @@ class EpisodeRunner:
     ) -> tuple[float, pflocal.GaussianSummary, float, bool, bool]:
         """Predict + update + entropy + resample when the ESS falls below N/2.
 
-        Returns (entropy_bits, estimate, ess, resampled, collapsed). On
-        weight collapse the belief resets to uniform weights over the
-        predicted particles and the entropy falls back to the
-        no-measurement estimate. Each term the filter steps share is computed once.
+        Returns (entropy_bits, estimate, ess, resampled, collapsed). On weight
+        collapse the belief resets to uniform weights over the predicted particles
+        and the entropy falls back to `entropy_predicted`'s (w_cur = w_prev).
+        Each term the filter steps share, the log evidence too, is computed once.
         """
         cfg = self.cfg
         models = cfg.models
@@ -218,14 +218,13 @@ class EpisodeRunner:
         log_pred = infogain._log_predicted_density(cur, means, log_w, models.motion)
         log_lik = measurement_log_likelihood_array(z, cur, cfg.grid, models.sensor)
         try:
-            updated = pflocal._reweighted(predicted, log_w, log_lik)
+            updated, log_evidence = pflocal._reweighted(predicted, log_w, log_lik)
         except WeightCollapseError:
-            uniform = np.full(predicted.n, 1.0 / predicted.n)
-            updated = ParticleBelief(cur, uniform, predicted.rng)
-            entropy = infogain._predicted_entropy(log_pred, updated.weights)
+            updated = ParticleBelief(cur, np.full(predicted.n, 1.0 / predicted.n), predicted.rng)
+            entropy = infogain._particle_entropy(predicted.weights, log_pred)
             collapsed = True
         else:
-            entropy = infogain._posterior_entropy(log_w, log_lik, log_pred, updated.weights)
+            entropy = infogain._particle_entropy(updated.weights, log_pred, log_lik, log_evidence)
             collapsed = False
         summary = pflocal.estimate(updated)
         ess = pflocal.effective_sample_size(updated)

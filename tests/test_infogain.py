@@ -30,9 +30,10 @@ from magplan.models import (
     motion_mean_array,
     wrap_angle_array,
 )
-from magplan import infogain
+from magplan import infogain, pflocal
 from magplan.pflocal import ParticleBelief, _safe_log, estimate, init, predict, update
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_action
+from magplan.simloop import EpisodeConfig, EpisodeRunner
 from magplan.infogain import (
     TILE_ELEMENTS,
     EerValue,
@@ -160,6 +161,25 @@ def test_particle_count_mismatch_rejected(ramp_grid, models):
         entropy_predicted(prev, cur, ControlInput(0.2, 0.0), models)
 
 
+def test_zero_weight_on_zero_density_counts_zero():
+    # 0 * (-inf) adds nothing to either entropy; a positive weight on a
+    # particle of zero density is an error that names the estimate.
+    w = np.array([0.0, 0.25, 0.75])
+    log_pred = np.array([-np.inf, -1.0, -2.0])
+    log_lik = np.array([-np.inf, -0.5, -0.25])
+    pred = infogain._particle_entropy(w, log_pred)
+    assert pred.bits * math.log(2.0) == pytest.approx(0.25 + 1.5, abs=1e-15)
+    post = infogain._particle_entropy(w, log_pred, log_lik, 1.0)
+    assert post.bits * math.log(2.0) == pytest.approx(1.0 + 0.375 + 1.6875, abs=1e-15)
+    w = np.array([0.5, 0.25, 0.25])
+    with pytest.raises(EntropyError, match="^predicted entropy: positive-weight"):
+        infogain._particle_entropy(w, log_pred)
+    with pytest.raises(EntropyError, match="^posterior entropy: positive-weight"):
+        infogain._particle_entropy(w, log_pred, log_lik, 1.0)
+    with pytest.raises(EntropyError, match="measurement has zero mass"):
+        infogain._particle_entropy(w, log_pred, log_lik, -np.inf)
+
+
 # --- row-tiled predicted density vs the dense N x N oracle ---
 
 KERNEL_MODELS = ModelSet(MotionNoise(0.021, 0.013, 0.047), STD_SENSOR, STD_DT)
@@ -190,26 +210,97 @@ def kernel_args(prev: np.ndarray, w: np.ndarray):
     return motion_mean_array(prev, KERNEL_U, STD_DT), _safe_log(w), KERNEL_MODELS.motion
 
 
+def ragged_n(whole_tiles: int, batch: int = 1) -> int:
+    """An N whose (batch, N, N) density splits into about `whole_tiles` full
+    row tiles and a partial last one, whatever TILE_ELEMENTS is."""
+    n = math.isqrt(whole_tiles * TILE_ELEMENTS // batch)
+    while n % (TILE_ELEMENTS // (batch * n)) == 0:
+        n += 1
+    return n
+
+
 @pytest.mark.parametrize(
     "n, zero_every, ragged",
     [
         (1, 0, False),  # one particle
         (40, 0, False),  # well below one tile
-        (150, 0, False),  # one tile, as in the shipped configs
+        (150, 0, False),  # as in the shipped configs, one tile
         (150, 3, False),  # zero weights
-        (300, 3, True),  # tiles of 109 rows, the last one 82, zero weights
-        (700, 0, True),  # tiles of 46 rows, the last one 10
-        (1001, 0, True),  # tiles of 32 rows, the last one 9
+        # N follows the tile budget and the id does not: about 3, 15 and 31
+        # full row tiles, then a partial one (zero weights in the first).
+        pytest.param(ragged_n(3), 3, True, id="ragged-3-zero-weights"),
+        pytest.param(ragged_n(15), 0, True, id="ragged-15"),
+        pytest.param(ragged_n(31), 0, True, id="ragged-31"),
     ],
 )
 def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, ragged):
     rows = TILE_ELEMENTS // n
-    assert (rows < n and n % rows != 0) == ragged
+    assert not ragged or (rows < n and n % rows != 0)
     prev, cur, w = seam_clouds(n, 100 + n, zero_every)
     assert n == 1 or ((cur[:, 2] > 0).any() and (cur[:, 2] < 0).any())
     got = infogain._log_predicted_density(cur, *kernel_args(prev, w))
     want = dense_log_predicted_density(cur, *kernel_args(prev, w))
     assert bit_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "batch, n, ragged",
+    [
+        pytest.param(6, 20, False, id="eer-6x20"),  # eer's (A, M) hypotheses in one tile
+        pytest.param(3, ragged_n(2, 3), True, id="ragged-3-clouds"),
+    ],
+)
+def test_stacked_predicted_density_matches_each_cloud_bitwise(batch, n, ragged):
+    # A stack shares each tile's rows across its clouds; every row must come
+    # out as the cloud's own 2-D call and the dense oracle give it.
+    rows = TILE_ELEMENTS // (batch * n)
+    assert (rows < n and n % rows != 0) == ragged
+    clouds = [seam_clouds(n, 7 * k + n, zero_every=3 * (k % 2)) for k in range(batch)]
+    prev, cur, w = (np.stack(parts) for parts in zip(*clouds))
+    means = motion_mean_array(prev.reshape(-1, 3), KERNEL_U, STD_DT).reshape(prev.shape)
+    got = infogain._log_predicted_density(cur, means, _safe_log(w), KERNEL_MODELS.motion)
+    assert got.shape == (batch, n)
+    for k in range(batch):
+        args = kernel_args(prev[k], w[k])
+        assert bit_equal(got[k], infogain._log_predicted_density(cur[k], *args))
+        assert bit_equal(got[k], dense_log_predicted_density(cur[k], *args))
+
+
+def test_closed_loop_entropy_equals_entropy_posterior_bitwise(peak_grid, models, monkeypatch):
+    # The step takes the measurement's log evidence from the reweighting;
+    # the public estimator reduces it with logsumexp. They must agree bit
+    # for bit, on resampled steps as on the others.
+    cfg = EpisodeConfig(
+        grid=peak_grid,
+        start=Pose(3.5, 1.5, 0.0),
+        goal=Goal((10.0, 0.5), 0.5),
+        weights=PlannerWeights(1.0, 1.0, 0.5),
+        actions=ActionSet.from_turn_rates(0.2, TURN_RATES),
+        models=ModelSet(STD_MOTION, SensorNoise(5.0), STD_DT),
+        prior_cov=np.diag([0.09, 0.09, math.radians(5.0) ** 2]),
+        n_particles=150,
+        eer_params=EerParams(20, 5),
+        step_budget=6,
+        seed=0,
+    )
+    runner = EpisodeRunner(cfg)
+    updated = []
+    resampled = pflocal._resampled
+
+    def capture(b, ess, threshold):
+        updated.append(b)
+        return resampled(b, ess, threshold)
+
+    monkeypatch.setattr(pflocal, "_resampled", capture)
+    flags = []
+    for _ in range(cfg.step_budget):
+        prev = runner.belief
+        row = runner.step()
+        assert not row.collapsed
+        flags.append(row.resampled)
+        want = entropy_posterior(prev, updated[-1], row.z, row.action, peak_grid, cfg.models)
+        assert bit_equal(row.entropy_bits, want.bits)
+    assert any(flags) and not all(flags)
 
 
 # peak_sweep.cfg's motion noise, narrow against a prior-wide cloud.

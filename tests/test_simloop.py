@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS, STD_MOTION, STD_SENSOR, bit_equal
 from magplan import infogain, magmap, models, pflocal, planner, simloop
+from magplan.infogain import entropy_predicted
 from magplan.magmap import OutOfMapError
 from magplan.models import (
     ControlInput,
@@ -18,6 +19,7 @@ from magplan.models import (
     Pose,
     SensorNoise,
 )
+from magplan.pflocal import ParticleBelief
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights
 from magplan.simloop import (
     EpisodeConfig,
@@ -212,6 +214,23 @@ def test_collapse_recovers_and_flags(base_cfg):
     assert all(math.isfinite(r.det_pos_cov) for r in trace.rows)
 
 
+def test_collapse_scores_the_prediction_with_the_prior_weights(base_cfg):
+    # The fallback entropy is entropy_predicted's: the predicted particles
+    # keep the weights they had before the collapse, not the uniform reset.
+    cfg = base_cfg()
+    runner = EpisodeRunner(cfg)
+    for _ in range(3):
+        runner.step()
+    prev = runner.belief
+    assert prev.weights.min() < prev.weights.max()
+    action = cfg.actions.actions[0]
+    bits, _, _, resampled, collapsed = runner.assimilate(action, 1e12)
+    assert collapsed and not resampled
+    predicted = ParticleBelief(runner.belief.particles, prev.weights, np.random.default_rng(0))
+    want = entropy_predicted(prev, predicted, action, cfg.models)
+    assert bit_equal(bits, want.bits)
+
+
 def test_resamples_below_half_the_particle_count(base_cfg):
     # A sharp sensor near the peak: the ESS falls below N/2 on some steps only.
     cfg = base_cfg(start=Pose(3.5, 1.5, 0.0), sensor=SensorNoise(5.0), step_budget=6)
@@ -223,31 +242,41 @@ def test_resamples_below_half_the_particle_count(base_cfg):
 
 def test_each_step_computes_its_filter_terms_once(base_cfg, monkeypatch):
     """Per step: one likelihood, one motion-mean and one ESS evaluation on the
-    particle cloud, and a second estimate only after a resample. The mean pose
-    the planner gets is the estimate of the current belief."""
+    particle cloud, one reduction of its log joint log_w + log_lik (by the
+    reweighting, or by a log-sum-exp over the N particles), and a second
+    estimate only after a resample. The mean pose the planner gets is the
+    estimate of the current belief."""
     cfg = base_cfg(start=Pose(3.5, 1.5, 0.0), sensor=SensorNoise(5.0), step_budget=6)
     runner = EpisodeRunner(cfg)
     estimate = pflocal.estimate
     calls = {}
 
-    def counting(name, fn):
+    def counting(key, fn, on_cloud):
         def counted(*args, **kwargs):
-            if name != "motion_mean_array" or len(args[0]) == cfg.n_particles:
-                calls[name] = calls.get(name, 0) + 1
+            if on_cloud(args[0]):
+                calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
 
         return counted
 
-    for owner, name in (
-        (models, "measurement_log_likelihood_array"),
-        (models, "motion_mean_array"),
-        (pflocal, "estimate"),
-        (pflocal, "effective_sample_size"),
+    def every(_):
+        return True
+
+    def n_rows(a):
+        return np.shape(a)[:1] == (cfg.n_particles,)
+
+    for owner, name, key, on_cloud in (
+        (models, "measurement_log_likelihood_array", "measurement_log_likelihood_array", every),
+        (models, "motion_mean_array", "motion_mean_array", n_rows),
+        (pflocal, "estimate", "estimate", every),
+        (pflocal, "effective_sample_size", "effective_sample_size", every),
+        (pflocal, "_reweighted", "log_joint", every),
+        (infogain, "logsumexp", "log_joint", lambda a: np.shape(a) == (cfg.n_particles,)),
     ):
         fn = getattr(owner, name)
         for site in (magmap, models, pflocal, infogain, planner, simloop):
             if vars(site).get(name) is fn:
-                monkeypatch.setattr(site, name, counting(name, fn))
+                monkeypatch.setattr(site, name, counting(key, fn, on_cloud))
     flags = []
     for _ in range(cfg.step_budget):
         calls.clear()
@@ -257,6 +286,7 @@ def test_each_step_computes_its_filter_terms_once(base_cfg, monkeypatch):
             "measurement_log_likelihood_array": 1,
             "motion_mean_array": 1,
             "effective_sample_size": 1,
+            "log_joint": 1,
             "estimate": 1 + row.resampled,
         }
         want = estimate(runner.belief)
