@@ -46,6 +46,20 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   exp of the few terms in the band (-746, -700]; the result is plain
   `np.exp`'s, bit for bit.
 
+* A call of more than one tile (n > rows: N above 181 for one cloud, so
+  the dense_filter benchmark at N = 2000 but not the shipped N = 150 step
+  or eer's stack) changes two things, both bit for bit. Its tiles run with
+  numpy's ufunc buffer set to one tile row (m rounded up to a multiple of
+  16), so the tile's five row and column broadcasts (the three residuals,
+  + log_w and - peak) no longer copy their broadcast operand through the
+  default 8192-element buffer. And when the call's residual bounds
+  min(cur heading) - max(mean heading) >= -3 and max - min <= pi hold, the
+  heading residual takes the four-pass wrap (`models.short_wrap_holds`),
+  whose second shift is the first one. Its tile scratch starts on a
+  64-byte boundary, so every row of a 2000-wide tile starts on a cache
+  line. One-tile calls skip all three: on eer's (6, 20, 20) call the range
+  check alone cost more than the wrap it saves.
+
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
   given predicted measurement z_j, and pbar_j the normalized likelihoods
@@ -84,6 +98,7 @@ from .models import (
     motion_mean_array,
     MotionNoise,
     sensor_log_likelihood,
+    short_wrap_holds,
     transition_log_density_from_means,
     unicycle_rollout,
 )
@@ -196,23 +211,53 @@ def _log_predicted_density(
     """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles, given
     the prev particles' motion `means` and `log_w = _safe_log(w_prev)`. Leading
     axes stack clouds, cur (..., n, 3), means (..., m, 3) and log_w (..., m)
-    into (..., n); each tile holds the same rows of every cloud."""
+    into (..., n); each tile holds the same rows of every cloud. A call of
+    more than one tile sets the ufunc buffer to one row (restored on the way
+    out) and may take the four-pass wrap; see the module docstring."""
     cur = coordinate_planes(in_range_headings(cur_states))
     mu = coordinate_planes(means)[..., None, :]
     lead, n, m = cur.shape[1:-1], cur.shape[-1], mu.shape[-1]
     rows = max(1, TILE_ELEMENTS // (math.prod(lead) * m))
-    bufs = np.empty((3, *lead, min(rows, n), m))
     out = np.empty((*lead, n))
     log_w = log_w[..., None, :]
+    if n <= rows:
+        _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)))
+        return out
+    short_wrap = short_wrap_holds(cur[2], mu[2])
+    bufs = _aligned_empty((3, *lead, rows, m))
+    # numpy 2 scopes the buffer size to errstate; numpy 1.x, which takes only
+    # multiples of 16, needs the finally.
+    with np.errstate():
+        saved = np.setbufsize(-(-m // 16) * 16)
+        try:
+            _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
+        finally:
+            np.setbufsize(saved)
+    return out
+
+
+def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap=False) -> None:
+    """Write `_log_predicted_density` into `out` tile by tile, `rows` rows at a
+    time, reusing the (3, ..., rows, m) scratch `bufs` for every tile."""
+    n = cur.shape[-1]
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         tile, tmp, shift = bufs[..., : r1 - r0, :]
         transition_log_density_from_means(
-            cur[..., r0:r1, None], mu, motion, out=tile, scratch=(tmp, shift)
+            cur[..., r0:r1, None], mu, motion, out=tile, scratch=(tmp, shift),
+            short_wrap=short_wrap,
         )
         tile += log_w
         out[..., r0:r1] = _logsumexp_into(tile, axis=-1)
-    return out
+
+
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array whose data starts on a 64-byte boundary, so
+    where the allocator puts it does not decide which rows share cache lines."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size].reshape(shape)
 
 
 def _entropy_nats(w, log_pred, log_lik=None, log_evidence=None, axis=-1) -> np.ndarray:

@@ -21,6 +21,12 @@ from .magmap import MagMap, interpolate, sample_points
 
 TWO_PI = 2.0 * math.pi
 
+# Lowest heading residual for which the short form of `wrap_residual` is
+# exact: every negative d from here up has d + 2*pi round past pi. At d = -pi
+# it does not (-pi + 2*pi is pi), and the full wrap gives +pi where the
+# short form would give -pi. This is a correctness bound, not a tuning knob.
+SHORT_WRAP_FLOOR = -3.0
+
 # Likelihood multiplier for poses outside the map: the query is clamped to
 # the nearest extent point and the density is scaled down by this factor.
 OUT_OF_MAP_PENALTY = 1e-3
@@ -204,7 +210,9 @@ def _check_densities_valid(noise: MotionNoise) -> None:
         )
 
 
-def wrap_residual(d: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+def wrap_residual(
+    d: np.ndarray, shift: np.ndarray | None = None, short: bool = False
+) -> np.ndarray:
     """`wrap_angle_array(d)` in place, by two exact shifts instead of np.remainder.
 
     Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
@@ -212,16 +220,35 @@ def wrap_residual(d: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
     comparison written as 0.0 or 1.0 into the float buffer `shift`, scaled
     by 2*pi and added, so a caller that passes `shift` (d's shape) makes no
     temporaries; it is allocated when not given.
+
+    `short` is for a caller that has checked every d lies in
+    [SHORT_WRAP_FLOOR, pi] (see `short_wrap_holds`). There a negative d has
+    d + 2*pi > pi and a non-negative one stays at most pi, so the second
+    shift equals the first: the wrap adds and subtracts one shift, four
+    passes instead of six, with the same bits.
     """
     if shift is None:
         shift = np.empty_like(d)
     np.less(d, 0.0, out=shift)
     shift *= TWO_PI
     d += shift
-    np.greater(d, math.pi, out=shift)
-    shift *= TWO_PI
+    if not short:
+        np.greater(d, math.pi, out=shift)
+        shift *= TWO_PI
     d -= shift
     return d
+
+
+def short_wrap_holds(nxt_theta: np.ndarray, mu_theta: np.ndarray) -> bool:
+    """Whether every residual nxt - mu of the two heading arrays lies in
+    [SHORT_WRAP_FLOOR, pi], so `wrap_residual(..., short=True)` is exact.
+
+    Rounding is monotone, so each residual lies between min(nxt) - max(mu)
+    and max(nxt) - min(mu); a nan heading fails the check.
+    """
+    lo = nxt_theta.min() - mu_theta.max()
+    hi = nxt_theta.max() - mu_theta.min()
+    return bool(SHORT_WRAP_FLOOR <= lo and hi <= math.pi)
 
 
 def in_range_headings(states: np.ndarray) -> np.ndarray:
@@ -249,6 +276,7 @@ def transition_log_density_from_means(
     noise: MotionNoise,
     out: np.ndarray | None = None,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    short_wrap: bool = False,
 ) -> np.ndarray:
     """Pairwise log N(next; mean, noise) from (3, ...) coordinate planes.
 
@@ -263,7 +291,9 @@ def transition_log_density_from_means(
     The angular residual is wrapped before the Gaussian is evaluated so a
     heading step across the +/-pi seam is not scored as a near-full turn.
     Every heading must lie in [-pi, pi] (see `in_range_headings`); motion
-    steps always return such headings.
+    steps always return such headings. `short_wrap` says the caller has
+    checked `short_wrap_holds` for the two heading planes, so the residual
+    takes the four-pass wrap.
     """
     _check_densities_valid(noise)
     if out is None:
@@ -290,7 +320,7 @@ def transition_log_density_from_means(
     out += np.square(tmp, out=tmp)
     np.copyto(tmp, nxt[2])
     tmp -= mu[2]
-    wrap_residual(tmp, shift)
+    wrap_residual(tmp, shift, short_wrap)
     tmp /= noise.sigma_theta
     out += np.square(tmp, out=tmp)
     out *= 0.5

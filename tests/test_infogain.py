@@ -29,6 +29,7 @@ from magplan.models import (
     SensorNoise,
     motion_mean_array,
     wrap_angle_array,
+    wrap_residual,
 )
 from magplan import infogain, pflocal
 from magplan.pflocal import ParticleBelief, _safe_log, estimate, init, predict, update
@@ -325,6 +326,120 @@ def test_peaked_predicted_density_matches_dense_oracle_bitwise(n):
     assert ((shifted > -746.0) & (shifted <= infogain.FAST_FLOOR)).sum() > n
     got = infogain._log_predicted_density(cur, means, log_w, PEAKED_MOTION)
     assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, PEAKED_MOTION))
+
+
+# --- calls of more than one tile: row-sized ufunc buffer, four-pass wrap ---
+
+
+def band_clouds(n: int, seed: int, cur_band, mean_band, signed_zeros: bool = False):
+    """cur states, motion means and log weights whose headings are drawn from
+    the two bands. Each band's ends are pinned onto two states, so the call's
+    residual bounds are exactly cur_band[0] - mean_band[1] and
+    cur_band[1] - mean_band[0]. With `signed_zeros`, some headings of both
+    clouds are -0.0 and some +0.0."""
+    rng = np.random.default_rng(seed)
+    means = np.column_stack(
+        [rng.normal(5.0, 0.05, n), rng.normal(0.0, 0.05, n), rng.uniform(*mean_band, n)]
+    )
+    cur = np.column_stack(
+        [means[:, 0] + rng.normal(0.0, 0.02, n), means[:, 1] + rng.normal(0.0, 0.02, n),
+         rng.uniform(*cur_band, n)]
+    )
+    cur[:2, 2] = cur_band
+    means[:2, 2] = mean_band[::-1]
+    if signed_zeros:
+        cur[2::3, 2], cur[3::7, 2] = -0.0, 0.0
+        means[2::5, 2], means[4::7, 2] = -0.0, 0.0
+    return cur, means, _safe_log(rng.dirichlet(np.ones(n)))
+
+
+@pytest.fixture
+def wrap_forms(monkeypatch):
+    """The `short` flag of every `wrap_residual` call the kernel makes."""
+    forms = []
+
+    def spy(d, shift=None, short=False):
+        forms.append(short)
+        return wrap_residual(d, shift, short)
+
+    monkeypatch.setattr("magplan.models.wrap_residual", spy)
+    return forms
+
+
+NEXT_BELOW_MINUS_3 = math.nextafter(-3.0, -4.0)
+NEXT_ABOVE_PI = math.nextafter(math.pi, 4.0)
+
+
+@pytest.mark.parametrize(
+    "n, cur_band, mean_band, signed_zeros, short",
+    [
+        # Headings in a band off the +/-pi seam.
+        pytest.param(ragged_n(15), (0.2, 0.6), (0.25, 0.55), False, True, id="ragged-15-off-seam"),
+        pytest.param(2000, (-0.4, 0.1), (-0.3, 0.05), False, True, id="2000-off-seam"),
+        # The bounds themselves, and the first floats past them.
+        pytest.param(ragged_n(3), (-1.5, 1.5), (-1.5, 1.5), False, True, id="lo-at-minus-3"),
+        pytest.param(ragged_n(3), (NEXT_BELOW_MINUS_3 + 1.5, 1.5), (-1.5, 1.5), False, False,
+                     id="lo-below-minus-3"),
+        pytest.param(ragged_n(3), (-1.0, 2.0), (2.0 - math.pi, 1.0), False, True, id="hi-at-pi"),
+        pytest.param(ragged_n(3), (-1.0, 2.0), (2.0 - NEXT_ABOVE_PI, 1.0), False, False,
+                     id="hi-above-pi"),
+        pytest.param(ragged_n(3), (-0.3, 0.3), (-0.3, 0.3), True, True, id="signed-zeros"),
+    ],
+)
+def test_multi_tile_wrap_forms_match_dense_oracle_bitwise(
+    wrap_forms, n, cur_band, mean_band, signed_zeros, short
+):
+    cur, means, log_w = band_clouds(n, n, cur_band, mean_band, signed_zeros)
+    lo = cur[:, 2].min() - means[:, 2].max()
+    hi = cur[:, 2].max() - means[:, 2].min()
+    assert (lo, hi) == (cur_band[0] - mean_band[1], cur_band[1] - mean_band[0])
+    assert short == (lo >= -3.0 and hi <= math.pi)
+    if signed_zeros:
+        assert np.signbit(cur[cur[:, 2] == 0.0, 2]).any()
+        assert np.signbit(means[means[:, 2] == 0.0, 2]).any()
+    got = infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
+    assert len(wrap_forms) > 1 and set(wrap_forms) == {short}
+    assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion))
+
+
+def test_one_tile_call_takes_the_six_pass_wrap(wrap_forms):
+    # Only a call of more than one tile checks the residual bounds.
+    cur, means, log_w = band_clouds(150, 4, (0.2, 0.6), (0.25, 0.55))
+    got = infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
+    assert wrap_forms == [False]
+    assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion))
+
+
+def test_ufunc_buffer_is_one_tile_row_and_restored(monkeypatch):
+    # The tiles of a multi-tile call run with numpy's ufunc buffer at one row,
+    # rounded up to a multiple of 16, on scratch that starts on a 64-byte
+    # boundary; the caller's buffer size is back afterwards, also when the
+    # first tile raises. A one-tile call leaves the buffer alone. The caller's
+    # size is set apart from any row size, so a leaked size cannot pass.
+    n = ragged_n(3)
+    assert n % 16 != 0
+    cur, means, log_w = band_clouds(n, 6, (-0.4, 0.1), (-0.3, 0.05))
+    seen = []
+    reduce = infogain._logsumexp_into
+
+    def spy(a, axis=None):
+        seen.append((np.getbufsize(), a.ctypes.data % 64))
+        return reduce(a, axis)
+
+    monkeypatch.setattr(infogain, "_logsumexp_into", spy)
+    saved = np.setbufsize(4096)
+    try:
+        infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
+        assert np.getbufsize() == 4096
+        assert len(seen) > 1 and set(seen) == {(-(-n // 16) * 16, 0)}
+        seen.clear()
+        infogain._log_predicted_density(cur[:40], means[:40], log_w[:40], KERNEL_MODELS.motion)
+        assert [size for size, _ in seen] == [4096]
+        with pytest.raises(DegenerateDensityError):
+            infogain._log_predicted_density(cur, means, log_w, MotionNoise(0.021, 0.0, 0.047))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
 
 
 def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):

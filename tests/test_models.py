@@ -13,6 +13,7 @@ from conftest import bit_equal
 from magplan.magmap import GridGeometry, OutOfMapError, SyntheticMapSpec, generate_synthetic
 from magplan.models import (
     OUT_OF_MAP_PENALTY,
+    SHORT_WRAP_FLOOR,
     ControlInput,
     DegenerateDensityError,
     ModelError,
@@ -23,6 +24,7 @@ from magplan.models import (
     in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
+    short_wrap_holds,
     simulate_measurement,
     step_motion,
     step_motion_array,
@@ -90,6 +92,48 @@ def test_wrap_residual_matches_wrap_angle_array_bitwise():
 def test_wrap_residual_property(a: float, b: float):
     d = np.array([a - b])
     assert bit_equal(wrap_residual(d.copy()), wrap_angle_array(d))
+
+
+# The short form's range, its ends and the float values next to each end.
+SHORT_WRAP_EDGES = [
+    v
+    for x in (-3.0, -0.0, 0.0, 5e-324, math.pi)
+    for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    if -3.0 <= v <= math.pi
+]
+
+
+def test_short_wrap_matches_wrap_angle_array_bitwise():
+    d = np.concatenate(
+        [SHORT_WRAP_EDGES, np.random.default_rng(9).uniform(-3.0, math.pi, 1000)]
+    )
+    assert {-3.0, math.pi, 5e-324, -5e-324} <= set(SHORT_WRAP_EDGES)
+    assert bit_equal(wrap_residual(d.copy(), short=True), wrap_angle_array(d))
+
+
+@given(st.floats(-3.0, math.pi))
+def test_short_wrap_property(d: float):
+    d = np.array([d])
+    assert bit_equal(wrap_residual(d.copy(), short=True), wrap_angle_array(d))
+
+
+def test_short_wrap_parts_from_the_full_wrap_at_minus_pi():
+    # Why the short form needs SHORT_WRAP_FLOOR: -pi + 2*pi is exactly pi,
+    # which the full wrap keeps and the short form shifts back to -pi.
+    d = np.array([-math.pi])
+    assert wrap_angle_array(d)[0] == math.pi
+    assert wrap_residual(d.copy())[0] == math.pi
+    assert wrap_residual(d.copy(), short=True)[0] == -math.pi
+
+
+def test_short_wrap_holds_on_its_bounds():
+    assert SHORT_WRAP_FLOOR == -3.0
+    assert short_wrap_holds(np.array([-1.5, 0.0]), np.array([1.5, 0.0]))
+    below = math.nextafter(-3.0, -4.0)
+    assert not short_wrap_holds(np.array([below + 1.5]), np.array([1.5]))
+    assert short_wrap_holds(np.array([2.0]), np.array([2.0 - math.pi]))
+    assert not short_wrap_holds(np.array([2.0]), np.array([2.0 - math.nextafter(math.pi, 4.0)]))
+    assert not short_wrap_holds(np.array([0.0, math.nan]), np.array([0.0]))
 
 
 def test_in_range_headings_leaves_wrapped_states_untouched():
