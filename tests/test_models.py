@@ -21,13 +21,13 @@ from magplan.models import (
     MotionNoise,
     Pose,
     SensorNoise,
+    add_motion_noise,
     in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
     short_wrap_holds,
     simulate_measurement,
     step_motion,
-    step_motion_array,
     unicycle_rollout,
     wrap_angle,
     wrap_angle_array,
@@ -222,13 +222,13 @@ def test_two_half_steps_compose_when_not_turning():
     assert half.as_array() == pytest.approx(full.as_array(), abs=1e-15)
 
 
-def test_step_motion_array_matches_scalar():
+def test_array_step_matches_scalar():
     rng = np.random.default_rng(0)
     states = np.column_stack(
         [rng.uniform(-5, 5, 30), rng.uniform(-5, 5, 30), rng.uniform(-4, 4, 30)]
     )
     u = ControlInput(0.2, 0.3)
-    out = step_motion_array(states, u, 0.1, NO_NOISE, idle_rng())
+    out = add_motion_noise(motion_mean_array(states, u, 0.1), NO_NOISE, idle_rng())
     for k in range(30):
         p = step_motion(Pose(*states[k]), u, 0.1, NO_NOISE, idle_rng())
         assert out[k] == pytest.approx(p.as_array(), abs=1e-15)
@@ -239,7 +239,7 @@ def test_motion_mean_array_is_noise_free_step():
     u = ControlInput(0.5, -0.2)
     assert np.array_equal(
         motion_mean_array(states, u, 0.1),
-        step_motion_array(states, u, 0.1, NO_NOISE, idle_rng()),
+        [step_motion(Pose(*s), u, 0.1, NO_NOISE, idle_rng()).as_array() for s in states],
     )
 
 
@@ -263,7 +263,7 @@ def test_noisy_step_statistics():
     n = 200_000
     states = np.tile([1.0, -2.0, 0.3], (n, 1))
     u = ControlInput(0.2, 0.1)
-    out = step_motion_array(states, u, 0.1, noise, rng)
+    out = add_motion_noise(motion_mean_array(states, u, 0.1), noise, rng)
     det = motion_mean_array(states[:1], u, 0.1)[0]
     se = np.array([0.05, 0.02, 0.01]) / math.sqrt(n)
     for axis in range(3):
@@ -276,7 +276,8 @@ def test_noisy_step_statistics():
 def test_zero_noise_step_consumes_no_draws():
     rng = np.random.default_rng(11)
     before = rng.bit_generator.state
-    step_motion_array(np.zeros((4, 3)), ControlInput(0.1, 0.0), 0.1, NO_NOISE, rng)
+    step_motion(Pose(0.0, 0.0, 0.0), ControlInput(0.1, 0.0), 0.1, NO_NOISE, rng)
+    add_motion_noise(np.zeros((4, 3)), NO_NOISE, rng)
     assert rng.bit_generator.state == before
 
 
@@ -307,7 +308,7 @@ def test_rollout_matches_repeated_steps_bitwise(steps):
 
 def test_step_rejects_bad_dt():
     with pytest.raises(ModelError):
-        step_motion_array(np.zeros((1, 3)), ControlInput(0.1, 0.0), 0.0, NO_NOISE, idle_rng())
+        step_motion(Pose(0.0, 0.0, 0.0), ControlInput(0.1, 0.0), 0.0, NO_NOISE, idle_rng())
 
 
 # --- transition density ---

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS, STD_MOTION, STD_SENSOR, bit_equal
 from magplan import infogain, magmap, models, pflocal, planner, simloop
-from magplan.infogain import entropy_predicted
+from magplan.config import build_episode_config, load_config
 from magplan.magmap import OutOfMapError
 from magplan.models import (
     ControlInput,
@@ -41,7 +43,9 @@ from magplan.simloop import (
     write_summary,
     write_trace,
 )
+from oracles import predicted_entropy
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ACTIONS = ActionSet.from_turn_rates(
     0.2, [math.radians(d) for d in (-25.0, -15.0, -5.0, 5.0, 15.0, 25.0)]
 )
@@ -202,6 +206,11 @@ def test_truth_leaving_map_is_a_step_failure(base_cfg):
         run_episode(cfg)
     assert isinstance(info.value.cause, OutOfMapError)
     assert 0 <= info.value.step < 60
+    # The benchmark runs the same loop, so it fails the same way.
+    with pytest.raises(StepFailure) as timed:
+        benchmark_planning(cfg, cfg.step_budget)
+    assert timed.value.step == info.value.step
+    assert isinstance(timed.value.cause, OutOfMapError)
 
 
 def test_collapse_recovers_and_flags(base_cfg):
@@ -215,7 +224,7 @@ def test_collapse_recovers_and_flags(base_cfg):
 
 
 def test_collapse_scores_the_prediction_with_the_prior_weights(base_cfg):
-    # The fallback entropy is entropy_predicted's: the predicted particles
+    # The fallback entropy is the no-measurement one: the predicted particles
     # keep the weights they had before the collapse, not the uniform reset.
     cfg = base_cfg()
     runner = EpisodeRunner(cfg)
@@ -224,11 +233,44 @@ def test_collapse_scores_the_prediction_with_the_prior_weights(base_cfg):
     prev = runner.belief
     assert prev.weights.min() < prev.weights.max()
     action = cfg.actions.actions[0]
-    bits, _, _, resampled, collapsed = runner.assimilate(action, 1e12)
-    assert collapsed and not resampled
+    record = runner.assimilate(action, 1e12)
+    assert record.collapsed and not record.resampled
     predicted = ParticleBelief(runner.belief.particles, prev.weights, np.random.default_rng(0))
-    want = entropy_predicted(prev, predicted, action, cfg.models)
-    assert bit_equal(bits, want.bits)
+    want = predicted_entropy(prev, predicted, action, cfg.models)
+    assert bit_equal(record.entropy_bits, want.bits)
+
+
+@pytest.mark.parametrize(
+    "over, flags",
+    [
+        # A sharp sensor near the peak: resampled steps and others.
+        (dict(start=Pose(3.5, 1.5, 0.0), sensor=SensorNoise(5.0), step_budget=6),
+         {(True, False), (False, False)}),
+        # A near-exact sensor: every step collapses.
+        (dict(sensor=SensorNoise(1e-9), step_budget=3, seed=2), {(False, True)}),
+    ],
+    ids=["resampling", "collapsing"],
+)
+def test_assimilate_is_the_step_the_runner_traces(base_cfg, over, flags):
+    # The module-level filter step on a copy of the runner's belief, given the
+    # step's action and reading, is bit for bit what the runner's step traces.
+    cfg = base_cfg(**over)
+    runner = EpisodeRunner(cfg)
+    seen = set()
+    for _ in range(cfg.step_budget):
+        belief = copy.deepcopy(runner.belief)
+        row = runner.step()
+        record = simloop.assimilate(belief, row.action, row.z, cfg.grid, cfg.models)
+        assert bit_equal(record.entropy_bits, row.entropy_bits)
+        assert bit_equal(record.ess, row.ess)
+        assert (record.resampled, record.collapsed) == (row.resampled, row.collapsed)
+        assert record.summary.mean == row.est
+        assert bit_equal(record.summary.covariance, row.covariance)
+        assert record.summary.det_positional() == row.det_pos_cov
+        assert bit_equal(record.belief.particles, runner.belief.particles)
+        assert bit_equal(record.belief.weights, runner.belief.weights)
+        seen.add((row.resampled, row.collapsed))
+    assert seen == flags
 
 
 def test_resamples_below_half_the_particle_count(base_cfg):
@@ -639,6 +681,15 @@ def test_benchmark_reports_per_step_times(base_cfg):
 def test_benchmark_clipped_by_budget(base_cfg):
     br = benchmark_planning(base_cfg(step_budget=3), n_steps=10)
     assert len(br.times_ms) == 3
+
+
+def test_benchmark_stops_at_goal_like_run():
+    # The benchmark times the episode's own loop: one plan call per step that
+    # run_episode takes, so it stops where the episode reaches its goal.
+    cfg = build_episode_config(load_config(str(CONFIGS / "peak_episode.cfg")), str(CONFIGS))
+    trace = run_episode(cfg)
+    assert trace.reached_goal and len(trace) < cfg.step_budget
+    assert len(benchmark_planning(cfg, cfg.step_budget).times_ms) == len(trace) == 104
 
 
 def test_benchmark_validation(base_cfg):
