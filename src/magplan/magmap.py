@@ -105,10 +105,6 @@ class MagMap:
     def height(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def geometry(self) -> GridGeometry:
-        return GridGeometry(self.origin, self.cell_size, self.width, self.height)
-
     def extent(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the interpolatable rectangle."""
         x0, y0 = self.origin
@@ -148,11 +144,12 @@ def sample_points(grid: MagMap, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     inside = grid.contains(pts)
     if not bool(np.all(inside)):
-        bad = pts[~inside][0]
-        raise OutOfMapError(
-            f"point ({bad[0]:g}, {bad[1]:g}) outside map extent {grid.extent()}"
-        )
+        raise _outside(grid, *pts[~inside][0])
     return interpolate(grid, pts)
+
+
+def _outside(grid: MagMap, x: float, y: float) -> OutOfMapError:
+    return OutOfMapError(f"point ({x:g}, {y:g}) outside map extent {grid.extent()}")
 
 
 def interpolate(grid: MagMap, pts: np.ndarray) -> np.ndarray:
@@ -161,14 +158,38 @@ def interpolate(grid: MagMap, pts: np.ndarray) -> np.ndarray:
     No extent check: a point outside is extrapolated from its nearest cell.
     """
     uv = (pts - grid.origin) / grid.cell_size
-    ij = np.floor(uv).astype(int)
-    np.minimum(np.maximum(ij, 0, out=ij), (grid.width - 2, grid.height - 2), out=ij)
-    f = uv - ij
-    (fu, fv), (gu, gv) = f.T, (1 - f).T
-    # The cell's corners (i, j), (i+1, j), (i, j+1), (i+1, j+1) in one flat gather.
+    # Cell indices stay floats until the one cast, so uv - cell mixes no ints.
+    cell = np.floor(uv)
+    np.minimum(np.maximum(cell, 0.0, out=cell), (grid.width - 2, grid.height - 2), out=cell)
+    f = uv - cell
+    g = 1 - f
+    fu, fv, gu, gv = f[:, 0], f[:, 1], g[:, 0], g[:, 1]
+    # The cell's corners (i, j), (i+1, j), (i, j+1), (i+1, j+1): one flat index
+    # k, gathered from the flat values shifted by each corner's offset.
     w = grid.width
-    corners = ij[:, 1] * w + ij[:, 0] + np.array([[0], [1], [w], [w + 1]])
-    z00, z10, z01, z11 = grid.values.ravel()[corners]
+    ij = cell.astype(np.intp)
+    k = ij[:, 1] * w + ij[:, 0]
+    flat = grid.values.ravel()
+    z00, z10, z01, z11 = flat[k], flat[1:][k], flat[w:][k], flat[w + 1 :][k]
+    return z00 * gu * gv + z10 * fu * gv + z01 * gu * fv + z11 * fu * fv
+
+
+def sample_point(grid: MagMap, x: float, y: float) -> float:
+    """`sample_points` at one position, in `math` scalars: the same extent
+    check and float operations in the same order, so the value is bitwise
+    the array form's. Raises OutOfMapError outside the extent."""
+    x_min, x_max, y_min, y_max = grid.extent()
+    if not (x_min <= x <= x_max and y_min <= y <= y_max):
+        raise _outside(grid, x, y)
+    u = (x - grid.origin[0]) / grid.cell_size
+    v = (y - grid.origin[1]) / grid.cell_size
+    i = min(math.floor(u), grid.width - 2)
+    j = min(math.floor(v), grid.height - 2)
+    fu, fv = u - i, v - j
+    gu, gv = 1 - fu, 1 - fv
+    vals = grid.values
+    z00, z10 = vals.item(j, i), vals.item(j, i + 1)
+    z01, z11 = vals.item(j + 1, i), vals.item(j + 1, i + 1)
     return z00 * gu * gv + z10 * fu * gv + z01 * gu * fv + z11 * fu * fv
 
 

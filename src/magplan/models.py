@@ -5,9 +5,12 @@ magnetometer whose reading is the map value at the robot position plus
 Gaussian noise. Shared by the simulator (sampling), the particle filter
 (likelihoods), and the planner (transition densities for entropy terms).
 
-Scalar operations take and return `Pose`; the `*_array` variants operate on
-(N, 3) float arrays of [x, y, theta] rows, which is how the filter and the
-entropy code actually call them.
+The single-pose operations the simulator runs once per step (`step_motion`,
+`simulate_measurement`) take and return `Pose` and are written in `math`
+scalars; the `*_array` variants operate on (N, 3) float arrays of
+[x, y, theta] rows and serve the filter and EER. Each scalar form makes the
+same float operations in the same order, and the same rng draws, as its
+array twin, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .magmap import MagMap, interpolate, sample_points
+from .magmap import MagMap, interpolate, sample_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,10 +71,6 @@ class Pose:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta], dtype=float)
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Pose":
-        return Pose(float(arr[0]), float(arr[1]), float(arr[2]))
 
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -144,23 +143,32 @@ def unicycle_rollout(
     `states[..., 2]`, so one call can roll several turn rates at once. The
     steps run as one batch: headings first, then x and y as running sums.
     """
-    theta = np.empty((steps + 1, *states.shape[:-1]))
+    lead = states.shape[:-1]
+    theta = np.empty((steps + 1, *lead))
     theta[0] = states[..., 2]
     turn = omega * dt
     for k in range(steps):
         theta[k + 1] = wrap_angle_array(theta[k] + turn)
-    moves = np.empty((steps + 1, *states.shape[:-1], 2))
+    moves = np.empty((steps + 1, *lead, 2))
     moves[0] = states[..., :2]
     moves[1:, ..., 0] = v * np.cos(theta[:-1]) * dt
     moves[1:, ..., 1] = v * np.sin(theta[:-1]) * dt
-    position = np.cumsum(moves, axis=0)[-1]
-    return np.concatenate((position, theta[-1][..., None]), axis=-1)
+    out = np.empty((*lead, 3))
+    # Reduced over its outer axis, the sum runs in step order, one running
+    # sum per coordinate, as repeated single steps add their moves.
+    np.add.reduce(moves, axis=0, out=out[..., :2])
+    out[..., 2] = theta[-1]
+    return out
+
+
+def _check_dt(dt: float) -> None:
+    if dt <= 0:
+        raise ModelError(f"dt must be > 0, got {dt}")
 
 
 def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndarray:
     """Noise-free unicycle step applied to every [x, y, theta] row."""
-    if dt <= 0:
-        raise ModelError(f"dt must be > 0, got {dt}")
+    _check_dt(dt)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     return unicycle_rollout(states, u.v, u.omega, dt, 1)
 
@@ -182,9 +190,20 @@ def add_motion_noise(
 def step_motion(
     p: Pose, u: ControlInput, dt: float, noise: MotionNoise, rng: np.random.Generator
 ) -> Pose:
-    """One noisy unicycle step from p; with all sigmas zero no rng draw is consumed."""
-    means = motion_mean_array(p.as_array().reshape(1, 3), u, dt)
-    return Pose.from_array(add_motion_noise(means, noise, rng)[0])
+    """One noisy unicycle step from p; with all sigmas zero no rng draw is consumed.
+
+    `add_motion_noise(motion_mean_array(...))` on one pose: its three scalar
+    draws consume the generator as the array form's one (1, 3) draw does.
+    """
+    _check_dt(dt)
+    x = p.x + u.v * math.cos(p.theta) * dt
+    y = p.y + u.v * math.sin(p.theta) * dt
+    theta = wrap_angle(p.theta + u.omega * dt)
+    if noise.is_zero():
+        return Pose(x, y, theta)
+    x += rng.normal(0.0, noise.sigma_x)
+    y += rng.normal(0.0, noise.sigma_y)
+    return Pose(x, y, wrap_angle(theta + rng.normal(0.0, noise.sigma_theta)))
 
 
 def _check_densities_valid(noise: MotionNoise) -> None:
@@ -345,7 +364,7 @@ def simulate_measurement(
     p: Pose, grid: MagMap, noise: SensorNoise, rng: np.random.Generator
 ) -> float:
     """Draw one magnetometer reading at p. Raises OutOfMapError outside the map."""
-    mean = float(sample_points(grid, p.position().reshape(1, 2))[0])
+    mean = sample_point(grid, p.x, p.y)
     if noise.sigma_z == 0:
         return mean
     return mean + float(rng.normal(0.0, noise.sigma_z))

@@ -112,18 +112,18 @@ class SelectionResult:
     diagnostics: tuple[ActionDiagnostics, ...]
 
 
-def expected_position(p: Pose, a: ControlInput, dt: float) -> np.ndarray:
+def expected_position(p: Pose, a: ControlInput, dt: float) -> tuple[float, float]:
     """Next position if the action executes exactly: heading turns first,
     then the speed carries the robot for dt along the new heading."""
     heading = p.theta + a.omega * dt
-    return np.array(
-        [p.x + a.v * dt * math.cos(heading), p.y + a.v * dt * math.sin(heading)]
-    )
+    return p.x + a.v * dt * math.cos(heading), p.y + a.v * dt * math.sin(heading)
 
 
 def expected_distance(p: Pose, a: ControlInput, goal: Goal, dt: float) -> float:
-    delta = expected_position(p, a, dt) - np.asarray(goal.position, dtype=float)
-    return float(np.hypot(delta[0], delta[1]))
+    x, y = expected_position(p, a, dt)
+    gx, gy = goal.position
+    # numpy's hypot, not math.hypot: the two can differ in the last bit.
+    return float(np.hypot(x - gx, y - gy))
 
 
 def action_cost(eer_bits: float, dist_m: float, w: PlannerWeights) -> float:

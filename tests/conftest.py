@@ -68,6 +68,15 @@ def bit_equal(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# Headings where a wrap can go wrong: signed zero, +/-pi, their neighbours
+# inside the range and just outside it.
+EDGE_HEADINGS = (
+    -0.0, 0.0, math.pi, -math.pi,
+    math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+    math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0),
+)
+
+
 # "４２" in fullwidth digits, which Python's int and float read as 42 and no
 # magplan format accepts.
 FULLWIDTH_42 = "４２"

@@ -419,11 +419,12 @@ def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEs
     return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=False)
 
 
-# --- Per-step unicycle rollout and two-axis-index bilinear lookup -----------
+# --- Per-step unicycle rollout, array distance, two-axis-index lookup -------
 #
-# The library's forms before the EER rollout was batched and the map lookup
-# gathered its four corners through one flat index. The faster forms keep
-# every float operation in the same order, so the two compare bitwise.
+# The library's forms before the EER rollout was batched, the planner's
+# distance went to `math` scalars and the map lookup gathered its four
+# corners through one flat index. The faster forms keep every float
+# operation in the same order, so the two compare bitwise.
 
 
 def unicycle_step(
@@ -435,6 +436,17 @@ def unicycle_step(
     out[..., 1] = states[..., 1] + v * np.sin(states[..., 2]) * dt
     out[..., 2] = wrap_angle_array(states[..., 2] + omega * dt)
     return out
+
+
+def expected_distance_array(p: Pose, a: ControlInput, goal_position, dt: float) -> float:
+    """The planner's distance to the goal from the action's expected next
+    position, as a two-element array: the form before the scalar one."""
+    heading = p.theta + a.omega * dt
+    position = np.array(
+        [p.x + a.v * dt * math.cos(heading), p.y + a.v * dt * math.sin(heading)]
+    )
+    delta = position - np.asarray(goal_position, dtype=float)
+    return float(np.hypot(delta[0], delta[1]))
 
 
 def interpolate_two_axis(grid: MagMap, pts: np.ndarray) -> np.ndarray:

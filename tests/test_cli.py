@@ -63,7 +63,7 @@ def test_genmap_writes_loadable_map(tmp_path, capsys):
     assert main(["genmap", "--config", cfg, "--out", str(out)]) == 0
     assert "141x101" in capsys.readouterr().out
     grid = load_map(str(out / "map.magmap"))
-    assert grid.geometry.width == 141
+    assert grid.width == 141
 
 
 def test_genmap_quiet(tmp_path, capsys):

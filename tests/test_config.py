@@ -198,7 +198,7 @@ def test_canonical_text_is_sorted():
 
 def test_synthetic_map_from_config():
     grid = build_synthetic_map(BASE)
-    assert grid.geometry.width == 141
+    assert grid.width == 141
     assert grid.extent() == (-2.0, 12.0, -4.0, 6.0)
 
 
@@ -217,7 +217,7 @@ def test_map_file_overrides_synthetic_keys(tmp_path):
     save_map(grid, str(tmp_path / "small.map"))
     cfg = dict(BASE, **{"map.file": "small.map"})
     loaded = build_map(cfg, str(tmp_path))
-    assert loaded.geometry.width == 21
+    assert loaded.width == 21
     assert np.array_equal(loaded.values, grid.values)
 
 
@@ -226,7 +226,7 @@ def test_map_file_absolute_path(tmp_path):
     path = tmp_path / "abs.map"
     save_map(grid, str(path))
     loaded = build_map({"map.file": str(path)}, "/somewhere/else")
-    assert loaded.geometry.width == 21
+    assert loaded.width == 21
 
 
 def test_map_file_missing_is_config_error(tmp_path):

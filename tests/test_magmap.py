@@ -19,6 +19,7 @@ from magplan.magmap import (
     generate_synthetic,
     interpolate,
     load_map,
+    sample_point,
     sample_points,
     save_map,
 )
@@ -162,6 +163,7 @@ def test_interpolate_matches_two_axis_index_oracle_bitwise():
     assert on_edge.any(axis=1).sum() > 200
     for pts in (interior, last_row_and_column, clamped):
         assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
+        assert bit_equal([sample_point(m, *p) for p in pts.tolist()], interpolate(m, pts))
 
 
 def test_sample_points_matches_scalar_sample():
@@ -171,6 +173,29 @@ def test_sample_points_matches_scalar_sample():
     vec = sample_points(m, pts)
     for k in range(40):
         assert vec[k] == sval(m, pts[k, 0], pts[k, 1])
+
+
+@given(small_maps(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_lookups_on_the_extent_edges_match_their_oracles_bitwise(m: MagMap, fx, fy):
+    # The four edges and corners, where the cell index clamps to the last cell
+    # on x_max and y_max; the scalar lookup against the array one too.
+    x_min, x_max, y_min, y_max = m.extent()
+    x = min(x_min + fx * (x_max - x_min), x_max)
+    y = min(y_min + fy * (y_max - y_min), y_max)
+    pts = np.array(
+        [[x, y], [x_min, y], [x_max, y], [x, y_min], [x, y_max],
+         [x_min, y_min], [x_max, y_min], [x_min, y_max], [x_max, y_max]]
+    )
+    assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
+    assert bit_equal([sample_point(m, *p) for p in pts.tolist()], sample_points(m, pts))
+
+
+def test_lookups_at_negative_zero_match_their_oracles_bitwise():
+    # -0.0 - 0.0 keeps the sign, so these offsets from the origin are -0.0.
+    m = grid_of([[1.0, 2.0, 3.0], [4.0, 8.0, 6.0], [7.0, 5.0, 9.0]], cell_size=0.5)
+    pts = np.array([[-0.0, -0.0], [-0.0, 0.75], [0.25, -0.0], [-0.0, 1.0]])
+    assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
+    assert bit_equal([sample_point(m, *p) for p in pts.tolist()], sample_points(m, pts))
 
 
 def test_sample_points_reports_any_point_outside():

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bit_equal
-from magplan.magmap import GridGeometry, OutOfMapError, SyntheticMapSpec, generate_synthetic
+from conftest import EDGE_HEADINGS, bit_equal
+from magplan.magmap import (
+    GridGeometry,
+    MagMap,
+    OutOfMapError,
+    SyntheticMapSpec,
+    generate_synthetic,
+    sample_points,
+)
 from magplan.models import (
     OUT_OF_MAP_PENALTY,
     SHORT_WRAP_FLOOR,
@@ -154,7 +161,7 @@ def test_pose_normalizes_heading():
     p = Pose(1.0, 2.0, 3 * math.pi)
     assert p.theta == pytest.approx(math.pi)
     assert p.position().tolist() == [1.0, 2.0]
-    assert np.allclose(Pose.from_array(p.as_array()).as_array(), p.as_array())
+    assert np.allclose(Pose(*p.as_array()).as_array(), p.as_array())
 
 
 def test_pose_rejects_nonfinite():
@@ -271,6 +278,28 @@ def test_noisy_step_statistics():
     assert out[:, 0].std() == pytest.approx(0.05, rel=0.02)
     assert out[:, 1].std() == pytest.approx(0.02, rel=0.02)
     assert out[:, 2].std() == pytest.approx(0.01, rel=0.02)
+
+
+@given(
+    st.floats(-10, 10),
+    st.floats(-10, 10),
+    st.sampled_from(EDGE_HEADINGS) | st.floats(-4, 4),
+    st.floats(0, 2),
+    st.just(0.0) | st.floats(-3, 3),
+    st.sampled_from([0.1, 0.5]) | st.floats(1e-3, 1.0),
+    st.sampled_from([(0.0, 0.0, 0.0), (0.02, 0.0, 0.0), (0.01, 0.01, math.radians(0.15))])
+    | st.tuples(st.floats(0, 0.1), st.floats(0, 0.1), st.floats(0, 0.1)),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_motion_matches_array_form_bitwise(x, y, theta, v, omega, dt, sigmas, seed):
+    # The scalar step against its array twin on one pose, equal-seeded: the
+    # same pose bits, and the generators left in the same state.
+    p, u, noise = Pose(x, y, theta), ControlInput(v, omega), MotionNoise(*sigmas)
+    rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = step_motion(p, u, dt, noise, rng)
+    row = add_motion_noise(motion_mean_array(p.as_array()[None, :], u, dt), noise, twin_rng)[0]
+    assert bit_equal(got.as_array(), Pose(*row.tolist()).as_array())
+    assert rng.bit_generator.state == twin_rng.bit_generator.state
 
 
 def test_zero_noise_step_consumes_no_draws():
@@ -451,6 +480,46 @@ def test_simulate_measurement_statistics(flat_map):
     )
     assert zs.mean() == pytest.approx(25000.0, abs=5 * 150.0 / math.sqrt(500))
     assert zs.std() == pytest.approx(150.0, rel=0.15)
+
+
+# Values that vary from node to node, on a grid whose extent edges are not
+# round numbers.
+RAGGED_MAP = MagMap((-3.25, 1.5), 0.37, np.random.default_rng(4).uniform(2e4, 3e4, (7, 11)))
+EXTENT_SPOTS = ("interior", "x_min", "x_max", "y_min", "y_max", "corner")
+
+
+@given(
+    st.floats(0, 1), st.floats(0, 1), st.sampled_from(EXTENT_SPOTS),
+    st.sampled_from([0.0, 150.0]), st.integers(0, 2**32 - 1),
+)
+def test_simulate_measurement_matches_array_form_bitwise(fx, fy, spot, sigma_z, seed):
+    # On x_max and y_max the cell index clamps to the last cell.
+    x_min, x_max, y_min, y_max = RAGGED_MAP.extent()
+    x = min(x_min + fx * (x_max - x_min), x_max)
+    y = min(y_min + fy * (y_max - y_min), y_max)
+    x, y = {"x_min": (x_min, y), "x_max": (x_max, y), "y_min": (x, y_min),
+            "y_max": (x, y_max), "corner": (x_max, y_max)}.get(spot, (x, y))
+    rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulate_measurement(Pose(x, y, 0.3), RAGGED_MAP, SensorNoise(sigma_z), rng)
+    want = float(sample_points(RAGGED_MAP, np.array([[x, y]]))[0])
+    if sigma_z:
+        want += float(twin_rng.normal(0.0, sigma_z))
+    assert bit_equal(got, want)
+    assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+
+def test_simulate_measurement_outside_map_raises_as_sample_points_does():
+    x_min, x_max, y_min, y_max = RAGGED_MAP.extent()
+    outside = [
+        (math.nextafter(x_max, math.inf), y_min), (x_min, math.nextafter(y_min, -math.inf)),
+        (math.nextafter(x_min, -math.inf), y_max), (x_max, math.nextafter(y_max, math.inf)),
+    ]
+    for x, y in outside:
+        with pytest.raises(OutOfMapError) as scalar:
+            simulate_measurement(Pose(x, y, 0.0), RAGGED_MAP, SensorNoise(1.0), idle_rng())
+        with pytest.raises(OutOfMapError) as array:
+            sample_points(RAGGED_MAP, np.array([[x, y]]))
+        assert str(scalar.value) == str(array.value)
 
 
 def test_simulate_measurement_outside_map_raises(flat_map):

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import STD_DT, STD_MOTION, STD_SENSOR
+from conftest import EDGE_HEADINGS, STD_DT, STD_MOTION, STD_SENSOR, bit_equal
 from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, step_motion
 from magplan.pflocal import ParticleBelief, estimate, init
 from magplan.planner import (
@@ -21,6 +23,7 @@ from magplan.planner import (
     expected_position,
     select_action,
 )
+from oracles import expected_distance_array
 
 TURN_RATES_DEG = (-25.0, -15.0, -5.0, 5.0, 15.0, 25.0)
 
@@ -80,6 +83,22 @@ def test_expected_distance_pythagorean():
         Pose(0.0, 0.0, math.pi / 2), ControlInput(0.1, 0.0), Goal((3.0, 4.1), 0.5), 1.0
     )
     assert d == pytest.approx(5.0, abs=1e-9)
+
+
+@given(
+    st.floats(-10, 10),
+    st.floats(-10, 10),
+    st.sampled_from(EDGE_HEADINGS) | st.floats(-4, 4),
+    st.floats(0, 2),
+    st.floats(-3, 3),
+    st.sampled_from([0.1, 0.5]) | st.floats(1e-3, 1.0),
+    st.integers(-20, 20) | st.floats(-20, 20),
+    st.integers(-20, 20) | st.floats(-20, 20),
+)
+def test_expected_distance_matches_array_form_bitwise(x, y, theta, v, omega, dt, gx, gy):
+    p, a, goal = Pose(x, y, theta), ControlInput(v, omega), Goal((gx, gy), 0.5)
+    got = expected_distance(p, a, goal, dt)
+    assert bit_equal(got, expected_distance_array(p, a, goal.position, dt))
 
 
 # --- cost model ---
