@@ -89,7 +89,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .magmap import MagMap, interpolate
+from .magmap import MagMap, lookup
 from .models import (
     ControlInput,
     ModelSet,
@@ -318,8 +318,8 @@ def eer(
 
     M hypotheses per action are subsampled proportional to weight and rolled
     out noise free with the action held constant; each terminal hypothesis
-    predicts the measurement it would see by querying the map there
-    (clamped to the extent if it left the map). The expectation runs over
+    predicts the measurement it would see by one `magmap.lookup` (at the
+    nearest extent point if it left the map). The expectation runs over
     one representative future measurement per hypothesis, weighted by the
     normalized likelihoods p(z_j | hypothesis j). Baseline and future
     entropies are both evaluated at the terminal horizon step over the same
@@ -346,8 +346,7 @@ def eer(
 
     w = 1.0 / m_count
     pts = states[..., :2].reshape(-1, 2)
-    z_pred = interpolate(grid, grid.clamp(pts)).reshape(n_actions, m_count)
-    inside = grid.contains(pts).reshape(n_actions, m_count)
+    z_pred, inside = (a.reshape(n_actions, m_count) for a in lookup(grid, pts))
     with np.errstate(over="ignore", invalid="ignore"):
         # Hypothesis j one step earlier has motion mean x_j, so the terminal
         # hypotheses are both cloud and means; unicycle_rollout wrapped headings.

@@ -1,8 +1,9 @@
 """Scalar magnetic-field maps over a 2D workspace.
 
-A map is a rectangular grid of total-field intensities (nT) with bilinear
-interpolation between grid nodes. Maps are immutable after construction and
-safe to share between any number of readers.
+A map is a rectangular grid of total-field intensities (nT), read by bilinear
+interpolation between grid nodes: `lookup` for an array of points (one outside
+the extent reads its nearest extent point) and its scalar twin `sample_point`
+for one point inside. Maps are immutable and safe to share between readers.
 
 File format (text, one map per file)::
 
@@ -115,49 +116,17 @@ class MagMap:
             y0 + self.cell_size * (self.height - 1),
         )
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the extent (boundary inclusive)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x_min, x_max, y_min, y_max = self.extent()
-        return (
-            (pts[:, 0] >= x_min)
-            & (pts[:, 0] <= x_max)
-            & (pts[:, 1] >= y_min)
-            & (pts[:, 1] <= y_max)
-        )
 
-    def clamp(self, points: np.ndarray) -> np.ndarray:
-        """Clip points onto the extent rectangle (nearest in-map point)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x_min, x_max, y_min, y_max = self.extent()
-        out = np.maximum(pts, (x_min, y_min))
-        return np.minimum(out, (x_max, y_max), out=out)
-
-
-def sample_points(grid: MagMap, points: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the map at an (N, 2) array of positions.
-
-    All points must lie inside the extent; raises OutOfMapError otherwise.
-    Callers that want edge clamping use `interpolate` on `MagMap.clamp`ed
-    points, which cannot fall outside.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = grid.contains(pts)
-    if not bool(np.all(inside)):
-        raise _outside(grid, *pts[~inside][0])
-    return interpolate(grid, pts)
-
-
-def _outside(grid: MagMap, x: float, y: float) -> OutOfMapError:
-    return OutOfMapError(f"point ({x:g}, {y:g}) outside map extent {grid.extent()}")
-
-
-def interpolate(grid: MagMap, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation at (N, 2) points already inside the extent.
-
-    No extent check: a point outside is extrapolated from its nearest cell.
-    """
-    uv = (pts - grid.origin) / grid.cell_size
+def lookup(grid: MagMap, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear field values and the boundary-inclusive inside mask at an (N, 2)
+    point array; a point outside reads the map at its nearest extent point."""
+    x_min, x_max, y_min, y_max = grid.extent()
+    x, y = pts[:, 0], pts[:, 1]
+    inside = (x >= x_min) & (x <= x_max) & (y >= y_min) & (y <= y_max)
+    uv = np.maximum(pts, (x_min, y_min))
+    np.minimum(uv, (x_max, y_max), out=uv)
+    uv -= grid.origin
+    uv /= grid.cell_size
     # Cell indices stay floats until the one cast, so uv - cell mixes no ints.
     cell = np.floor(uv)
     np.minimum(np.maximum(cell, 0.0, out=cell), (grid.width - 2, grid.height - 2), out=cell)
@@ -171,16 +140,16 @@ def interpolate(grid: MagMap, pts: np.ndarray) -> np.ndarray:
     k = ij[:, 1] * w + ij[:, 0]
     flat = grid.values.ravel()
     z00, z10, z01, z11 = flat[k], flat[1:][k], flat[w:][k], flat[w + 1 :][k]
-    return z00 * gu * gv + z10 * fu * gv + z01 * gu * fv + z11 * fu * fv
+    return z00 * gu * gv + z10 * fu * gv + z01 * gu * fv + z11 * fu * fv, inside
 
 
 def sample_point(grid: MagMap, x: float, y: float) -> float:
-    """`sample_points` at one position, in `math` scalars: the same extent
-    check and float operations in the same order, so the value is bitwise
-    the array form's. Raises OutOfMapError outside the extent."""
+    """`lookup` at one position, in `math` scalars: the same float operations in
+    the same order, so the value is bitwise the array form's. There is no
+    nearest-point read: a position outside the extent raises OutOfMapError."""
     x_min, x_max, y_min, y_max = grid.extent()
     if not (x_min <= x <= x_max and y_min <= y <= y_max):
-        raise _outside(grid, x, y)
+        raise OutOfMapError(f"point ({x:g}, {y:g}) outside map extent {grid.extent()}")
     u = (x - grid.origin[0]) / grid.cell_size
     v = (y - grid.origin[1]) / grid.cell_size
     i = min(math.floor(u), grid.width - 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .magmap import MagMap, interpolate, sample_point
+from .magmap import MagMap, lookup, sample_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,8 +30,8 @@ TWO_PI = 2.0 * math.pi
 # short form would give -pi. This is a correctness bound, not a tuning knob.
 SHORT_WRAP_FLOOR = -3.0
 
-# Likelihood multiplier for poses outside the map: the query is clamped to
-# the nearest extent point and the density is scaled down by this factor.
+# Likelihood multiplier for poses outside the map: `magmap.lookup` reads the
+# map at the nearest extent point and the density is scaled down by this factor.
 OUT_OF_MAP_PENALTY = 1e-3
 
 
@@ -336,14 +336,12 @@ def measurement_log_likelihood_array(
 ) -> np.ndarray:
     """Log p(z | state, map) for every [x, y, theta] row.
 
-    Out-of-map states are scored at the nearest extent point with a fixed
-    log(OUT_OF_MAP_PENALTY) markdown, keeping weights finite while strongly
-    discounting escaped hypotheses.
+    One `magmap.lookup`: out-of-map states are read at the nearest extent point
+    and marked down by log(OUT_OF_MAP_PENALTY), keeping weights finite while
+    strongly discounting escaped hypotheses.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    pts = states[:, :2]
-    predicted = interpolate(grid, grid.clamp(pts))
-    return sensor_log_likelihood(z, predicted, grid.contains(pts), noise)
+    return sensor_log_likelihood(z, *lookup(grid, states[:, :2]), noise)
 
 
 def sensor_log_likelihood(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import infogain, pflocal, textio
 from .infogain import iqr_reject
-from .magmap import MagMap
+from .magmap import MagMap, lookup
 from .models import (
     ControlInput,
     DegenerateDensityError,
@@ -102,9 +102,10 @@ class EpisodeConfig:
         cov = cov.copy()
         cov.setflags(write=False)
         object.__setattr__(self, "prior_cov", cov)
-        if not bool(self.grid.contains(np.array([self.goal.position]))[0]):
+        _, inside = lookup(self.grid, np.array([self.goal.position, self.start.position()]))
+        if not inside[0]:
             raise EpisodeError(f"goal {self.goal.position} lies outside the map")
-        if not bool(self.grid.contains(self.start.position().reshape(1, 2))[0]):
+        if not inside[1]:
             raise EpisodeError(f"start ({self.start.x}, {self.start.y}) lies outside the map")
 
 

@@ -26,9 +26,14 @@ class TextError(ValueError):
 
 
 def read_lines(path) -> list[str]:
-    """The file's lines; a non-ASCII byte reads as U+FFFD, which no grammar accepts."""
+    """The file's lines, ended by a newline only (numpy reads vertical tab, form feed
+    and 0x1c-0x1e as cell padding); a non-ASCII byte reads as U+FFFD, which no
+    grammar accepts."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return fh.read().splitlines()
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def parse_cell(cell: str, kind: type = float, line: Optional[int] = None):

@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 
 from magplan import infogain
 from magplan.infogain import EntropyEstimate
-from magplan.magmap import MagMap, sample_points
+from magplan.magmap import MagMap, lookup, sample_point
 from magplan.models import (
     ControlInput,
     ModelSet,
@@ -388,7 +388,7 @@ def build_hypotheses(
         states = motion_mean_array(states, a, models.dt)
     states_prev = states
     states = motion_mean_array(states_prev, a, models.dt)
-    predicted_z = sample_points(grid, grid.clamp(states[:, :2]))
+    predicted_z, _ = lookup(grid, states[:, :2])
     return Hypotheses(
         m_count, a, states_prev, states, np.full(m_count, 1.0 / m_count), predicted_z
     )
@@ -423,8 +423,9 @@ def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEs
 #
 # The library's forms before the EER rollout was batched, the planner's
 # distance went to `math` scalars and the map lookup gathered its four
-# corners through one flat index. The faster forms keep every float
-# operation in the same order, so the two compare bitwise.
+# corners through one flat index and became one call with its extent clip
+# and inside mask. The faster forms keep every float operation in the same
+# order, so the two compare bitwise.
 
 
 def unicycle_step(
@@ -447,6 +448,26 @@ def expected_distance_array(p: Pose, a: ControlInput, goal_position, dt: float) 
     )
     delta = position - np.asarray(goal_position, dtype=float)
     return float(np.hypot(delta[0], delta[1]))
+
+
+def contains(grid: MagMap, points: np.ndarray) -> np.ndarray:
+    """Boolean mask of points inside the extent (boundary inclusive)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x_min, x_max, y_min, y_max = grid.extent()
+    return (
+        (pts[:, 0] >= x_min)
+        & (pts[:, 0] <= x_max)
+        & (pts[:, 1] >= y_min)
+        & (pts[:, 1] <= y_max)
+    )
+
+
+def clamp(grid: MagMap, points: np.ndarray) -> np.ndarray:
+    """Clip points onto the extent rectangle (nearest in-map point)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x_min, x_max, y_min, y_max = grid.extent()
+    out = np.maximum(pts, (x_min, y_min))
+    return np.minimum(out, (x_max, y_max), out=out)
 
 
 def interpolate_two_axis(grid: MagMap, pts: np.ndarray) -> np.ndarray:
@@ -568,4 +589,4 @@ def measurement_likelihood(
 
 def sample(grid: MagMap, p: tuple[float, float]) -> float:
     """Field intensity (nT) at a single position inside the map."""
-    return float(sample_points(grid, np.asarray(p, dtype=float).reshape(1, 2))[0])
+    return sample_point(grid, *p)

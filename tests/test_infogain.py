@@ -797,14 +797,14 @@ def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
     actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
     b = ramp_belief(9, n=60)
     want = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
-    real_sample = infogain.interpolate
+    real_lookup = infogain.lookup
 
     def poisoned(grid, pts):
-        out = real_sample(grid, pts).reshape(len(actions), -1)
-        out[2] = np.nan
-        return out.ravel()
+        values, inside = real_lookup(grid, pts)
+        values.reshape(len(actions), -1)[2] = np.nan
+        return values, inside
 
-    monkeypatch.setattr(infogain, "interpolate", poisoned)
+    monkeypatch.setattr(infogain, "lookup", poisoned)
     got = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
     assert isinstance(got[2], EntropyError)
     assert "zero mass" in str(got[2])

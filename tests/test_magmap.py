@@ -17,14 +17,13 @@ from magplan.magmap import (
     OutOfMapError,
     SyntheticMapSpec,
     generate_synthetic,
-    interpolate,
     load_map,
+    lookup,
     sample_point,
-    sample_points,
     save_map,
 )
 from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS, bit_equal
-from oracles import interpolate_two_axis, sample
+from oracles import clamp, contains, interpolate_two_axis, sample
 
 
 def sval(m: MagMap, x: float, y: float) -> float:
@@ -102,14 +101,16 @@ def test_values_are_read_only():
 def test_extent_and_contains():
     m = grid_of([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], origin=(-1.0, 2.0), cell_size=0.5)
     assert m.extent() == (-1.0, 0.0, 2.0, 2.5)
-    inside = m.contains(np.array([[-1.0, 2.0], [0.0, 2.5], [0.001, 2.2], [-1.2, 2.2]]))
+    _, inside = lookup(m, np.array([[-1.0, 2.0], [0.0, 2.5], [0.001, 2.2], [-1.2, 2.2]]))
     assert inside.tolist() == [True, True, False, False]
 
 
 def test_clamp_projects_onto_extent():
+    # A point outside reads the map at its projection onto the extent.
     m = grid_of([[1.0, 2.0], [3.0, 4.0]], origin=(0.0, 0.0), cell_size=1.0)
     pts = np.array([[-3.0, 0.4], [0.7, 8.0], [0.3, 0.3]])
-    assert m.clamp(pts).tolist() == [[0.0, 0.4], [0.7, 1.0], [0.3, 0.3]]
+    projected = np.array([[0.0, 0.4], [0.7, 1.0], [0.3, 0.3]])
+    assert lookup(m, pts)[0].tolist() == lookup(m, projected)[0].tolist()
 
 
 # --- bilinear sampling ---
@@ -158,19 +159,19 @@ def test_interpolate_matches_two_axis_index_oracle_bitwise():
         ]
     )
     wide = [rng.uniform(x_min - 5, x_max + 5, 300), rng.uniform(y_min - 5, y_max + 5, 300)]
-    clamped = m.clamp(np.column_stack(wide))
+    clamped = clamp(m, np.column_stack(wide))
     on_edge = (clamped == [x_min, y_min]) | (clamped == [x_max, y_max])
     assert on_edge.any(axis=1).sum() > 200
     for pts in (interior, last_row_and_column, clamped):
-        assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
-        assert bit_equal([sample_point(m, *p) for p in pts.tolist()], interpolate(m, pts))
+        assert bit_equal(lookup(m, pts)[0], interpolate_two_axis(m, pts))
+        assert bit_equal([sample_point(m, *p) for p in pts.tolist()], lookup(m, pts)[0])
 
 
 def test_sample_points_matches_scalar_sample():
     m = grid_of([[1.0, 2.0, 3.0], [4.0, 8.0, 6.0], [7.0, 5.0, 9.0]], cell_size=0.5)
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, (40, 2))
-    vec = sample_points(m, pts)
+    vec = lookup(m, pts)[0]
     for k in range(40):
         assert vec[k] == sval(m, pts[k, 0], pts[k, 1])
 
@@ -186,22 +187,41 @@ def test_lookups_on_the_extent_edges_match_their_oracles_bitwise(m: MagMap, fx, 
         [[x, y], [x_min, y], [x_max, y], [x, y_min], [x, y_max],
          [x_min, y_min], [x_max, y_min], [x_min, y_max], [x_max, y_max]]
     )
-    assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
-    assert bit_equal([sample_point(m, *p) for p in pts.tolist()], sample_points(m, pts))
+    assert bit_equal(lookup(m, pts)[0], interpolate_two_axis(m, pts))
+    assert bit_equal([sample_point(m, *p) for p in pts.tolist()], lookup(m, pts)[0])
 
 
 def test_lookups_at_negative_zero_match_their_oracles_bitwise():
     # -0.0 - 0.0 keeps the sign, so these offsets from the origin are -0.0.
     m = grid_of([[1.0, 2.0, 3.0], [4.0, 8.0, 6.0], [7.0, 5.0, 9.0]], cell_size=0.5)
     pts = np.array([[-0.0, -0.0], [-0.0, 0.75], [0.25, -0.0], [-0.0, 1.0]])
-    assert bit_equal(interpolate(m, pts), interpolate_two_axis(m, pts))
-    assert bit_equal([sample_point(m, *p) for p in pts.tolist()], sample_points(m, pts))
+    assert bit_equal(lookup(m, pts)[0], interpolate_two_axis(m, pts))
+    assert bit_equal([sample_point(m, *p) for p in pts.tolist()], lookup(m, pts)[0])
 
 
-def test_sample_points_reports_any_point_outside():
-    m = grid_of([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(OutOfMapError):
-        sample_points(m, np.array([[0.5, 0.5], [2.0, 0.5]]))
+@given(small_maps(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
+def test_lookup_is_the_clamp_interpolate_contains_composition(m: MagMap, fx, fy, zero_origin):
+    # Inside, on each edge and corner, one ulp outside each edge, far outside,
+    # and at -0.0 offsets from a (0, 0) origin.
+    if zero_origin:
+        m = MagMap((0.0, 0.0), m.cell_size, m.values)
+    x_min, x_max, y_min, y_max = m.extent()
+    x = min(x_min + fx * (x_max - x_min), x_max)
+    y = min(y_min + fy * (y_max - y_min), y_max)
+    below_x, above_x = math.nextafter(x_min, -math.inf), math.nextafter(x_max, math.inf)
+    below_y, above_y = math.nextafter(y_min, -math.inf), math.nextafter(y_max, math.inf)
+    pts = np.array(
+        [[x, y], [x_min, y], [x_max, y], [x, y_min], [x, y_max],
+         [x_min, y_min], [x_max, y_min], [x_min, y_max], [x_max, y_max],
+         [below_x, y], [above_x, y], [x, below_y], [x, above_y], [below_x, above_y],
+         [x_min - 1e6, y], [x, y_max + 1e6], [x_max + 1e300, y_min - 1e300],
+         [-0.0, -0.0], [-0.0, y], [x, -0.0]]
+    )
+    values, inside = lookup(m, pts)
+    assert bit_equal(values, interpolate_two_axis(m, clamp(m, pts)))
+    assert inside.tolist() == contains(m, pts).tolist()
+    assert inside[:9].all() and not inside[9:17].any()
+    assert bit_equal([sample_point(m, *p) for p in pts[inside].tolist()], values[inside])
 
 
 @given(small_maps(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -232,7 +252,7 @@ def test_sample_monotone_within_cell_when_corners_are():
     m = grid_of([[1.0, 4.0], [2.0, 8.0]])
     for y in (0.1, 0.5, 0.9):
         xs = np.linspace(0.0, 1.0, 17)
-        vals = sample_points(m, np.column_stack([xs, np.full_like(xs, y)]))
+        vals = lookup(m, np.column_stack([xs, np.full_like(xs, y)]))[0]
         assert np.all(np.diff(vals) >= -1e-12)
 
 

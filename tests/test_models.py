@@ -16,7 +16,7 @@ from magplan.magmap import (
     OutOfMapError,
     SyntheticMapSpec,
     generate_synthetic,
-    sample_points,
+    lookup,
 )
 from magplan.models import (
     OUT_OF_MAP_PENALTY,
@@ -501,7 +501,7 @@ def test_simulate_measurement_matches_array_form_bitwise(fx, fy, spot, sigma_z, 
             "y_max": (x, y_max), "corner": (x_max, y_max)}.get(spot, (x, y))
     rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = simulate_measurement(Pose(x, y, 0.3), RAGGED_MAP, SensorNoise(sigma_z), rng)
-    want = float(sample_points(RAGGED_MAP, np.array([[x, y]]))[0])
+    want = float(lookup(RAGGED_MAP, np.array([[x, y]]))[0][0])
     if sigma_z:
         want += float(twin_rng.normal(0.0, sigma_z))
     assert bit_equal(got, want)
@@ -517,9 +517,8 @@ def test_simulate_measurement_outside_map_raises_as_sample_points_does():
     for x, y in outside:
         with pytest.raises(OutOfMapError) as scalar:
             simulate_measurement(Pose(x, y, 0.0), RAGGED_MAP, SensorNoise(1.0), idle_rng())
-        with pytest.raises(OutOfMapError) as array:
-            sample_points(RAGGED_MAP, np.array([[x, y]]))
-        assert str(scalar.value) == str(array.value)
+        want = f"point ({x:g}, {y:g}) outside map extent {RAGGED_MAP.extent()}"
+        assert str(scalar.value) == want
 
 
 def test_simulate_measurement_outside_map_raises(flat_map):

@@ -501,6 +501,9 @@ def test_save_coefficients_writes_fixed_text(tmp_path):
             "line 5: timestamps must be strictly increasing",
         ),
         # A whitespace-only line is skipped and keeps its place in the count.
+        # Only a newline ends a line: a vertical tab is cell padding.
+        ("maglog v1\n0,1,1,1,2,0.2\x0b\n1,1,1,1,2,0.2\n2,1,nope,1,2,0.2\n", "line 4: bad value"),
+        ("maglog v1\r\n0,1,1,1,2,0.2\r\n1,1,1\r\n", "line 3: expected 6 or 7 CSV fields, got 3"),
         ("maglog v1\n0,1,1,1,2,0.2\n \t \n1,1,1\n", "line 4: expected 6 or 7 CSV fields, got 3"),
         # There is no comment syntax.
         ("maglog v1\n0,1,1,1,2,0.2 # note\n", "line 2: bad value: .*'0.2 # note'"),
