@@ -47,19 +47,27 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   exp of the few terms in the band (-746, -700]; the result is plain
   `np.exp`'s, bit for bit.
 
-* A call of more than one tile (n > rows: N above 181 for one cloud, so
+* A call of more than one tile (n > rows: N above 221 for one cloud, so
   the dense_filter benchmark at N = 2000 but not the shipped N = 150 step
-  or eer's stack) changes two things, both bit for bit. Its tiles run with
+  or eer's stack) changes three things, all bit for bit. Its tiles run with
   numpy's ufunc buffer set to one tile row (m rounded up to a multiple of
   16), so the tile's five row and column broadcasts (the three residuals,
   + log_w and - peak) no longer copy their broadcast operand through the
-  default 8192-element buffer. And when the call's residual bounds
+  default 8192-element buffer. When the call's residual bounds
   min(cur heading) - max(mean heading) >= -3 and max - min <= pi hold, the
   heading residual takes the four-pass wrap (`models.short_wrap_holds`),
   whose second shift is the first one. Its tile scratch starts on a
   64-byte boundary, so every row of a 2000-wide tile starts on a cache
-  line. One-tile calls skip all three: on eer's (6, 20, 20) call the range
-  check alone cost more than the wrap it saves.
+  line. And a call of at least SPLIT_ELEMENTS pairwise elements (batch x n
+  x m; N of about 1750 and up for one cloud) in a process that may use
+  more than one CPU splits its tiles into two contiguous halves of whole
+  tiles: one helper thread fills the second half while the caller fills
+  the first, each on its own scratch, and the caller joins the helper
+  before it returns or raises. The helper runs in a copy of the caller's
+  context, so its tiles see the caller's errstate and the row-sized
+  buffer. Every row goes through the same tile operations either way.
+  One-tile calls skip all four: on eer's (6, 20, 20) call the range check
+  alone cost more than the wrap it saves.
 
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
@@ -83,7 +91,10 @@ rollout (a non-finite estimate) fails that action alone.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,12 +118,19 @@ from .pflocal import ParticleBelief, _safe_log
 
 LN2 = math.log(2.0)
 
-# Element budget of one row tile of the N x N transition block (32k float64
-# elements, 256 KB per buffer). With the exp step's clamp in place, 32768
-# beat 16384 in alternating probes on captured closed-loop inputs at N = 150
-# (one tile), 600 and 2000 and on dense_filter inputs, for about 0.4 MB more
-# tile buffers; BENCH_13.json has the numbers.
-TILE_ELEMENTS = 32768
+# Element budget of one row tile of the N x N transition block (48k float64
+# elements, 384 KB per buffer). With the two-thread split, 49152 beat 32768
+# by 16-18% in paired probes at N = 1750 and 2000; on the serial multi-tile
+# path it stayed within 3% of 32768 at N = 300-1200 (faster at 300 and 600).
+# BENCH_19.json has the numbers, BENCH_13.json those of 16384 -> 32768.
+TILE_ELEMENTS = 49152
+
+# Multi-tile calls of at least this many pairwise elements (batch x n x m,
+# N of about 1750 for one cloud) split their row tiles over the caller and
+# one helper thread when the process may use more than one CPU. In paired
+# probes on a 2-vCPU host the split won most pairs of every probe from here
+# up, and lost most pairs of some probes at N = 800-1200 (BENCH_19.json).
+SPLIT_ELEMENTS = 3_000_000
 
 # numpy's float64 exp runs its fast loop for inputs above about -707.8 and
 # a slow one below (2-vCPU AVX-512 Xeon, numpy 2.4.6, 16k elements: 18 us
@@ -214,7 +232,8 @@ def _log_predicted_density(
     axes stack clouds, cur (..., n, 3), means (..., m, 3) and log_w (..., m)
     into (..., n); each tile holds the same rows of every cloud. A call of
     more than one tile sets the ufunc buffer to one row (restored on the way
-    out) and may take the four-pass wrap; see the module docstring."""
+    out), may take the four-pass wrap and, from SPLIT_ELEMENTS on, shares its
+    tiles with one helper thread; see the module docstring."""
     cur = coordinate_planes(in_range_headings(cur_states))
     mu = coordinate_planes(means)[..., None, :]
     lead, n, m = cur.shape[1:-1], cur.shape[-1], mu.shape[-1]
@@ -225,13 +244,48 @@ def _log_predicted_density(
         _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)))
         return out
     short_wrap = short_wrap_holds(cur[2], mu[2])
-    bufs = _aligned_empty((3, *lead, rows, m))
+    split = math.prod(lead) * n * m >= SPLIT_ELEMENTS and len(os.sched_getaffinity(0)) > 1
     # errstate restores the buffer size on the way out, also on an exception;
     # numpy takes only multiples of 16.
     with np.errstate():
         np.setbufsize(-(-m // 16) * 16)
-        _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
+        if split:
+            _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap)
+        else:
+            bufs = _aligned_empty((3, *lead, rows, m))
+            _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
     return out
+
+
+def _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap) -> None:
+    """`_fill_tiles` over two contiguous halves of whole tiles: the caller's
+    thread fills the first ceil(tiles / 2), one helper thread the rest. Each
+    half gets its own aligned scratch, allocated here. The helper runs in a
+    copy of the caller's context, so it has the caller's errstate and ufunc
+    buffer size. An exception in either half propagates after the join."""
+    n, m = cur.shape[-1], mu.shape[-1]
+    mid = (-(-n // rows) + 1) // 2 * rows
+    halves = [
+        (out[..., r0:r1], cur[..., r0:r1], mu, log_w, motion, rows,
+         _aligned_empty((3, *out.shape[:-1], rows, m)), short_wrap)
+        for r0, r1 in ((0, mid), (mid, n))
+    ]
+    failed: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            _fill_tiles(*halves[1])
+        except BaseException as exc:  # re-raised on the caller's thread below
+            failed.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        _fill_tiles(*halves[0])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap=False) -> None:

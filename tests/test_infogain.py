@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -310,7 +313,7 @@ def test_closed_loop_entropy_equals_entropy_posterior_bitwise(peak_grid, models,
 PEAKED_MOTION = MotionNoise(0.01, 0.01, math.radians(0.15))
 
 
-@pytest.mark.parametrize("n", [150, 600])  # one tile; tiles of 54 rows, the last one 6
+@pytest.mark.parametrize("n", [150, 600])  # one tile; tiles of 81 rows, the last one 33
 def test_peaked_predicted_density_matches_dense_oracle_bitwise(n):
     # The closed loop's case: most peak-shifted terms underflow to 0 and some
     # fall in exp's slow band, so the exp step takes its clamped branch.
@@ -415,33 +418,207 @@ def test_one_tile_call_takes_the_six_pass_wrap(wrap_forms):
 def test_ufunc_buffer_is_one_tile_row_and_restored(monkeypatch):
     # The tiles of a multi-tile call run with numpy's ufunc buffer at one row,
     # rounded up to a multiple of 16, on scratch that starts on a 64-byte
-    # boundary; the caller's buffer size is back afterwards, also when the
-    # first tile raises. A one-tile call leaves the buffer alone. The caller's
-    # size is set apart from any row size, so a leaked size cannot pass.
+    # boundary, under the caller's errstate; the caller's buffer size is back
+    # afterwards, also when the first tile raises. A split call does the same
+    # in every tile of both halves. A one-tile call leaves the buffer alone.
+    # The caller's size is set apart from any row size, and its errstate
+    # apart from numpy's default, so a leaked or lost setting cannot pass.
     n = ragged_n(3)
     assert n % 16 != 0
+    tiles = -(-n // (TILE_ELEMENTS // n))
     cur, means, log_w = band_clouds(n, 6, (-0.4, 0.1), (-0.3, 0.05))
     seen = []
     reduce = infogain._logsumexp_into
 
     def spy(a, axis=None):
-        seen.append((np.getbufsize(), a.ctypes.data % 64))
+        seen.append((np.getbufsize(), a.ctypes.data % 64, np.geterr(), threading.get_ident()))
         return reduce(a, axis)
 
     monkeypatch.setattr(infogain, "_logsumexp_into", spy)
     saved = np.setbufsize(4096)
+    threads = threading.active_count()
     try:
-        infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
-        assert np.getbufsize() == 4096
-        assert len(seen) > 1 and set(seen) == {(-(-n // 16) * 16, 0)}
-        seen.clear()
-        infogain._log_predicted_density(cur[:40], means[:40], log_w[:40], KERNEL_MODELS.motion)
-        assert [size for size, _ in seen] == [4096]
-        with pytest.raises(DegenerateDensityError):
-            infogain._log_predicted_density(cur, means, log_w, MotionNoise(0.021, 0.0, 0.047))
-        assert np.getbufsize() == 4096
+        with np.errstate(over="ignore"):
+            caller_err = np.geterr()
+            for split_elements, threads_seen in ((infogain.SPLIT_ELEMENTS, 1), (0, 2)):
+                two_cpus(monkeypatch, split_elements)
+                seen.clear()
+                infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
+                assert np.getbufsize() == 4096
+                assert len(seen) == tiles
+                assert {(size, offset) for size, offset, _, _ in seen} == {(-(-n // 16) * 16, 0)}
+                assert all(err == caller_err for _, _, err, _ in seen)
+                assert len({ident for *_, ident in seen}) == threads_seen
+            seen.clear()
+            infogain._log_predicted_density(cur[:40], means[:40], log_w[:40], KERNEL_MODELS.motion)
+            assert [size for size, *_ in seen] == [4096]
+            with pytest.raises(DegenerateDensityError):
+                infogain._log_predicted_density(cur, means, log_w, MotionNoise(0.021, 0.0, 0.047))
+            assert np.getbufsize() == 4096
+            assert threading.active_count() == threads
     finally:
         np.setbufsize(saved)
+
+
+# --- calls split over the caller's thread and one helper thread ---
+
+
+def two_cpus(monkeypatch, split_elements: int = 0) -> None:
+    """Split every multi-tile call of at least `split_elements` pairwise
+    elements, as a process that may use two CPUs does, however many CPUs
+    this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", split_elements)
+
+
+def split_n(tiles: int, batch: int = 1) -> int:
+    """An N whose (batch, N, N) density has exactly `tiles` row tiles, the
+    last one partial, whatever TILE_ELEMENTS is."""
+    n = math.isqrt((tiles - 1) * TILE_ELEMENTS // batch)
+    while -(-n // (TILE_ELEMENTS // (batch * n))) != tiles or n % (TILE_ELEMENTS // (batch * n)) == 0:
+        n += 1
+    return n
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """(on the caller's thread, rows) of every `_fill_tiles` call."""
+    calls = []
+    fill = infogain._fill_tiles
+    caller = threading.get_ident()
+
+    def spy(out, *args):
+        calls.append((threading.get_ident() == caller, out.shape[-1]))
+        return fill(out, *args)
+
+    monkeypatch.setattr(infogain, "_fill_tiles", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "batch, tiles",
+    [
+        pytest.param(1, 5, id="one-cloud-5-tiles"),
+        pytest.param(1, 4, id="one-cloud-4-tiles"),
+        pytest.param(2, 7, id="2-clouds-7-tiles"),
+    ],
+)
+def test_split_call_matches_dense_oracle_bitwise(monkeypatch, fills, batch, tiles):
+    # The caller fills the first ceil(tiles / 2) tiles and the helper the
+    # rest, the partial last tile among them; every row of every cloud comes
+    # out as the dense oracle gives it.
+    two_cpus(monkeypatch)
+    n = split_n(tiles, batch)
+    rows = TILE_ELEMENTS // (batch * n)
+    clouds = [seam_clouds(n, 11 * k + n, zero_every=3 * (k % 2)) for k in range(batch)]
+    prev, cur, w = (np.stack(parts) for parts in zip(*clouds))
+    means = motion_mean_array(prev.reshape(-1, 3), KERNEL_U, STD_DT).reshape(prev.shape)
+    args = [a[0] if batch == 1 else a for a in (cur, means, _safe_log(w))]
+    got = infogain._log_predicted_density(*args, KERNEL_MODELS.motion).reshape(batch, n)
+    mid = (tiles + 1) // 2 * rows
+    assert sorted(fills, reverse=True) == [(True, mid), (False, n - mid)]
+    for k in range(batch):
+        assert bit_equal(got[k], dense_log_predicted_density(cur[k], *kernel_args(prev[k], w[k])))
+
+
+def test_split_follows_call_size_and_cpus(monkeypatch, fills):
+    # A multi-tile call splits from SPLIT_ELEMENTS pairwise elements on, and
+    # only when the process may use more than one CPU; the bits stay the
+    # same. With the constant as shipped, dense_filter's N = 2000 call
+    # splits on two CPUs and a closed loop's N = 600 call does not.
+    shipped = infogain.SPLIT_ELEMENTS
+    n = split_n(5)
+    prev, cur, w = seam_clouds(n, 8)
+    args = kernel_args(prev, w)
+    want = dense_log_predicted_density(cur, *args)
+    for cpus, split_elements, split in (
+        ({0, 1}, n * n, True),
+        ({0, 1}, n * n + 1, False),
+        ({0}, 0, False),
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", split_elements)
+        fills.clear()
+        assert bit_equal(infogain._log_predicted_density(cur, *args), want)
+        assert sorted(caller for caller, _ in fills) == ([False, True] if split else [True])
+    assert 600 * 600 < shipped <= 2000 * 2000
+
+
+def test_helper_half_runs_under_the_callers_errstate(monkeypatch):
+    # Rows far off the means overflow the squared residual. In the helper's
+    # half they warn as in the caller's, and not under the caller's
+    # np.errstate(over="ignore").
+    two_cpus(monkeypatch)
+    n = split_n(4)
+    prev, cur, w = seam_clouds(n, 12)
+    cur[-3:, 0] = 1e200
+    args = kernel_args(prev, w)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        infogain._log_predicted_density(cur, *args)
+    with np.errstate(over="ignore"):
+        got = infogain._log_predicted_density(cur, *args)
+        want = dense_log_predicted_density(cur, *args)
+    assert np.isneginf(got[-3:]).all() and np.isfinite(got[:-3]).all()
+    assert bit_equal(got, want)
+
+
+class HalfFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_split_call_raises_from_either_half_and_leaves_no_thread(monkeypatch, failing):
+    two_cpus(monkeypatch)
+    n = split_n(4)
+    prev, cur, w = seam_clouds(n, 13)
+    args = kernel_args(prev, w)
+    threads = threading.active_count()
+    infogain._log_predicted_density(cur, *args)
+    assert threading.active_count() == threads
+    fill = infogain._fill_tiles
+    caller = threading.get_ident()
+
+    def spy(*fill_args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise HalfFailed(failing)
+        return fill(*fill_args)
+
+    monkeypatch.setattr(infogain, "_fill_tiles", spy)
+    with pytest.raises(HalfFailed, match=failing):
+        infogain._log_predicted_density(cur, *args)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_split_calls_match_dense_oracle_bitwise(monkeypatch):
+    # Three callers on their own threads, each with its helper, so more
+    # threads than CPUs, under a short switch interval: nothing the calls
+    # share may change a bit, and no thread outlives them.
+    two_cpus(monkeypatch)
+    n = split_n(5)
+    clouds = [seam_clouds(n, 20 + k) for k in range(3)]
+    wants = [dense_log_predicted_density(cur, *kernel_args(prev, w)) for prev, cur, w in clouds]
+    results = [[] for _ in clouds]
+
+    def call(k):
+        prev, cur, w = clouds[k]
+        for _ in range(5):
+            results[k].append(infogain._log_predicted_density(cur, *kernel_args(prev, w)))
+
+    threads = threading.active_count()
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(len(clouds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert threading.active_count() == threads
+    for got, want in zip(results, wants):
+        assert len(got) == 5 and all(bit_equal(g, want) for g in got)
 
 
 def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):
@@ -474,8 +651,9 @@ def test_unwrapped_headings_stay_near_dense_oracle():
 
 def test_entropy_memory_bounded_by_tiles(ramp_grid):
     # One N x N float matrix at N = 4000 is 128 MB; the tiled estimate holds
-    # a few 256 KB tile buffers plus O(N) vectors, under eight tile buffers
-    # in all. numpy reports its array allocations to tracemalloc.
+    # a few tile buffers (six when the call splits) plus O(N) vectors, under
+    # eight tile buffers in all. numpy reports its array allocations to
+    # tracemalloc.
     n = 4000
     u = ControlInput(0.2, 0.1)
     prev = ramp_belief(4, n=n)
