@@ -138,9 +138,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, base = _load_episode(args)
     w_h_values, seeds = sweep_params(cfg)
     _check_trace_names(w_h_values, seeds)
-    result = simloop.sweep(base, w_h_values, seeds)
+    cells = simloop.sweep(base, w_h_values, seeds)
     out = _out_dir(args)
-    for cell in result.cells:
+    for cell in cells:
         if cell.trace is None:
             _say(args, f"w_h={cell.w_h:g} seed={cell.seed}: FAILED ({cell.error})")
             continue
@@ -154,9 +154,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"w_h={cell.w_h:g} seed={cell.seed}: {len(cell.trace)} steps ({note})",
         )
     summary_path = os.path.join(out, "summary.csv")
-    simloop.write_summary(result, summary_path, _provenance(cfg))
+    simloop.write_summary(cells, summary_path, _provenance(cfg))
     _say(args, f"wrote {summary_path}")
-    failures = sum(1 for c in result.cells if c.trace is None)
+    failures = sum(1 for c in cells if c.trace is None)
     return 1 if failures else 0
 
 
@@ -189,10 +189,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     lines = [
         "magplan planning benchmark",
         f"steps_timed: {textio.spell(len(result.times_ms), integer=True)}",
-        f"n_particles: {textio.spell(result.n_particles, integer=True)}",
-        f"eer_hypotheses: {textio.spell(result.m_count, integer=True)}",
-        f"horizon_steps: {textio.spell(result.horizon_steps, integer=True)}",
-        f"n_actions: {textio.spell(result.n_actions, integer=True)}",
+        f"n_particles: {textio.spell(episode.n_particles, integer=True)}",
+        f"eer_hypotheses: {textio.spell(episode.eer_params.m_count, integer=True)}",
+        f"horizon_steps: {textio.spell(episode.eer_params.horizon_steps, integer=True)}",
+        f"n_actions: {textio.spell(len(episode.actions), integer=True)}",
         # Times to the microsecond: finer digits are timer noise.
         f"mean_ms: {textio.spell(round(result.mean_ms, 3))}",
         f"max_ms: {textio.spell(round(result.max_ms, 3))}",

@@ -163,16 +163,6 @@ class EntropyEstimate:
             raise EntropyError(f"entropy estimate is not finite: {self.bits}")
 
 
-@dataclass(frozen=True)
-class EerValue:
-    bits: float
-    action: ControlInput
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.bits):
-            raise EntropyError(f"EER is not finite: {self.bits}")
-
-
 def logsumexp(a, axis=None) -> np.ndarray:
     """log(sum(exp(a))) over `axis` (every axis when None), shifted by the max.
 
@@ -367,7 +357,7 @@ def eer(
     m_count: int,
     horizon_steps: int,
     rng: np.random.Generator,
-) -> tuple[EerValue | EntropyError, ...]:
+) -> tuple[np.ndarray, tuple[str | None, ...]]:
     """Expected entropy reduction of each action, in bits, in action order.
 
     M hypotheses per action are subsampled proportional to weight and rolled
@@ -379,10 +369,11 @@ def eer(
     entropies are both evaluated at the terminal horizon step over the same
     hypothesis set, so a map with no gradient yields exactly zero.
 
-    An action whose estimate comes out non-finite gets the EntropyError
-    that says why in its slot; the others are unaffected. Arguments that
-    fail every action raise InfoGainError, and a zero motion or sensor
-    sigma raises DegenerateDensityError.
+    Returns `(bits, errors)`: the (A,) EER array and one entry per action,
+    None or the reason its estimate is not finite (its bits are then not
+    to be read); the other actions are unaffected. Arguments that fail
+    every action raise InfoGainError, and a zero motion or sensor sigma
+    raises DegenerateDensityError.
     """
     if m_count > b.n:
         raise InfoGainError(f"m_count {m_count} exceeds particle count {b.n}")
@@ -419,7 +410,7 @@ def eer(
         # across j so the future-entropy average is a proper expectation.
         log_pz = np.diagonal(log_lik, axis1=1, axis2=2)
         pbar = np.exp(log_pz - logsumexp(log_pz, axis=1)[:, None])
-        nats = h_base - np.einsum("aj,aj->a", pbar, h_future)
+        bits = (h_base - np.einsum("aj,aj->a", pbar, h_future)) / LN2
 
     checks = (
         (np.isfinite(h_base),
@@ -428,18 +419,10 @@ def eer(
          "a predicted measurement has zero mass under the rollout"),
         (np.isfinite(h_future).all(axis=1),
          "future entropy: positive-weight hypothesis with zero density"),
+        (np.isfinite(bits), "EER is not finite"),
     )
-    out: list[EerValue | EntropyError] = []
-    for k, a in enumerate(actions):
-        reason = next((why for ok, why in checks if not ok[k]), None)
-        if reason is not None:
-            out.append(EntropyError(reason))
-            continue
-        try:
-            out.append(EerValue(float(nats[k]) / LN2, a))
-        except EntropyError as exc:
-            out.append(exc)
-    return tuple(out)
+    errors = tuple(next((why for ok, why in checks if not ok[k]), None) for k in range(n_actions))
+    return bits, errors
 
 
 def iqr_reject(series) -> np.ndarray:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .infogain import EerValue, InfoGainError, eer
+from .infogain import InfoGainError, eer
 from .magmap import MagMap
 from .models import ControlInput, ModelSet, Pose
 from .pflocal import ParticleBelief
@@ -95,21 +96,29 @@ class EerParams:
 
 
 @dataclass(frozen=True)
-class ActionDiagnostics:
-    """Per-action planning record kept for the episode trace."""
-
-    action: ControlInput
-    eer_bits: float
-    distance: float
-    cost: float
-    error: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class SelectionResult:
+    """The chosen action and the trace's per-action columns, in action order.
+
+    A failed action has nan bits, +inf cost and its reason in `errors`;
+    every other action has None there.
+    """
+
     chosen: ControlInput
     chosen_index: int
-    diagnostics: tuple[ActionDiagnostics, ...]
+    eer_bits: tuple[float, ...]
+    distances: tuple[float, ...]
+    costs: tuple[float, ...]
+    errors: tuple[Optional[str], ...]
+
+    @property
+    def diagnostics(self) -> tuple[SimpleNamespace, ...]:
+        """The columns as one record per action (eer_bits, distance, cost,
+        error), built on each read; the benchmark's tracer counts actions and
+        failed actions through it."""
+        return tuple(
+            SimpleNamespace(eer_bits=b, distance=d, cost=c, error=e)
+            for b, d, c, e in zip(self.eer_bits, self.distances, self.costs, self.errors)
+        )
 
 
 def expected_position(p: Pose, a: ControlInput, dt: float) -> tuple[float, float]:
@@ -143,30 +152,26 @@ def select_action(
 ) -> SelectionResult:
     """Evaluate every action from the mean pose `estimate(b).mean`; take the argmin.
 
-    A failing rollout costs +inf and carries its error in the diagnostics;
+    A failing rollout gets nan bits, +inf cost and its reason in `errors`
+    (when `eer` raises InfoGainError, every action carries that message);
     selection fails only if every action fails. EER for the whole action
     set is one batched draw from the shared rng, in action order, so the
-    choice is reproducible.
+    choice is reproducible. Ties go to the lowest action index.
     """
     try:
-        gains = eer(
+        gains, errors = eer(
             b, aset.actions, grid, models, eer_params.m_count,
             eer_params.horizon_steps, rng,
         )
     except InfoGainError as exc:
-        gains = (exc,) * len(aset)
-    diags: list[ActionDiagnostics] = []
-    for a, gain in zip(aset.actions, gains):
-        dist = expected_distance(mean_pose, a, goal, models.dt)
-        if isinstance(gain, EerValue):
-            diags.append(
-                ActionDiagnostics(a, gain.bits, dist, action_cost(gain.bits, dist, w))
-            )
-        else:
-            diags.append(ActionDiagnostics(a, math.nan, dist, math.inf, str(gain)))
-    best = min(range(len(diags)), key=lambda i: diags[i].cost)
-    if not math.isfinite(diags[best].cost):
-        raise PlannerError(
-            "every action failed: " + "; ".join(d.error or "?" for d in diags)
-        )
-    return SelectionResult(diags[best].action, best, tuple(diags))
+        gains, errors = np.full(len(aset), math.nan), (str(exc),) * len(aset)
+    bits = tuple(math.nan if e is not None else float(g) for g, e in zip(gains, errors))
+    dists = tuple(expected_distance(mean_pose, a, goal, models.dt) for a in aset.actions)
+    costs = tuple(
+        math.inf if e is not None else action_cost(g, d, w)
+        for g, d, e in zip(bits, dists, errors)
+    )
+    best = min(range(len(costs)), key=costs.__getitem__)
+    if not math.isfinite(costs[best]):
+        raise PlannerError("every action failed: " + "; ".join(e or "?" for e in errors))
+    return SelectionResult(aset.actions[best], best, bits, dists, costs, errors)

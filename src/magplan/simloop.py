@@ -284,9 +284,9 @@ class EpisodeRunner:
             ess=record.ess,
             resampled=record.resampled,
             collapsed=record.collapsed,
-            eer_bits=tuple(d.eer_bits for d in selection.diagnostics),
-            distances=tuple(d.distance for d in selection.diagnostics),
-            costs=tuple(d.cost for d in selection.diagnostics),
+            eer_bits=selection.eer_bits,
+            distances=selection.distances,
+            costs=selection.costs,
         )
         self.rows.append(row)
         self.step_index += 1
@@ -348,21 +348,10 @@ class SweepCell:
     error: Optional[str]
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    cells: tuple[SweepCell, ...]
-
-    def cell(self, w_h: float, seed: int) -> SweepCell:
-        for c in self.cells:
-            if c.w_h == w_h and c.seed == seed:
-                return c
-        raise KeyError(f"no sweep cell for w_h={w_h}, seed={seed}")
-
-
 def sweep(
     base_cfg: EpisodeConfig, w_h_values: Sequence[float], seeds: Sequence[int]
-) -> SweepResult:
-    """Cross product of uncertainty weights and seeds.
+) -> tuple[SweepCell, ...]:
+    """Cross product of uncertainty weights and seeds, one cell each in grid order.
 
     Each cell reuses the seed entry unchanged, so cells in one seed column
     are exactly paired across w_h values. A failing cell records its error
@@ -385,7 +374,7 @@ def sweep(
                 )
             except EpisodeError as exc:
                 cells.append(SweepCell(w_h, int(seed), None, None, str(exc)))
-    return SweepResult(tuple(cells))
+    return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -395,10 +384,6 @@ class BenchmarkResult:
     times_ms: tuple[float, ...]
     mean_ms: float
     max_ms: float
-    n_particles: int
-    m_count: int
-    horizon_steps: int
-    n_actions: int
 
 
 class _TimedPlans(EpisodeRunner):
@@ -427,10 +412,6 @@ def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> BenchmarkResult
         times_ms=tuple(times),
         mean_ms=float(np.mean(times)),
         max_ms=float(np.max(times)),
-        n_particles=cfg.n_particles,
-        m_count=cfg.eer_params.m_count,
-        horizon_steps=cfg.eer_params.horizon_steps,
-        n_actions=len(cfg.actions),
     )
 
 
@@ -584,7 +565,7 @@ def write_metrics(metrics: MetricsRecord, path: str, provenance: dict[str, str])
     textio.write_table(path, head, rows, ints=(0,))
 
 
-def write_summary(result: SweepResult, path: str, provenance: dict[str, str]) -> None:
+def write_summary(cells: Sequence[SweepCell], path: str, provenance: dict[str, str]) -> None:
     """One CSV row per (w_h, seed) sweep cell; a failed cell keeps its error in the last column."""
     head = [
         *textio.preamble("summary", provenance),
@@ -592,7 +573,7 @@ def write_summary(result: SweepResult, path: str, provenance: dict[str, str]) ->
         "rmse_position,mean_error,final_error,path_length,error",
     ]
     rows = []
-    for c in result.cells:
+    for c in cells:
         m = c.metrics
         if m is None:
             msg = (c.error or "failed").replace(",", ";").replace("\n", " ")

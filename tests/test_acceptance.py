@@ -172,7 +172,7 @@ def test_04_flat_map_yields_zero_gain(uniform_grid):
             seed=seed,
         )
         for omega in turn_rates:
-            (gain,) = eer(
+            (gain,), errors = eer(
                 b,
                 (ControlInput(0.2, omega),),
                 uniform_grid,
@@ -181,7 +181,8 @@ def test_04_flat_map_yields_zero_gain(uniform_grid):
                 horizon_steps=10,
                 rng=np.random.default_rng(seed),
             )
-            assert abs(gain.bits) <= 1e-9
+            assert errors == (None,)
+            assert abs(gain) <= 1e-9
 
     # and conditioning on a flat-map measurement leaves entropy untouched
     u = ControlInput(0.2, 0.05)
@@ -207,9 +208,10 @@ def weight_sweep():
     raw = load_config(str(CONFIGS / "peak_sweep.cfg"))
     base = build_episode_config(raw, str(CONFIGS))
     w_h_values, seeds = sweep_params(raw)
-    result = sweep(base, w_h_values, seeds)
-    assert all(c.trace is not None for c in result.cells), [c.error for c in result.cells]
-    return result, w_h_values, seeds, base
+    cells = sweep(base, w_h_values, seeds)
+    assert all(c.trace is not None for c in cells), [c.error for c in cells]
+    # Each cell by its (w_h, seed).
+    return {(c.w_h, c.seed): c for c in cells}, w_h_values, seeds, base
 
 
 def max_chord_deviation(trace, start_xy, goal_xy) -> float:
@@ -224,11 +226,11 @@ def max_chord_deviation(trace, start_xy, goal_xy) -> float:
 
 
 def test_05_weight_sweep_path_geometry(weight_sweep):
-    result, w_h_values, seeds, base = weight_sweep
+    cells, w_h_values, seeds, base = weight_sweep
     start = (base.start.x, base.start.y)
     goal = base.goal.position
     devs = {
-        (w, s): max_chord_deviation(result.cell(w, s).trace, start, goal)
+        (w, s): max_chord_deviation(cells[w, s].trace, start, goal)
         for w in w_h_values
         for s in seeds
     }
@@ -242,9 +244,9 @@ def test_05_weight_sweep_path_geometry(weight_sweep):
 
 
 def test_06_weight_sweep_uncertainty(weight_sweep):
-    result, w_h_values, seeds, _ = weight_sweep
+    cells, w_h_values, seeds, _ = weight_sweep
     final_det = {
-        (w, s): result.cell(w, s).metrics.final_det_pos_cov
+        (w, s): cells[w, s].metrics.final_det_pos_cov
         for w in (0.0, 5.0, 10.0)
         for s in seeds
     }
@@ -253,7 +255,7 @@ def test_06_weight_sweep_uncertainty(weight_sweep):
 
     mean_det = {
         w: float(
-            np.mean([result.cell(w, s).metrics.mean_det_pos_cov for s in seeds])
+            np.mean([cells[w, s].metrics.mean_det_pos_cov for s in seeds])
         )
         for w in (0.0, 10.0)
     }
@@ -329,7 +331,8 @@ def test_08b_action_sequences_pinned():
     raw["sweep.w_h_values"] = "5"
     raw["sweep.seeds"] = "0"
     base = build_episode_config(raw, str(CONFIGS))
-    cell = sweep(base, *sweep_params(raw)).cell(5.0, 0)
+    (cell,) = sweep(base, *sweep_params(raw))
+    assert (cell.w_h, cell.seed) == (5.0, 0)
     assert cell.trace.reached_goal
     assert "".join(str(r.action_index) for r in cell.trace.rows) == PINNED_PEAK_EPISODE
 

@@ -500,7 +500,9 @@ def test_benchmark_writes_report(tmp_path, capsys):
     assert "mean_ms:" in stdout
     text = (out / "benchmark.txt").read_text()
     assert "steps_timed: 3" in text
-    assert "n_particles: 150" in text
+    # The episode's sizes, as the config sets them.
+    for line in ("n_particles: 150", "eer_hypotheses: 20", "horizon_steps: 5", "n_actions: 6"):
+        assert f"\n{line}\n" in text
     assert "within_budget: yes" in text
 
 

@@ -168,18 +168,20 @@ AWAITING_A_CALLER = {"tlcal.save_maglog", "tlcal.load_coefficients"}
 def test_every_public_name_has_a_caller_outside_the_tests():
     # A public function or class that only tests use belongs in
     # tests/oracles.py or goes away. A Name, an Attribute or an import alias
-    # anywhere in the package or the benchmark counts as a caller.
+    # anywhere in the package or the benchmark counts as a caller; a public
+    # method or property of a public class needs an Attribute.
     root = pathlib.Path(__file__).parents[1]
     package = sorted((root / "src" / "magplan").glob("*.py"))
     bench = sorted((root / "perfbench").glob("*.py"))
     assert package and bench
     trees = {path: ast.parse(path.read_text()) for path in package + bench}
-    used = set()
+    used, attributes = set(), set()
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
     public = {
@@ -189,6 +191,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert sorted(n for n in public - AWAITING_A_CALLER if n.split(".")[1] not in used) == []
+    members = {
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in package
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert sorted(n for n in members if n.split(".")[2] not in attributes) == []
 
 
 # --- hashing ---

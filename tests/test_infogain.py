@@ -40,7 +40,6 @@ from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_a
 from magplan.simloop import EpisodeConfig, EpisodeRunner
 from magplan.infogain import (
     TILE_ELEMENTS,
-    EerValue,
     EntropyError,
     EntropyEstimate,
     InfoGainError,
@@ -851,7 +850,7 @@ def test_future_entropy_gradient_informative(ramp_grid, uniform_grid, models):
 def test_eer_matches_direct_oracle(ramp_grid, models):
     b = ramp_belief(17, n=60, spread=0.2)
     u = ControlInput(0.2, 0.1)
-    (got,) = eer(
+    (got,), errors = eer(
         b, (u,), ramp_grid, models, m_count=25, horizon_steps=3, rng=np.random.default_rng(77)
     )
     want = direct_eer_bits(
@@ -866,8 +865,8 @@ def test_eer_matches_direct_oracle(ramp_grid, models):
         3,
         np.random.default_rng(77),
     )
-    assert got.action == u
-    assert got.bits == pytest.approx(want, abs=1e-9)
+    assert errors == (None,)
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_eer_zero_on_uniform_map(uniform_grid, models):
@@ -881,7 +880,7 @@ def test_eer_zero_on_uniform_map(uniform_grid, models):
             seed=seed,
         )
         for omega in TURN_RATES:
-            (v,) = eer(
+            (v,), errors = eer(
                 b,
                 (ControlInput(0.2, omega),),
                 uniform_grid,
@@ -890,14 +889,15 @@ def test_eer_zero_on_uniform_map(uniform_grid, models):
                 horizon_steps=10,
                 rng=np.random.default_rng(seed),
             )
-            assert abs(v.bits) <= 1e-9
+            assert errors == (None,)
+            assert abs(v) <= 1e-9
 
 
 def test_eer_deterministic_given_rng(peak_grid, models):
     b = init(Pose(5.0, 0.5, 0.0), np.diag([0.3**2, 0.3**2, 0.01]), 250, seed=3)
     u = ControlInput(0.2, math.radians(15.0))
-    a = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0].bits
-    b2 = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0].bits
+    a = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0][0]
+    b2 = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0][0]
     assert a == b2
 
 
@@ -916,8 +916,8 @@ def test_eer_prefers_gradient_over_flat_heading(peak_grid, models):
         rng_t = np.random.default_rng(seed * 2 + 1)
         rng_a = np.random.default_rng(seed * 2 + 1)
         assert (
-            eer(b, (toward,), peak_grid, models, 30, 10, rng_t)[0].bits
-            > eer(b, (away,), peak_grid, models, 30, 10, rng_a)[0].bits
+            eer(b, (toward,), peak_grid, models, 30, 10, rng_t)[0][0]
+            > eer(b, (away,), peak_grid, models, 30, 10, rng_a)[0][0]
         )
 
 
@@ -927,8 +927,11 @@ def test_eer_finite_when_rollouts_escape(ramp_grid, models):
         np.full(40, 1 / 40),
         np.random.default_rng(1),
     )
-    (v,) = eer(b, (ControlInput(0.2, 0.0),), ramp_grid, models, 20, 30, np.random.default_rng(2))
-    assert math.isfinite(v.bits)
+    (v,), errors = eer(
+        b, (ControlInput(0.2, 0.0),), ramp_grid, models, 20, 30, np.random.default_rng(2)
+    )
+    assert errors == (None,)
+    assert math.isfinite(v)
 
 
 def test_eer_rejects_degenerate_sensor(ramp_grid):
@@ -950,7 +953,9 @@ def test_batched_eer_matches_scalar_oracle_per_action(grid_name, models, request
     )
     rng_kernel = np.random.default_rng(31)
     rng_oracle = np.random.default_rng(31)
-    got = eer(b, actions, grid, models, m_count=30, horizon_steps=10, rng=rng_kernel)
+    got, errors = eer(b, actions, grid, models, m_count=30, horizon_steps=10, rng=rng_kernel)
+    assert got.shape == (len(actions),)
+    assert errors == (None,) * len(actions)
     for a, value in zip(actions, got):
         want = direct_eer_bits(
             b.particles,
@@ -964,8 +969,7 @@ def test_batched_eer_matches_scalar_oracle_per_action(grid_name, models, request
             10,
             rng_oracle,
         )
-        assert value.action == a
-        assert value.bits == pytest.approx(want, abs=1e-12)
+        assert value == pytest.approx(want, abs=1e-12)
     assert rng_kernel.random() == rng_oracle.random()
 
 
@@ -974,7 +978,7 @@ def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
     # that action's estimate non-finite; the other actions keep their values.
     actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
     b = ramp_belief(9, n=60)
-    want = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    want, _ = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
     real_lookup = infogain.lookup
 
     def poisoned(grid, pts):
@@ -983,22 +987,45 @@ def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
         return values, inside
 
     monkeypatch.setattr(infogain, "lookup", poisoned)
-    got = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
-    assert isinstance(got[2], EntropyError)
-    assert "zero mass" in str(got[2])
+    got, errors = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    assert "zero mass" in errors[2]
     for k in (0, 1, 3, 4, 5):
-        assert got[k].bits == want[k].bits
+        assert errors[k] is None
+        assert got[k] == want[k]
 
     goal = Goal((10.0, 0.0), 0.5)
     r = select_action(
         b, estimate(b).mean, goal, ActionSet(actions), PlannerWeights(1.0, 1.0, 0.5), ramp_grid, models,
         EerParams(20, 4), np.random.default_rng(6),
     )
-    for k, d in enumerate(r.diagnostics):
+    for k, (bits, cost, error) in enumerate(zip(r.eer_bits, r.costs, r.errors)):
         if k == 2:
-            assert d.cost == math.inf and math.isnan(d.eer_bits) and "zero mass" in d.error
+            assert cost == math.inf and math.isnan(bits) and "zero mass" in error
         else:
-            assert math.isfinite(d.cost) and d.error is None
+            assert math.isfinite(cost) and error is None
+
+
+def test_batched_eer_reports_a_nonfinite_gain(ramp_grid, models, monkeypatch):
+    # A likelihood block with a -inf diagonal for one action leaves its
+    # entropies and evidence finite but its pbar, and so its EER, nan: the
+    # fourth check names it; the other actions keep their values.
+    actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
+    b = ramp_belief(9, n=60)
+    want, _ = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    real_likelihood = infogain.sensor_log_likelihood
+
+    def poisoned(*args):
+        log_lik = real_likelihood(*args)
+        log_lik[3][np.diag_indices(20)] = -np.inf
+        return log_lik
+
+    monkeypatch.setattr(infogain, "sensor_log_likelihood", poisoned)
+    got, errors = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    assert errors[3] == "EER is not finite"
+    assert not math.isfinite(got[3])
+    for k in (0, 1, 2, 4, 5):
+        assert errors[k] is None
+        assert got[k] == want[k]
 
 
 def test_logsumexp_matches_scipy():
@@ -1109,8 +1136,6 @@ def test_exp_step_matches_plain_exp_bitwise():
 def test_estimate_types_reject_nonfinite():
     with pytest.raises(EntropyError):
         EntropyEstimate(math.inf, 100, with_measurement=True)
-    with pytest.raises(EntropyError):
-        EerValue(math.nan, ControlInput(0.1, 0.0))
 
 
 # --- outlier rejection ---

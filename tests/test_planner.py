@@ -199,7 +199,7 @@ def test_exact_tie_breaks_to_lowest_index(uniform_grid, models, aset):
         EerParams(30, 10),
         np.random.default_rng(0),
     )
-    assert r.diagnostics[2].distance == r.diagnostics[3].distance
+    assert r.distances[2] == r.distances[3]
     assert r.chosen_index == 2
 
 
@@ -216,15 +216,15 @@ def test_selection_is_argmin_of_reported_costs(peak_grid, models, aset):
         b, mean_pose, Goal((13.0, 0.5), 0.5), aset, w, peak_grid, models,
         EerParams(30, 10), np.random.default_rng(42),
     )
-    assert len(r.diagnostics) == len(aset)
-    assert [d.action for d in r.diagnostics] == list(aset.actions)
-    costs = [d.cost for d in r.diagnostics]
-    assert r.chosen_index == int(np.argmin(costs))
-    for d in r.diagnostics:
-        assert d.error is None
-        assert d.cost == pytest.approx(action_cost(d.eer_bits, d.distance, w), abs=1e-15)
-        assert d.distance == pytest.approx(
-            expected_distance(mean_pose, d.action, Goal((13.0, 0.5), 0.5), models.dt), abs=1e-12
+    columns = (r.eer_bits, r.distances, r.costs, r.errors)
+    assert [len(c) for c in columns] == [len(aset)] * 4
+    assert r.chosen == aset.actions[r.chosen_index]
+    assert r.chosen_index == int(np.argmin(r.costs))
+    for a, bits, distance, cost, error in zip(aset.actions, *columns):
+        assert error is None
+        assert cost == pytest.approx(action_cost(bits, distance, w), abs=1e-15)
+        assert distance == pytest.approx(
+            expected_distance(mean_pose, a, Goal((13.0, 0.5), 0.5), models.dt), abs=1e-12
         )
 
 
@@ -242,7 +242,7 @@ def test_selection_reproducible(peak_grid, models, aset):
     r1 = select_action(b, rng=np.random.default_rng(9), **kw)
     r2 = select_action(b, rng=np.random.default_rng(9), **kw)
     assert r1.chosen_index == r2.chosen_index
-    assert [d.eer_bits for d in r1.diagnostics] == [d.eer_bits for d in r2.diagnostics]
+    assert r1.eer_bits == r2.eer_bits
 
 
 def test_information_weight_shifts_choice_toward_gradient(peak_grid, models, aset):
@@ -265,11 +265,8 @@ def test_information_weight_shifts_choice_toward_gradient(peak_grid, models, ase
             b, estimate(b).mean, goal, aset, PlannerWeights(5.0, 1.0, 0.5), peak_grid,
             models, EerParams(30, 10), np.random.default_rng(seed + 100),
         )
-        assert [d.eer_bits for d in r0.diagnostics] == [d.eer_bits for d in r5.diagnostics]
-        assert (
-            r5.diagnostics[r5.chosen_index].eer_bits
-            > r0.diagnostics[r0.chosen_index].eer_bits
-        )
+        assert r0.eer_bits == r5.eer_bits
+        assert r5.eer_bits[r5.chosen_index] > r0.eer_bits[r0.chosen_index]
 
 
 def test_zero_info_weight_ignores_the_map(peak_grid, uniform_grid, models, aset):
@@ -289,9 +286,11 @@ def test_zero_info_weight_ignores_the_map(peak_grid, uniform_grid, models, aset)
 
 def test_all_actions_failing_raises(peak_grid, models, aset):
     b = pinned_belief(n=5)  # fewer particles than hypotheses
-    with pytest.raises(PlannerError, match="every action failed"):
+    with pytest.raises(PlannerError, match="every action failed") as info:
         select_action(
             b, estimate(b).mean, Goal((8.0, 3.0), 0.5), aset,
             PlannerWeights(1.0, 1.0, 0.5), peak_grid, models, EerParams(30, 10),
             np.random.default_rng(0),
         )
+    # eer's InfoGainError is every action's reason.
+    assert str(info.value).count("m_count 30 exceeds particle count 5") == len(aset)
