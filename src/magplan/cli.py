@@ -164,18 +164,19 @@ def cmd_export(args: argparse.Namespace) -> int:
     data = simloop.read_trace(args.trace)
     out = _out_dir(args)
     path = os.path.join(out, f"export_{args.kind}.csv")
-    columns = {"time_s": data.time_s}
+    trace = data.columns
+    columns = {"time_s": trace["time_s"]}
     if args.kind == "trajectory":
         for name in ("truth_x", "truth_y", "est_x", "est_y"):
-            columns[name] = data.columns[name]
+            columns[name] = trace[name]
     elif args.kind == "detcov":
-        columns["detcov"] = data.det_pos_cov
+        columns["detcov"] = trace["det_pos_cov"]
     else:
-        columns["entropy_raw"] = data.entropy_bits
-        columns["entropy_filtered"] = simloop.filter_entropy(data.entropy_bits)
+        columns["entropy_raw"] = trace["entropy_bits"]
+        columns["entropy_filtered"] = simloop.filter_entropy(trace["entropy_bits"])
     prov = {"source": os.path.basename(args.trace), "magplan_version": __version__}
     head = [*textio.preamble(f"export {args.kind}", prov), ",".join(["step", *columns])]
-    rows = zip(data.step.tolist(), *(c.tolist() for c in columns.values()))
+    rows = zip(trace["step"].tolist(), *(c.tolist() for c in columns.values()))
     textio.write_table(path, head, rows, ints=(0,))
     _say(args, f"wrote {path}")
     return 0

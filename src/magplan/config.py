@@ -140,8 +140,11 @@ def _get(cfg: dict[str, str], key: str, default=_MISSING):
     cell_kind = int if kind.startswith("int") else float
     try:
         if kind.endswith("_list"):
-            # Empty entries are list syntax (a trailing comma), not cells.
-            return [textio.parse_cell(v, cell_kind) for v in raw.split(",") if v.strip()]
+            # One trailing comma is list syntax (a lone comma is the empty list);
+            # any other empty entry is a bad cell.
+            body = raw.rstrip().removesuffix(",")
+            cells = body.split(",") if body.strip() else []
+            return [textio.parse_cell(v, cell_kind) for v in cells]
         return textio.parse_cell(raw, cell_kind)
     except textio.TextError as exc:
         raise ConfigError(f"key {key!r}: bad {kind} value {raw!r}") from exc

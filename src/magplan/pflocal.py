@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 import numpy as np
 
@@ -51,9 +50,6 @@ class WeightCollapseError(FilterError):
     """All particle weights underflowed during a measurement update."""
 
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
-
-
 def _safe_log(w: np.ndarray) -> np.ndarray:
     """Elementwise log with log(0) = -inf, never touching the zero entries."""
     out = np.full(w.shape, -np.inf)
@@ -69,12 +65,6 @@ def _snapshot(cls, *values):
             value.setflags(write=False)
         object.__setattr__(obj, field.name, value)
     return obj
-
-
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -141,27 +131,28 @@ class GaussianSummary:
         return float(np.linalg.det(self.covariance[:2, :2]))
 
 
-def init(
-    prior_mean: Pose, prior_cov: np.ndarray, n: int, seed: SeedLike
-) -> ParticleBelief:
-    """Gaussian-prior belief with uniform weights.
-
-    A zero covariance is a valid degenerate prior (all particles at the
-    mean). Non-PSD covariance is rejected.
-    """
-    if n < 2:
-        raise FilterError(f"need at least 2 particles, got {n}")
+def check_prior_cov(prior_cov) -> np.ndarray:
+    """`prior_cov` as a float array if it is a finite, symmetric, positive
+    semidefinite 3x3 matrix; FilterError if not. A zero covariance is a valid
+    degenerate prior (all particles at the mean)."""
     cov = np.asarray(prior_cov, dtype=float)
-    if cov.shape != (3, 3):
-        raise FilterError(f"prior covariance must be 3x3, got {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise FilterError("prior covariance must be finite")
+    if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
+        raise FilterError(f"prior covariance must be a finite 3x3 matrix, got {cov.tolist()}")
     if not np.allclose(cov, cov.T, rtol=0, atol=1e-9):
-        raise FilterError("prior covariance must be symmetric")
+        raise FilterError(f"prior covariance must be symmetric, got {cov.tolist()}")
     eigvals = np.linalg.eigvalsh(cov)
     if float(eigvals.min()) < -1e-9:
         raise FilterError(f"prior covariance not PSD (min eigenvalue {eigvals.min():g})")
-    rng = _as_generator(seed)
+    return cov
+
+
+def init(prior_mean: Pose, prior_cov: np.ndarray, n: int, seed) -> ParticleBelief:
+    """Gaussian-prior belief with uniform weights; `seed` is anything
+    `np.random.default_rng` takes, and a Generator is used as it is."""
+    if n < 2:
+        raise FilterError(f"need at least 2 particles, got {n}")
+    cov = check_prior_cov(prior_cov)
+    rng = np.random.default_rng(seed)
     particles = rng.multivariate_normal(
         prior_mean.as_array(), cov, size=n, check_valid="ignore", method="svd"
     )

@@ -96,10 +96,10 @@ class EpisodeConfig:
             ) from None
         if self.seed < 0:
             raise EpisodeError(f"seed must be >= 0, got {self.seed}")
-        cov = np.asarray(self.prior_cov, dtype=float)
-        if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
-            raise EpisodeError(f"prior_cov must be a finite 3x3 matrix, got {cov.tolist()}")
-        cov = cov.copy()
+        try:
+            cov = pflocal.check_prior_cov(self.prior_cov).copy()
+        except pflocal.FilterError as exc:
+            raise EpisodeError(str(exc)) from None
         cov.setflags(write=False)
         object.__setattr__(self, "prior_cov", cov)
         _, inside = lookup(self.grid, np.array([self.goal.position, self.start.position()]))
@@ -415,87 +415,62 @@ def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> BenchmarkResult
     )
 
 
-# The trace columns in file order, grouped by the TraceData field that holds
-# them. A group's names have the shape of one row's value of that field: one
-# name is a scalar, a tuple a vector, the covariance a 3x3 block.
+# The trace header in file order: these fixed columns, then one column per
+# action j in each of eer_j, dist_j and cost_j.
 _TRACE_FIXED = (
-    ("step", "step"), ("time_s", "time_s"),
-    ("truth", ("truth_x", "truth_y", "truth_theta")), ("z", "z_nt"),
-    ("action_index", "action_index"), ("action_v", "action_v"),
-    ("action_omega", "action_omega"), ("est", ("est_x", "est_y", "est_theta")),
-    ("covariance", tuple(tuple(f"cov_{r}{c}" for c in "xyt") for r in "xyt")),
-    ("det_pos_cov", "det_pos_cov"), ("entropy_bits", "entropy_bits"), ("ess", "ess"),
-    ("resampled", "resampled"), ("collapsed", "collapsed"),
+    "step", "time_s", "truth_x", "truth_y", "truth_theta", "z_nt", "action_index",
+    "action_v", "action_omega", "est_x", "est_y", "est_theta",
+    *(f"cov_{r}{c}" for r in "xyt" for c in "xyt"),
+    "det_pos_cov", "entropy_bits", "ess", "resampled", "collapsed",
 )
-# Then one column per action j in each of these groups: eer_j, dist_j, cost_j.
-_TRACE_PER_ACTION = (("eer_bits", "eer"), ("distances", "dist"), ("costs", "cost"))
-# Integer fields (flags as 0/1), each its own single column, with their dtypes.
-_TRACE_INTEGER_FIELDS = {"step": int, "action_index": int, "resampled": bool, "collapsed": bool}
+_TRACE_PER_ACTION = ("eer", "dist", "cost")
+# The integer columns; the flags among them hold 0 or 1.
+_TRACE_FLAGS = {"resampled", "collapsed"}
+_TRACE_INTEGERS = {"step", "action_index", *_TRACE_FLAGS}
 
 
-def trace_schema(n_actions: int) -> tuple[tuple[str, object], ...]:
-    """(TraceData field, its column names) for every trace column group, in file order."""
-    return _TRACE_FIXED + tuple(
-        (field, tuple(f"{prefix}_{j}" for j in range(n_actions)))
-        for field, prefix in _TRACE_PER_ACTION
-    )
+def trace_columns(n_actions: int) -> list[str]:
+    """The trace header: the fixed columns, then eer_j, dist_j and cost_j for each action j."""
+    return [*_TRACE_FIXED, *(f"{p}_{j}" for p in _TRACE_PER_ACTION for j in range(n_actions))]
 
 
-def _trace_columns(n_actions: int) -> list[str]:
-    return [name for _, names in trace_schema(n_actions) for name in np.ravel(names).tolist()]
+def _trace_cells(r: TraceRow) -> list:
+    """One row's values in `trace_columns` order."""
+    return [r.step, r.time_s, r.truth.x, r.truth.y, r.truth.theta, r.z, r.action_index,
+            r.action.v, r.action.omega, r.est.x, r.est.y, r.est.theta,
+            *r.covariance.ravel().tolist(), r.det_pos_cov, r.entropy_bits, r.ess,
+            r.resampled, r.collapsed, *r.eer_bits, *r.distances, *r.costs]
 
 
 def write_trace(trace: EpisodeTrace, path: str, provenance: dict[str, str]) -> None:
-    """Write the trace CSV: `#`-comment provenance, header row, one row per step.
+    """Write the trace CSV: `#`-comment provenance, the `trace_columns` header,
+    then `_trace_cells` of each row.
 
     Floats are written with round-trip precision so identical runs produce
     byte-identical files.
     """
-    schema = trace_schema(trace.n_actions)
-    columns = _trace_columns(trace.n_actions)
-    ints = [c for c, name in enumerate(columns) if name in _TRACE_INTEGER_FIELDS]
+    columns = trace_columns(trace.n_actions)
+    ints = [c for c, name in enumerate(columns) if name in _TRACE_INTEGERS]
     head = [*textio.preamble("trace", provenance),
             f"# reached_goal: {textio.spell(trace.reached_goal, integer=True)}", ",".join(columns)]
-
-    def cells(r: TraceRow) -> list:
-        # The row's values keyed by TraceData field, each group as a flat list.
-        values = {**vars(r), "truth": r.truth.as_array().tolist(),
-                  "est": r.est.as_array().tolist(), "covariance": r.covariance.ravel().tolist(),
-                  "action_v": r.action.v, "action_omega": r.action.omega}
-        return [v for field, names in schema
-                for v in ((values[field],) if isinstance(names, str) else values[field])]
-
-    textio.write_table(path, head, map(cells, trace.rows), ints=ints)
+    textio.write_table(path, head, map(_trace_cells, trace.rows), ints=ints)
 
 
 @dataclass(frozen=True)
 class TraceData:
-    """A trace file's columns, grouped as `trace_schema` says, for metrics and export."""
+    """A trace file read back: each column by its `trace_columns` name, as
+    floats (the integer and flag columns too), whether the episode reached its
+    goal, and every `# key: value` comment."""
 
-    step: np.ndarray
-    time_s: np.ndarray
-    truth: np.ndarray
-    z: np.ndarray
-    action_index: np.ndarray
-    action_v: np.ndarray
-    action_omega: np.ndarray
-    est: np.ndarray
-    covariance: np.ndarray
-    det_pos_cov: np.ndarray
-    entropy_bits: np.ndarray
-    ess: np.ndarray
-    resampled: np.ndarray
-    collapsed: np.ndarray
-    eer_bits: np.ndarray
-    distances: np.ndarray
-    costs: np.ndarray
-    columns: dict[str, np.ndarray]  # every column by its header name, as floats
+    columns: dict[str, np.ndarray]
     reached_goal: bool
     comments: dict[str, str]
 
 
 def read_trace(path: str) -> TraceData:
-    """Parse a trace file; a malformed one raises EpisodeError naming the file."""
+    """Parse a trace file; a malformed one raises EpisodeError naming the file
+    and, for a bad row, its line. The header must be `trace_columns` of some
+    action count."""
     lines = textio.read_lines(path)
     comments: dict[str, str] = {}
     for line in lines:
@@ -508,16 +483,15 @@ def read_trace(path: str) -> TraceData:
     if start is None:
         raise EpisodeError(f"{path}: no header row")
     header = body[start].split(",")
-    ints = [c for c, name in enumerate(header) if name in _TRACE_INTEGER_FIELDS]
+    ints = [c for c, name in enumerate(header) if name in _TRACE_INTEGERS]
     try:
         table, linenos = textio.read_table(body, start + 1, ",", (len(header),), ints)
     except textio.TextError as exc:
         raise EpisodeError(f"{path}: {exc}") from None
     if not linenos:
         raise EpisodeError(f"{path}: trace has no data rows")
-    n_fixed = len(_trace_columns(0))
-    n_actions = (len(header) - n_fixed) // len(_TRACE_PER_ACTION)
-    expected = _trace_columns(n_actions)
+    n_fixed = len(_TRACE_FIXED)
+    expected = trace_columns((len(header) - n_fixed) // len(_TRACE_PER_ACTION))
     if header != expected:
         unknown = ", ".join(sorted(set(header) - set(expected))) or "none"
         missing = ", ".join(sorted(set(expected) - set(header))) or "none"
@@ -528,21 +502,14 @@ def read_trace(path: str) -> TraceData:
     # Only the per-action columns may hold nan/inf: a failed action writes them.
     # The flag columns hold 0 or 1, as write_trace writes them.
     fixed = table[:, :n_fixed]
-    is_flag = np.array([_TRACE_INTEGER_FIELDS.get(name) is bool for name in header[:n_fixed]])
+    is_flag = np.array([name in _TRACE_FLAGS for name in _TRACE_FIXED])
     nonflag = is_flag & (fixed != 0) & (fixed != 1)
     for bad, what in ((~np.isfinite(fixed), "be finite"), (nonflag, "be 0 or 1")):
         if bad.any():
             r, c = np.argwhere(bad)[0]
             cell = lines[linenos[r] - 1].split(",")[c]
             raise EpisodeError(f"{path}: line {linenos[r]}: {header[c]} must {what}, got {cell!r}")
-    fields, c = {}, 0
-    for field, names in trace_schema(n_actions):
-        shape = np.shape(names)
-        block = table[:, c : c + math.prod(shape)].reshape(len(table), *shape)
-        fields[field] = block.astype(_TRACE_INTEGER_FIELDS.get(field, float))
-        c += math.prod(shape)
     return TraceData(
-        **fields,
         columns=dict(zip(header, table.T)),
         reached_goal=comments.get("reached_goal", "0") == "1",
         comments=comments,

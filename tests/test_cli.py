@@ -151,7 +151,7 @@ def test_run_writes_trace_and_metrics(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "8 steps (budget exhausted)" in stdout
     data = read_trace(str(out / "trace.csv"))
-    assert len(data.step) == 8
+    assert len(data.columns["step"]) == 8
     assert data.comments["seed"] == "0"
     assert data.comments["magplan_version"] == __version__
     assert len(data.comments["config_hash"]) == 16
@@ -201,7 +201,7 @@ def test_run_uses_map_file_relative_to_config(tmp_path):
     )
     out = tmp_path / "filemap"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert len(read_trace(str(out / "trace.csv")).step) == 4
+    assert len(read_trace(str(out / "trace.csv")).columns["step"]) == 4
 
 
 def test_run_non_ascii_map_file_is_a_config_error(tmp_path, capsys):
@@ -392,7 +392,7 @@ def test_export_detcov_matches_trace(run_trace, tmp_path):
         if not l.startswith("#")
     ][1:]
     got = [float(line.split(",")[2]) for line in body]
-    assert got == data.det_pos_cov.tolist()
+    assert got == data.columns["det_pos_cov"].tolist()
 
 
 def test_export_entropy_includes_filtered_column(run_trace, tmp_path):

@@ -344,12 +344,13 @@ def test_build_episode_bad_number(tmp_path):
     with pytest.raises(ConfigError, match="bad int value"):
         build_episode_config(dict(BASE, **{"sim.seed": "0.5"}), str(tmp_path))
     # One number grammar: no digit separators, no non-ASCII digits, and an int
-    # takes no decimal point or exponent.
+    # takes no decimal point or exponent. Only a list's final entry may be empty.
     cases = [("planner.w_h", "float"), ("sim.seed", "int"), ("actions.omegas_deg", "float_list")]
-    for (key, kind), value in itertools.product(cases, ["1_0", FULLWIDTH_42, "5, 1_0"]):
+    bad = ["1_0", FULLWIDTH_42, "5, 1_0", "-25, , 25"]
+    for (key, kind), value in itertools.product(cases, bad):
         with pytest.raises(ConfigError, match=f"key '{key}': bad {kind} value '{value}'"):
             build_episode_config(dict(BASE, **{key: value}), str(tmp_path))
-    for value in ("1_0", FULLWIDTH_42, "0, 1.0", "1e0"):
+    for value in ("1_0", FULLWIDTH_42, "0, 1.0", "1e0", ",1,2"):
         with pytest.raises(ConfigError, match=f"key 'sweep.seeds': bad int_list value '{value}'"):
             sweep_params(dict(BASE, **{"sweep.w_h_values": "0", "sweep.seeds": value}))
     for value in ("1.0", "1e0"):

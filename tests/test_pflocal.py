@@ -58,6 +58,8 @@ def test_init_reproducible_and_seed_sensitive():
     c = init(Pose(0, 0, 0), PRIOR_COV, 100, seed=8)
     assert np.array_equal(a.particles, b.particles)
     assert not np.array_equal(a.particles, c.particles)
+    g = np.random.default_rng(7)
+    assert init(Pose(0, 0, 0), PRIOR_COV, 100, seed=g).rng is g
 
 
 def test_init_sampling_statistics():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS, STD_MOTION, STD_SENSOR, bit_equal
-from magplan import infogain, magmap, models, pflocal, planner, simloop
+from magplan import infogain, magmap, models, pflocal, planner, simloop, textio
 from magplan.config import build_episode_config, load_config
 from magplan.magmap import OutOfMapError
 from magplan.models import (
@@ -37,7 +37,7 @@ from magplan.simloop import (
     read_trace,
     run_episode,
     sweep,
-    trace_schema,
+    trace_columns,
     write_metrics,
     write_summary,
     write_trace,
@@ -103,6 +103,11 @@ def test_config_cross_field_validation(base_cfg):
         base_cfg(prior_cov=np.eye(2))
     with pytest.raises(EpisodeError, match="finite 3x3"):
         base_cfg(prior_cov=np.diag([np.inf, 1.0, 1.0]))
+    # What pflocal.init rejects is rejected here, before an episode runs.
+    with pytest.raises(EpisodeError, match="symmetric"):
+        base_cfg(prior_cov=[[0.09, 0.5, 0.0], [0.0, 0.09, 0.0], [0.0, 0.0, 0.01]])
+    with pytest.raises(EpisodeError, match="PSD"):
+        base_cfg(prior_cov=np.diag([1.0, 1.0, -0.1]))
     with pytest.raises(EpisodeError, match="goal"):
         base_cfg(goal=Goal((50.0, 0.0), 0.5))
     with pytest.raises(EpisodeError, match="start"):
@@ -215,8 +220,9 @@ def test_failed_action_goes_through_the_step(base_cfg, monkeypatch, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(EpisodeTrace((row,), False, len(ACTIONS)), str(path), {})
     data = read_trace(str(path))
-    for field in ("eer_bits", "distances", "costs"):
-        assert bit_equal(getattr(data, field)[0], np.array(getattr(row, field)))
+    for field, prefix in (("eer_bits", "eer"), ("distances", "dist"), ("costs", "cost")):
+        got = [data.columns[f"{prefix}_{j}"][0] for j in range(len(ACTIONS))]
+        assert bit_equal(np.array(got), np.array(getattr(row, field)))
 
 
 def test_stops_at_goal(base_cfg):
@@ -454,20 +460,53 @@ def test_trace_round_trip(base_cfg, tmp_path):
     data = read_trace(str(path))
     assert data.comments["config_hash"] == "abc123"
     assert data.reached_goal == trace.reached_goal
-    assert len(data.step) == len(trace)
+    cols = data.columns
+    assert len(cols["step"]) == len(trace)
+
+    def group(names, k):
+        return [cols[name][k] for name in names]
+
+    n = len(ACTIONS)
+    cov = [[f"cov_{r}{c}" for c in "xyt"] for r in "xyt"]
     for k, row in enumerate(trace.rows):
-        assert data.step[k] == row.step
-        assert data.truth[k].tolist() == [row.truth.x, row.truth.y, row.truth.theta]
-        assert data.z[k] == row.z
-        assert data.action_index[k] == row.action_index
-        assert data.est[k].tolist() == [row.est.x, row.est.y, row.est.theta]
-        assert np.array_equal(data.covariance[k], row.covariance)
-        assert data.det_pos_cov[k] == row.det_pos_cov
-        assert data.entropy_bits[k] == row.entropy_bits
-        assert data.ess[k] == row.ess
-        assert data.eer_bits[k].tolist() == list(row.eer_bits)
-        assert data.distances[k].tolist() == list(row.distances)
-        assert data.costs[k].tolist() == list(row.costs)
+        assert cols["step"][k] == row.step
+        assert cols["time_s"][k] == row.time_s
+        assert group(("truth_x", "truth_y", "truth_theta"), k) == [
+            row.truth.x, row.truth.y, row.truth.theta
+        ]
+        assert cols["z_nt"][k] == row.z
+        assert cols["action_index"][k] == row.action_index
+        assert group(("action_v", "action_omega"), k) == [row.action.v, row.action.omega]
+        assert group(("est_x", "est_y", "est_theta"), k) == [row.est.x, row.est.y, row.est.theta]
+        assert np.array_equal([group(names, k) for names in cov], row.covariance)
+        assert cols["det_pos_cov"][k] == row.det_pos_cov
+        assert cols["entropy_bits"][k] == row.entropy_bits
+        assert cols["ess"][k] == row.ess
+        assert group(("resampled", "collapsed"), k) == [row.resampled, row.collapsed]
+        assert group([f"eer_{j}" for j in range(n)], k) == list(row.eer_bits)
+        assert group([f"dist_{j}" for j in range(n)], k) == list(row.distances)
+        assert group([f"cost_{j}" for j in range(n)], k) == list(row.costs)
+
+
+def test_trace_bytes_round_trip_through_the_columns(base_cfg, tmp_path):
+    """The columns read back, rewritten by name in header order, give the
+    file's bytes: each row's cells sit under their `trace_columns` names."""
+    # A sharp sensor near the peak: resampled steps and others.
+    cfg = base_cfg(start=Pose(3.5, 1.5, 0.0), sensor=SensorNoise(5.0), step_budget=6)
+    trace = run_episode(cfg)
+    assert any(row.resampled for row in trace.rows)
+    path, again = tmp_path / "trace.csv", tmp_path / "again.csv"
+    write_trace(trace, str(path), {"config_hash": "abc123", "seed": "5"})
+    columns = read_trace(str(path)).columns
+    assert columns["resampled"].tolist() == [row.resampled for row in trace.rows]
+    header = trace_columns(trace.n_actions)
+    lines = path.read_text().splitlines()
+    head = lines[: lines.index(",".join(header)) + 1]
+    integers = ("step", "action_index", "resampled", "collapsed")
+    ints = [c for c, name in enumerate(header) if name in integers]
+    rows = zip(*(columns[name].tolist() for name in header))
+    textio.write_table(str(again), head, rows, ints=ints)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_trace_reader_rejects_malformed(tmp_path):
@@ -515,7 +554,8 @@ def test_trace_reader_rejects_malformed(tmp_path):
     cells[22], cells[-1] = "2.0", "inf\n"  # cost_1
     failedaction = tmp_path / "failedaction.csv"
     failedaction.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
-    assert read_trace(str(failedaction)).costs[1].tolist() == [1.1, math.inf]
+    cols = read_trace(str(failedaction)).columns
+    assert [cols["cost_0"][1], cols["cost_1"][1]] == [1.1, math.inf]
 
     # One number grammar: no digit separators, no non-ASCII digits, and an
     # integer column (step, action_index and the flags) takes no decimal point.
@@ -548,11 +588,10 @@ def test_trace_schema_matches_written_header(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(EpisodeTrace(rows, False, 2), str(path), {})
     header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
-    names = [n for _, group in trace_schema(2) for n in np.ravel(group).tolist()]
-    assert header.split(",") == names
+    assert header.split(",") == trace_columns(2)
     data = read_trace(str(path))
-    assert data.columns["truth_x"].tolist() == data.truth[:, 0].tolist()
-    assert data.columns["cov_xy"].tolist() == data.covariance[:, 0, 1].tolist()
+    assert data.columns["truth_x"].tolist() == [rows[0].truth.x]
+    assert data.columns["cov_xy"].tolist() == [rows[0].covariance[0, 1]]
     assert data.columns["cost_1"].tolist() == [2.2]
 
 
