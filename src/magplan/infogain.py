@@ -32,9 +32,9 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   max-shifted log-sum-exp, so it equals the dense N x N form bit for bit
   while holding O(N * tile) memory instead of O(N^2). The heading residual
   is wrapped by two exact shifts rather than np.remainder, which is exact
-  only while both headings lie in [-pi, pi]: cur headings outside that
-  range are wrapped once per call (in-range ones pass through untouched),
-  and every motion step already returns wrapped headings. Each call lays
+  only while both headings lie in [-pi, pi]: every motion step returns such
+  headings, and a `ParticleBelief` stores any heading outside that range
+  wrapped, so the kernel takes its clouds as they are. Each call lays
   cur and the means out once as contiguous (3, n) coordinate planes and
   allocates one tile's buffers: the tile and the two float scratch buffers
   of the Gaussian. Every tile reuses them, and is reduced in place by the
@@ -105,7 +105,6 @@ from .models import (
     ControlInput,
     ModelSet,
     coordinate_planes,
-    in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
     MotionNoise,
@@ -152,15 +151,9 @@ class EntropyError(InfoGainError):
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """A finite entropy value in bits; non-finite estimates raise instead."""
+    """An entropy value in bits; `_particle_entropy` raises on a non-finite one."""
 
     bits: float
-    n_particles: int
-    with_measurement: bool
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.bits):
-            raise EntropyError(f"entropy estimate is not finite: {self.bits}")
 
 
 def logsumexp(a, axis=None) -> np.ndarray:
@@ -220,11 +213,12 @@ def _log_predicted_density(
     """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles, given
     the prev particles' motion `means` and `log_w = _safe_log(w_prev)`. Leading
     axes stack clouds, cur (..., n, 3), means (..., m, 3) and log_w (..., m)
-    into (..., n); each tile holds the same rows of every cloud. A call of
-    more than one tile sets the ufunc buffer to one row (restored on the way
-    out), may take the four-pass wrap and, from SPLIT_ELEMENTS on, shares its
-    tiles with one helper thread; see the module docstring."""
-    cur = coordinate_planes(in_range_headings(cur_states))
+    into (..., n); each tile holds the same rows of every cloud. Every heading
+    lies in [-pi, pi]. A call of more than one tile sets the ufunc buffer to
+    one row (restored on the way out), may take the four-pass wrap and, from
+    SPLIT_ELEMENTS on, shares its tiles with one helper thread; see the
+    module docstring."""
+    cur = coordinate_planes(cur_states)
     mu = coordinate_planes(means)[..., None, :]
     lead, n, m = cur.shape[1:-1], cur.shape[-1], mu.shape[-1]
     rows = max(1, TILE_ELEMENTS // (math.prod(lead) * m))
@@ -323,7 +317,7 @@ def _particle_entropy(w_cur, log_pred, log_lik=None, log_evidence=None) -> Entro
     if not math.isfinite(nats):
         what = "posterior" if measured else "predicted"
         raise EntropyError(f"{what} entropy: positive-weight particle with zero density")
-    return EntropyEstimate(float(nats) / LN2, len(w_cur), with_measurement=measured)
+    return EntropyEstimate(float(nats) / LN2)
 
 
 def entropy_posterior(

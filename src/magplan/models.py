@@ -255,18 +255,6 @@ def short_wrap_holds(nxt_theta: np.ndarray, mu_theta: np.ndarray) -> bool:
     return bool(SHORT_WRAP_FLOOR <= lo and hi <= math.pi)
 
 
-def in_range_headings(states: np.ndarray) -> np.ndarray:
-    """A copy of an (..., 3) stack whose headings outside [-pi, pi] are wrapped.
-
-    In-range headings pass through untouched, so every state that came from
-    `init` or a motion step keeps its exact value.
-    """
-    out = np.array(states, dtype=float)
-    theta = out[..., 2]
-    out[..., 2] = np.where(np.abs(theta) <= math.pi, theta, wrap_angle_array(theta))
-    return out
-
-
 def coordinate_planes(states: np.ndarray) -> np.ndarray:
     """The x, y and heading columns of an (..., 3) stack as one contiguous
     (3, ...) array, so each coordinate is read at unit stride."""
@@ -294,8 +282,8 @@ def transition_log_density_from_means(
 
     The angular residual is wrapped before the Gaussian is evaluated so a
     heading step across the +/-pi seam is not scored as a near-full turn.
-    Every heading must lie in [-pi, pi] (see `in_range_headings`); motion
-    steps always return such headings. `short_wrap` says the caller has
+    Every heading must lie in [-pi, pi], as those of motion steps and of a
+    `pflocal.ParticleBelief` do. `short_wrap` says the caller has
     checked `short_wrap_holds` for the two heading planes, so the residual
     takes the four-pass wrap.
     """

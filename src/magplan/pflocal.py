@@ -10,10 +10,12 @@ Beliefs are immutable snapshots; operations return new beliefs. The rng
 travels with the belief and is shared by its successors, so a filter
 lineage is single-writer by construction.
 
-Validation runs at the boundary: `init` and the public `ParticleBelief` and
-`GaussianSummary` constructors check what callers pass and freeze copies.
-The filter steps trust the arrays they have just computed: `_snapshot`
-freezes them in place and returns them with no copy and no check.
+Validation runs where values enter: `init` and the `ParticleBelief`
+constructor check what callers pass, freeze copies and store any heading
+outside [-pi, pi] wrapped, as `Pose` does. The filter steps trust the
+arrays they have just computed: `_snapshot` freezes them in place and
+returns them with no copy and no check. `GaussianSummary` is made only by
+`estimate` and checks nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class ParticleBelief:
     rng: np.random.Generator
 
     def __post_init__(self) -> None:
-        particles = np.asarray(self.particles, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        particles = np.array(self.particles, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if particles.ndim != 2 or particles.shape[1] != 3:
             raise FilterError(f"particles must be (N, 3), got {particles.shape}")
         n = particles.shape[0]
@@ -93,8 +95,9 @@ class ParticleBelief:
             raise FilterError("weights must be finite and nonnegative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise FilterError(f"weights must sum to 1, got {weights.sum()!r}")
-        particles = particles.copy()
-        weights = weights.copy()
+        # In-range headings keep their bits; a plain wrap moves some by an ulp.
+        theta = particles[:, 2]
+        particles[:, 2] = np.where(np.abs(theta) <= math.pi, theta, wrap_angle_array(theta))
         particles.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "particles", particles)
@@ -111,20 +114,6 @@ class GaussianSummary:
 
     mean: Pose
     covariance: np.ndarray
-
-    def __post_init__(self) -> None:
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (3, 3):
-            raise FilterError(f"covariance must be 3x3, got {cov.shape}")
-        if not np.all(np.isfinite(cov)):
-            raise FilterError("covariance must be finite")
-        if not np.allclose(cov, cov.T, rtol=0, atol=1e-12):
-            raise FilterError("covariance must be symmetric")
-        if float(np.linalg.eigvalsh(cov).min()) < -1e-12:
-            raise FilterError("covariance must be positive semidefinite")
-        cov = cov.copy()
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
 
     def det_positional(self) -> float:
         """Determinant of the 2x2 position block, the quantity plotted over time."""

@@ -189,7 +189,8 @@ def assimilate(
     try:
         updated, log_evidence = pflocal._reweighted(predicted, log_w, log_lik)
     except WeightCollapseError:
-        updated = ParticleBelief(cur, np.full(predicted.n, 1.0 / predicted.n), predicted.rng)
+        uniform = np.full(predicted.n, 1.0 / predicted.n)
+        updated = pflocal._snapshot(ParticleBelief, cur, uniform, predicted.rng)
         entropy = infogain._particle_entropy(predicted.weights, log_pred)
         collapsed = True
     else:

@@ -31,7 +31,6 @@ from magplan.models import (
     SensorNoise,
     coordinate_planes,
     measurement_log_likelihood_array,
-    in_range_headings,
     motion_mean_array,
     transition_log_density_from_means,
     wrap_angle_array,
@@ -410,13 +409,13 @@ def future_entropy(
     log_evidence = logsumexp(log_lik + log_w)
     w_post = np.exp(log_lik + log_w - log_evidence)
     nats = log_evidence - float(w_post @ (log_lik + _hyp_log_pred(hyp, models)))
-    return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=True)
+    return EntropyEstimate(nats / LN2)
 
 
 def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEstimate:
     """No-measurement entropy at the rollout's terminal step (the EER baseline)."""
     nats = -float(hyp.weights @ _hyp_log_pred(hyp, models))
-    return EntropyEstimate(nats / LN2, hyp.m_count, with_measurement=False)
+    return EntropyEstimate(nats / LN2)
 
 
 # --- Per-step unicycle rollout, array distance, two-axis-index lookup -------
@@ -565,7 +564,7 @@ def transition_log_density_matrix(
     noise: MotionNoise,
 ) -> np.ndarray:
     """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
-    nxt = coordinate_planes(in_range_headings(np.atleast_2d(next_states)))
+    nxt = coordinate_planes(np.atleast_2d(next_states))
     mu = coordinate_planes(motion_mean_array(prev_states, u, dt))
     return transition_log_density_from_means(nxt[:, :, None], mu[:, None, :], noise)
 

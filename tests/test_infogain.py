@@ -41,7 +41,6 @@ from magplan.simloop import EpisodeConfig, EpisodeRunner
 from magplan.infogain import (
     TILE_ELEMENTS,
     EntropyError,
-    EntropyEstimate,
     InfoGainError,
     eer,
     entropy_posterior,
@@ -107,8 +106,6 @@ def test_posterior_entropy_matches_direct_oracle(ramp_grid, models):
         ramp_field,
         STD_SENSOR.sigma_z,
     )
-    assert got.with_measurement
-    assert got.n_particles == prev.n
     assert got.bits == pytest.approx(want, abs=1e-9)
 
 
@@ -126,7 +123,6 @@ def test_predicted_entropy_matches_direct_oracle(ramp_grid, models):
         STD_DT,
         (STD_MOTION.sigma_x, STD_MOTION.sigma_y, STD_MOTION.sigma_theta),
     )
-    assert not got.with_measurement
     assert got.bits == pytest.approx(want, abs=1e-9)
 
 
@@ -635,14 +631,15 @@ def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):
 
 
 def test_unwrapped_headings_stay_near_dense_oracle():
-    # Headings outside [-pi, pi] are wrapped once up front, which may move
-    # the last bits of the residual but no more.
+    # The belief stores headings outside [-pi, pi] wrapped, which may move
+    # the last bits of the residual against the raw cloud but no more.
     prev, cur, w = seam_clouds(150, 9)
     turns = np.random.default_rng(3).integers(-3, 4, (2, 150))
     prev[:, 2] += 2 * math.pi * turns[0]
     cur[:, 2] += 2 * math.pi * turns[1]
     assert (np.abs(cur[:, 2]) > math.pi).sum() > 50
-    got = infogain._log_predicted_density(cur, *kernel_args(prev, w))
+    stored = ParticleBelief(cur, w, np.random.default_rng(0)).particles
+    got = infogain._log_predicted_density(stored, *kernel_args(prev, w))
     want = dense_log_predicted_density(cur, *kernel_args(prev, w))
     assert np.all(np.isfinite(want))
     assert np.abs(got - want).max() <= 1e-12
@@ -1131,11 +1128,6 @@ def test_exp_step_matches_plain_exp_bitwise():
         want = np.exp(d)
         assert infogain._exp_into(d) is d
         assert bit_equal(d, want)
-
-
-def test_estimate_types_reject_nonfinite():
-    with pytest.raises(EntropyError):
-        EntropyEstimate(math.inf, 100, with_measurement=True)
 
 
 # --- outlier rejection ---

@@ -29,7 +29,6 @@ from magplan.models import (
     Pose,
     SensorNoise,
     add_motion_noise,
-    in_range_headings,
     measurement_log_likelihood_array,
     motion_mean_array,
     short_wrap_holds,
@@ -141,17 +140,6 @@ def test_short_wrap_holds_on_its_bounds():
     assert short_wrap_holds(np.array([2.0]), np.array([2.0 - math.pi]))
     assert not short_wrap_holds(np.array([2.0]), np.array([2.0 - math.nextafter(math.pi, 4.0)]))
     assert not short_wrap_holds(np.array([0.0, math.nan]), np.array([0.0]))
-
-
-def test_in_range_headings_leaves_wrapped_states_untouched():
-    states = np.array(
-        [[1.0, 2.0, math.pi], [0.0, 0.0, -math.pi], [0.0, 0.0, -0.0], [3.0, 4.0, 7.0]]
-    )
-    out = in_range_headings(states)
-    assert bit_equal(out[:3], states[:3])
-    assert out[3, :2].tolist() == [3.0, 4.0]
-    assert out[3, 2] == wrap_angle_array(7.0)
-    assert states[3, 2] == 7.0  # the input is not modified
 
 
 # --- pose and parameter validation ---

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import RAMP_BASE, RAMP_SLOPE, STD_DT, ramp_field
-from magplan.models import ControlInput, MotionNoise, Pose, SensorNoise
+from conftest import RAMP_BASE, RAMP_SLOPE, STD_DT, bit_equal, ramp_field
+from magplan.models import ControlInput, MotionNoise, Pose, SensorNoise, wrap_angle_array
 from magplan.pflocal import (
     FilterError,
-    GaussianSummary,
     ParticleBelief,
     WeightCollapseError,
     effective_sample_size,
@@ -113,6 +112,25 @@ def test_belief_constructor_copies_caller_arrays():
     weights[0] = 9.0
     assert b.particles[0, 0] == 0.0 and b.weights[0] == 0.5
     assert particles.flags.writeable and weights.flags.writeable
+
+
+# Both signed zeros, both ends of [-pi, pi] and the first floats past them.
+EDGE_HEADINGS = [0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                 math.nextafter(-math.pi, -4.0)]
+
+
+@given(st.lists(st.floats(-4.0, 4.0) | st.floats(-1e6, 1e6), max_size=30))
+def test_belief_wraps_only_headings_outside_pi(drawn):
+    """A heading on [-pi, pi] is stored bit for bit as given, any other one
+    as `wrap_angle_array` gives it; x and y are stored as given."""
+    theta = np.array(EDGE_HEADINGS + drawn)
+    n = theta.size
+    particles = np.column_stack([np.arange(n) * 0.1, np.arange(n) * -0.3, theta])
+    b = make_belief(particles, np.full(n, 1.0 / n))
+    inside = np.abs(theta) <= math.pi
+    assert bit_equal(b.particles[inside, 2], theta[inside])
+    assert bit_equal(b.particles[~inside, 2], wrap_angle_array(theta[~inside]))
+    assert bit_equal(b.particles[:, :2], particles[:, :2])
 
 
 def test_filter_outputs_are_read_only(ramp_grid):
@@ -259,7 +277,7 @@ def test_resample_triggers_below_threshold():
     w[7] = 1.0
     b = make_belief(particles, w)
     out = resample_if_needed(b, n / 2)
-    assert np.allclose(out.particles, particles[7])
+    assert np.allclose(out.particles, b.particles[7])
     assert np.allclose(out.weights, 1.0 / n)
 
 
@@ -331,14 +349,3 @@ def test_estimate_identical_particles_zero_covariance():
     s = estimate(b)
     assert np.allclose(s.covariance, 0.0, atol=1e-15)
     assert s.det_positional() == 0.0
-
-
-def test_summary_validation():
-    with pytest.raises(FilterError):
-        GaussianSummary(Pose(0, 0, 0), np.diag([1.0, 1.0, -1.0]))
-    bad = np.eye(3)
-    bad[0, 1] = 0.3
-    with pytest.raises(FilterError):
-        GaussianSummary(Pose(0, 0, 0), bad)
-    with pytest.raises(FilterError):
-        GaussianSummary(Pose(0, 0, 0), np.full((3, 3), np.nan))

@@ -165,20 +165,25 @@ def test_belief_blind_to_truth_pose(base_cfg):
 
 
 def test_step_runs_on_trusted_snapshots(base_cfg, monkeypatch):
-    """The filter's own beliefs and summaries and the episode's model bundle
-    skip the boundary checks."""
+    """The filter's own beliefs, the collapse reset's too, and the episode's
+    model bundle skip the boundary checks."""
 
     def boundary_check(self):
         raise AssertionError("boundary check on an internal snapshot")
 
     cfg = base_cfg()
     monkeypatch.setattr(pflocal.ParticleBelief, "__post_init__", boundary_check)
-    monkeypatch.setattr(pflocal.GaussianSummary, "__post_init__", boundary_check)
     monkeypatch.setattr(ModelSet, "__post_init__", boundary_check)
     runner = EpisodeRunner(cfg)
     row = runner.step()
     assert not row.collapsed
     assert not runner.belief.particles.flags.writeable
+    # A reading no particle can explain collapses the weights.
+    monkeypatch.setattr(runner, "measure", lambda: 1e9)
+    row = runner.step()
+    assert row.collapsed
+    assert np.all(runner.belief.weights == 1.0 / cfg.n_particles)
+    assert not runner.belief.weights.flags.writeable
 
 
 def test_failed_action_goes_through_the_step(base_cfg, monkeypatch, tmp_path):
