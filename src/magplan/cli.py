@@ -184,21 +184,22 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     _, episode = _load_episode(args, args.seed)
-    result = simloop.benchmark_planning(episode, args.steps)
+    times = simloop.benchmark_planning(episode, args.steps)
+    mean_ms = sum(times) / len(times)
     out = _out_dir(args)
     path = os.path.join(out, "benchmark.txt")
     lines = [
         "magplan planning benchmark",
-        f"steps_timed: {textio.spell(len(result.times_ms), integer=True)}",
+        f"steps_timed: {textio.spell(len(times), integer=True)}",
         f"n_particles: {textio.spell(episode.n_particles, integer=True)}",
         f"eer_hypotheses: {textio.spell(episode.eer_params.m_count, integer=True)}",
         f"horizon_steps: {textio.spell(episode.eer_params.horizon_steps, integer=True)}",
         f"n_actions: {textio.spell(len(episode.actions), integer=True)}",
         # Times to the microsecond: finer digits are timer noise.
-        f"mean_ms: {textio.spell(round(result.mean_ms, 3))}",
-        f"max_ms: {textio.spell(round(result.max_ms, 3))}",
+        f"mean_ms: {textio.spell(round(mean_ms, 3))}",
+        f"max_ms: {textio.spell(round(max(times), 3))}",
         f"budget_ms: {textio.spell(PLANNING_BUDGET_MS)}",
-        f"within_budget: {'yes' if result.mean_ms < PLANNING_BUDGET_MS else 'no'}",
+        f"within_budget: {'yes' if mean_ms < PLANNING_BUDGET_MS else 'no'}",
     ]
     textio.write_table(path, lines)
     for line in lines[1:]:

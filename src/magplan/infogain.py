@@ -60,14 +60,15 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   64-byte boundary, so every row of a 2000-wide tile starts on a cache
   line. And a call of at least SPLIT_ELEMENTS pairwise elements (batch x n
   x m; N of about 1750 and up for one cloud) in a process that may use
-  more than one CPU splits its tiles into two contiguous halves of whole
-  tiles: one helper thread fills the second half while the caller fills
-  the first, each on its own scratch, and the caller joins the helper
-  before it returns or raises. The helper runs in a copy of the caller's
-  context, so its tiles see the caller's errstate and the row-sized
-  buffer. Every row goes through the same tile operations either way.
-  One-tile calls skip all four: on eer's (6, 20, 20) call the range check
-  alone cost more than the wrap it saves.
+  more than one CPU (`_usable_cpus`: its affinity set where the platform
+  has one, as Linux does, else `os.cpu_count()`) splits its tiles into
+  two contiguous halves of whole tiles: one helper thread fills the
+  second half while the caller fills the first, each on its own scratch,
+  and the caller joins the helper before it returns or raises. The helper
+  runs in a copy of the caller's context, so its tiles see the caller's
+  errstate and the row-sized buffer. Every row goes through the same tile
+  operations either way. One-tile calls skip all four: on eer's
+  (6, 20, 20) call the range check alone cost more than the wrap it saves.
 
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
@@ -225,10 +226,10 @@ def _log_predicted_density(
     out = np.empty((*lead, n))
     log_w = log_w[..., None, :]
     if n <= rows:
-        _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)))
+        _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)), False)
         return out
     short_wrap = short_wrap_holds(cur[2], mu[2])
-    split = math.prod(lead) * n * m >= SPLIT_ELEMENTS and len(os.sched_getaffinity(0)) > 1
+    split = math.prod(lead) * n * m >= SPLIT_ELEMENTS and _usable_cpus() > 1
     # errstate restores the buffer size on the way out, also on an exception;
     # numpy takes only multiples of 16.
     with np.errstate():
@@ -239,6 +240,14 @@ def _log_predicted_density(
             bufs = _aligned_empty((3, *lead, rows, m))
             _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
     return out
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one (Linux), else `os.cpu_count()`."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap) -> None:
@@ -272,7 +281,7 @@ def _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap) -> None:
         raise failed[0]
 
 
-def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap=False) -> None:
+def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap) -> None:
     """Write `_log_predicted_density` into `out` tile by tile, `rows` rows at a
     time, reusing the (3, ..., rows, m) scratch `bufs` for every tile."""
     n = cur.shape[-1]
@@ -366,8 +375,8 @@ def eer(
     Returns `(bits, errors)`: the (A,) EER array and one entry per action,
     None or the reason its estimate is not finite (its bits are then not
     to be read); the other actions are unaffected. Arguments that fail
-    every action raise InfoGainError, and a zero motion or sensor sigma
-    raises DegenerateDensityError.
+    every action raise InfoGainError, and a zero motion sigma raises
+    DegenerateDensityError.
     """
     if m_count > b.n:
         raise InfoGainError(f"m_count {m_count} exceeds particle count {b.n}")

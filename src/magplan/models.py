@@ -40,7 +40,7 @@ class ModelError(Exception):
 
 
 class DegenerateDensityError(ModelError):
-    """A density was requested for a distribution with zero spread."""
+    """A transition density was requested for motion noise with a zero sigma."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -107,17 +107,16 @@ class MotionNoise:
 
 @dataclass(frozen=True)
 class SensorNoise:
-    """Scalar magnetometer noise standard deviation (nT).
+    """Scalar magnetometer noise standard deviation (nT), finite and > 0.
 
-    sigma_z = 0 is accepted as a degenerate noiseless limit so tests can
-    synthesize exact measurements; density evaluation rejects it.
+    The noiseless reading is the map value, `magmap.sample_point`.
     """
 
     sigma_z: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_z) and self.sigma_z >= 0):
-            raise ModelError(f"sigma_z must be finite and >= 0, got {self.sigma_z}")
+        if not (math.isfinite(self.sigma_z) and self.sigma_z > 0):
+            raise ModelError(f"sigma_z must be finite and > 0, got {self.sigma_z}")
 
 
 @dataclass(frozen=True)
@@ -214,25 +213,20 @@ def _check_densities_valid(noise: MotionNoise) -> None:
         )
 
 
-def wrap_residual(
-    d: np.ndarray, shift: np.ndarray | None = None, short: bool = False
-) -> np.ndarray:
+def wrap_residual(d: np.ndarray, shift: np.ndarray, short: bool) -> np.ndarray:
     """`wrap_angle_array(d)` in place, by two exact shifts instead of np.remainder.
 
     Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
     holds for the difference of two headings in [-pi, pi]. Each shift is a
-    comparison written as 0.0 or 1.0 into the float buffer `shift`, scaled
-    by 2*pi and added, so a caller that passes `shift` (d's shape) makes no
-    temporaries; it is allocated when not given.
+    comparison written as 0.0 or 1.0 into the float buffer `shift` (d's
+    shape), scaled by 2*pi and added, so the wrap makes no temporaries.
 
-    `short` is for a caller that has checked every d lies in
+    `short` is True for a caller that has checked every d lies in
     [SHORT_WRAP_FLOOR, pi] (see `short_wrap_holds`). There a negative d has
     d + 2*pi > pi and a non-negative one stays at most pi, so the second
     shift equals the first: the wrap adds and subtracts one shift, four
     passes instead of six, with the same bits.
     """
-    if shift is None:
-        shift = np.empty_like(d)
     np.less(d, 0.0, out=shift)
     shift *= TWO_PI
     d += shift
@@ -266,9 +260,9 @@ def transition_log_density_from_means(
     nxt: np.ndarray,
     mu: np.ndarray,
     noise: MotionNoise,
-    out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
-    short_wrap: bool = False,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+    short_wrap: bool,
 ) -> np.ndarray:
     """Pairwise log N(next; mean, noise) from (3, ...) coordinate planes.
 
@@ -276,21 +270,19 @@ def transition_log_density_from_means(
     planes (see `coordinate_planes`), shaped to broadcast against each other:
     `nxt[:, :, None]` against `mu[:, None, :]` gives the (N, M) block of
     every next state i against every mean j, and leading axes stack blocks.
-    The block is written into `out` when given. `scratch` is two float
-    buffers of the block's shape; a caller that evaluates many blocks passes
-    the same ones each time, and they are allocated when not given.
+    The block is written into `out`, and `scratch` is two float buffers of
+    the block's shape; a caller that evaluates many blocks passes the same
+    ones each time, so the kernel allocates nothing.
 
     The angular residual is wrapped before the Gaussian is evaluated so a
     heading step across the +/-pi seam is not scored as a near-full turn.
     Every heading must lie in [-pi, pi], as those of motion steps and of a
-    `pflocal.ParticleBelief` do. `short_wrap` says the caller has
+    `pflocal.ParticleBelief` do. `short_wrap` is True when the caller has
     checked `short_wrap_holds` for the two heading planes, so the residual
     takes the four-pass wrap.
     """
     _check_densities_valid(noise)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(nxt.shape[1:], mu.shape[1:]))
-    tmp, shift = scratch if scratch is not None else (np.empty_like(out), np.empty_like(out))
+    tmp, shift = scratch
     log_norm = -(
         math.log(noise.sigma_x)
         + math.log(noise.sigma_y)
@@ -337,10 +329,6 @@ def sensor_log_likelihood(
 ) -> np.ndarray:
     """Log N(z; predicted, sigma_z), marked down by OUT_OF_MAP_PENALTY where
     `inside` is False. All three arrays broadcast against each other."""
-    if noise.sigma_z == 0:
-        raise DegenerateDensityError(
-            "measurement likelihood undefined at sigma_z = 0"
-        )
     resid = (z - predicted) / noise.sigma_z
     log_pdf = -0.5 * resid**2 - math.log(noise.sigma_z) - 0.5 * math.log(TWO_PI)
     return np.where(inside, log_pdf, log_pdf + math.log(OUT_OF_MAP_PENALTY))
@@ -350,7 +338,4 @@ def simulate_measurement(
     p: Pose, grid: MagMap, noise: SensorNoise, rng: np.random.Generator
 ) -> float:
     """Draw one magnetometer reading at p. Raises OutOfMapError outside the map."""
-    mean = sample_point(grid, p.x, p.y)
-    if noise.sigma_z == 0:
-        return mean
-    return mean + float(rng.normal(0.0, noise.sigma_z))
+    return sample_point(grid, p.x, p.y) + float(rng.normal(0.0, noise.sigma_z))

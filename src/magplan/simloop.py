@@ -86,8 +86,6 @@ class EpisodeConfig:
                 f"eer m_count {self.eer_params.m_count} exceeds "
                 f"n_particles {self.n_particles}"
             )
-        if self.models.sensor.sigma_z <= 0:
-            raise EpisodeError("sensor sigma_z must be > 0 for a running filter")
         try:
             _check_densities_valid(self.models.motion)
         except DegenerateDensityError:
@@ -378,15 +376,6 @@ def sweep(
     return tuple(cells)
 
 
-@dataclass(frozen=True)
-class BenchmarkResult:
-    """Wall-time statistics of the planning call, milliseconds."""
-
-    times_ms: tuple[float, ...]
-    mean_ms: float
-    max_ms: float
-
-
 class _TimedPlans(EpisodeRunner):
     """An EpisodeRunner that records the wall time of each plan() call, in ms."""
 
@@ -401,19 +390,15 @@ class _TimedPlans(EpisodeRunner):
         return selection
 
 
-def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> BenchmarkResult:
-    """Time select_action in the episode's own loop (`EpisodeRunner.run`) for at
-    most n_steps steps: it stops at the goal and raises StepFailure as run does."""
+def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> tuple[float, ...]:
+    """The wall time in ms of each select_action call in the episode's own loop
+    (`EpisodeRunner.run`) for at most n_steps steps: it stops at the goal and
+    raises StepFailure as run does."""
     if n_steps < 1:
         raise EpisodeError(f"n_steps must be >= 1, got {n_steps}")
     runner = _TimedPlans(replace(cfg, step_budget=min(n_steps, cfg.step_budget)))
     runner.run()
-    times = runner.plan_ms
-    return BenchmarkResult(
-        times_ms=tuple(times),
-        mean_ms=float(np.mean(times)),
-        max_ms=float(np.max(times)),
-    )
+    return tuple(runner.plan_ms)
 
 
 # The trace header in file order: these fixed columns, then one column per

@@ -6,23 +6,19 @@ vectorized code paths, so agreement between the two is evidence rather than
 tautology. The only shared primitives are numpy's rng (both sides must
 consume identical draws) and, where a test says so, the map sampler. The
 exceptions are marked in their sections: the library's former dense,
-per-action, per-step and two-axis-index forms, kept as references for the
-faster forms that replaced them, and scalar wrappers over the library's
-array forms.
+per-step and two-axis-index forms, kept as references for the faster forms
+that replaced them, and scalar wrappers over the library's array forms.
 """
 
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import logsumexp
 
 from magplan import infogain
 from magplan.infogain import EntropyEstimate
-from magplan.magmap import MagMap, lookup, sample_point
+from magplan.magmap import MagMap, sample_point
 from magplan.models import (
     ControlInput,
     ModelSet,
@@ -351,73 +347,6 @@ def direct_eer_bits(
     return eer_nats / LN2
 
 
-# --- One action's EER rollout, scalar form ----------------------------------
-#
-# The per-action form of the library's batched EER kernel: one action's
-# hypothesis set, rolled out with the library's motion step and scored with
-# the library's densities but scipy's logsumexp.
-
-
-@dataclass(frozen=True)
-class Hypotheses:
-    """M hypotheses at the last two horizon steps of one action's rollout."""
-
-    m_count: int
-    action: ControlInput
-    states_prev: np.ndarray
-    states: np.ndarray
-    weights: np.ndarray
-    predicted_z: np.ndarray
-
-
-def build_hypotheses(
-    b,
-    a: ControlInput,
-    grid: MagMap,
-    models: ModelSet,
-    m_count: int,
-    horizon_steps: int,
-    rng: np.random.Generator,
-) -> Hypotheses:
-    """Subsample M hypotheses proportional to weight (one choice() call, as
-    the library draws one action's block) and roll them out noise free."""
-    idx = rng.choice(b.n, size=m_count, replace=True, p=b.weights)
-    states = b.particles[idx]
-    for _ in range(horizon_steps - 1):
-        states = motion_mean_array(states, a, models.dt)
-    states_prev = states
-    states = motion_mean_array(states_prev, a, models.dt)
-    predicted_z, _ = lookup(grid, states[:, :2])
-    return Hypotheses(
-        m_count, a, states_prev, states, np.full(m_count, 1.0 / m_count), predicted_z
-    )
-
-
-def _hyp_log_pred(hyp: Hypotheses, models: ModelSet) -> np.ndarray:
-    log_t = transition_log_density_matrix(
-        hyp.states, hyp.states_prev, hyp.action, models.dt, models.motion
-    )
-    return logsumexp(log_t + np.log(hyp.weights)[None, :], axis=1)
-
-
-def future_entropy(
-    hyp: Hypotheses, z_future: float, grid: MagMap, models: ModelSet
-) -> EntropyEstimate:
-    """Posterior entropy at the rollout's terminal step, given z_future."""
-    log_lik = measurement_log_likelihood_array(z_future, hyp.states, grid, models.sensor)
-    log_w = np.log(hyp.weights)
-    log_evidence = logsumexp(log_lik + log_w)
-    w_post = np.exp(log_lik + log_w - log_evidence)
-    nats = log_evidence - float(w_post @ (log_lik + _hyp_log_pred(hyp, models)))
-    return EntropyEstimate(nats / LN2)
-
-
-def predicted_entropy_at_horizon(hyp: Hypotheses, models: ModelSet) -> EntropyEstimate:
-    """No-measurement entropy at the rollout's terminal step (the EER baseline)."""
-    nats = -float(hyp.weights @ _hyp_log_pred(hyp, models))
-    return EntropyEstimate(nats / LN2)
-
-
 # --- Per-step unicycle rollout, array distance, two-axis-index lookup -------
 #
 # The library's forms before the EER rollout was batched, the planner's
@@ -566,7 +495,10 @@ def transition_log_density_matrix(
     """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
     nxt = coordinate_planes(np.atleast_2d(next_states))
     mu = coordinate_planes(motion_mean_array(prev_states, u, dt))
-    return transition_log_density_from_means(nxt[:, :, None], mu[:, None, :], noise)
+    out, tmp, shift = np.empty((3, nxt.shape[1], mu.shape[1]))
+    return transition_log_density_from_means(
+        nxt[:, :, None], mu[:, None, :], noise, out, (tmp, shift), False
+    )
 
 
 def transition_density(

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from magplan import __version__, tlcal
+from magplan import __version__, simloop, tlcal
 from magplan.cli import main
 from magplan.magmap import load_map
 from magplan.models import ControlInput, Pose
@@ -504,6 +504,25 @@ def test_benchmark_writes_report(tmp_path, capsys):
     for line in ("n_particles: 150", "eer_hypotheses: 20", "horizon_steps: 5", "n_actions: 6"):
         assert f"\n{line}\n" in text
     assert "within_budget: yes" in text
+
+
+@pytest.mark.parametrize(
+    "times, lines",
+    [
+        ((1.0, 2.0, 4.5), ["steps_timed: 3", "mean_ms: 2.5", "max_ms: 4.5", "within_budget: yes"]),
+        # Rounded to the microsecond.
+        ((0.0004, 0.0012, 0.0017), ["mean_ms: 0.001", "max_ms: 0.002"]),
+        # A mean at the budget is not within it.
+        ((99.0, 101.0), ["mean_ms: 100.0", "max_ms: 101.0", "within_budget: no"]),
+    ],
+)
+def test_benchmark_report_derives_mean_and_max_from_the_times(tmp_path, monkeypatch, times, lines):
+    monkeypatch.setattr(simloop, "benchmark_planning", lambda episode, steps: times)
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", write_cfg(tmp_path), "--out", str(out), "--quiet"]) == 0
+    text = (out / "benchmark.txt").read_text()
+    for line in lines:
+        assert f"\n{line}\n" in text
 
 
 def test_benchmark_rejects_zero_motion_sigma(tmp_path, capsys):

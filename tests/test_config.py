@@ -375,6 +375,7 @@ def test_build_episode_domain_violation_wrapped(tmp_path):
         ("goal.arrival_radius", "0", "arrival_radius"),
         ("actions.v", "nan", "control"),
         ("noise.motion_sigma_x", "-1", "motion sigmas"),
+        ("noise.sensor_sigma_z", "0", "sigma_z"),
     ):
         with pytest.raises(ConfigError, match=f"invalid episode configuration: {fragment}"):
             build_episode_config(dict(BASE, **{key: value}), str(tmp_path))

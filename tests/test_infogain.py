@@ -48,17 +48,14 @@ from magplan.infogain import (
     logsumexp,
 )
 from oracles import (
-    build_hypotheses,
     dense_log_predicted_density,
     direct_eer_bits,
     direct_posterior_entropy_bits,
     direct_predicted_entropy_bits,
-    future_entropy,
     gaussian_entropy_bits,
     kalman_posterior_entropy_bits,
     plain_logsumexp,
     predicted_entropy,
-    predicted_entropy_at_horizon,
     sample,
     transition_log_density_matrix,
 )
@@ -358,7 +355,7 @@ def wrap_forms(monkeypatch):
     """The `short` flag of every `wrap_residual` call the kernel makes."""
     forms = []
 
-    def spy(d, shift=None, short=False):
+    def spy(d, shift, short):
         forms.append(short)
         return wrap_residual(d, shift, short)
 
@@ -462,7 +459,7 @@ def two_cpus(monkeypatch, split_elements: int = 0) -> None:
     """Split every multi-tile call of at least `split_elements` pairwise
     elements, as a process that may use two CPUs does, however many CPUs
     this process may use."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(infogain, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", split_elements)
 
 
@@ -527,16 +524,31 @@ def test_split_follows_call_size_and_cpus(monkeypatch, fills):
     args = kernel_args(prev, w)
     want = dense_log_predicted_density(cur, *args)
     for cpus, split_elements, split in (
-        ({0, 1}, n * n, True),
-        ({0, 1}, n * n + 1, False),
-        ({0}, 0, False),
+        (2, n * n, True),
+        (2, n * n + 1, False),
+        (1, 0, False),
     ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr(infogain, "_usable_cpus", lambda cpus=cpus: cpus)
         monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", split_elements)
         fills.clear()
         assert bit_equal(infogain._log_predicted_density(cur, *args), want)
         assert sorted(caller for caller, _ in fills) == ([False, True] if split else [True])
     assert 600 * 600 < shipped <= 2000 * 2000
+
+
+@pytest.mark.parametrize("cpu_count, split", [(2, True), (1, False), (None, False)])
+def test_split_size_call_without_sched_getaffinity(monkeypatch, fills, cpu_count, split):
+    # macOS and Windows Pythons have no os.sched_getaffinity: there the
+    # kernel counts os.cpu_count() CPUs (one when that is unknown) and a
+    # call of split size gives the same bits.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", 0)
+    prev, cur, w = seam_clouds(500, 14)
+    args = kernel_args(prev, w)
+    want = dense_log_predicted_density(cur, *args)
+    assert bit_equal(infogain._log_predicted_density(cur, *args), want)
+    assert sorted(caller for caller, _ in fills) == ([False, True] if split else [True])
 
 
 def test_helper_half_runs_under_the_callers_errstate(monkeypatch):
@@ -737,54 +749,7 @@ class TestLinearGaussianScenario:
         assert abs(float(np.mean(errs))) <= 0.2
 
 
-# --- hypothesis rollouts ---
-
-
-def test_build_hypotheses_geometry(ramp_grid, models):
-    b = ParticleBelief(
-        np.tile([5.0, 0.0, 0.0], (10, 1)), np.full(10, 0.1), np.random.default_rng(0)
-    )
-    a = ControlInput(0.2, 0.0)
-    hyp = build_hypotheses(b, a, ramp_grid, models, m_count=4, horizon_steps=10, rng=b.rng)
-    # Straight noise-free rollout from identical particles: terminal states
-    # sit exactly H steps east, states_prev one step short.
-    assert np.allclose(hyp.states[:, 0], 5.0 + 10 * 0.2 * STD_DT, atol=1e-12)
-    assert np.allclose(hyp.states_prev[:, 0], 5.0 + 9 * 0.2 * STD_DT, atol=1e-12)
-    assert np.allclose(hyp.states, motion_mean_array(hyp.states_prev, a, STD_DT))
-    assert np.allclose(hyp.weights, 0.25)
-    assert np.allclose(hyp.predicted_z, ramp_field(5.0 + 10 * 0.2 * STD_DT, 0.0), atol=1e-9)
-
-
-def test_build_hypotheses_respects_weights(ramp_grid, models):
-    particles = np.array([[4.0, 0.0, 0.0], [6.0, 0.0, 0.0], [8.0, 0.0, 0.0]])
-    w = np.array([0.0, 1.0, 0.0])
-    b = ParticleBelief(particles, w, np.random.default_rng(3))
-    hyp = build_hypotheses(
-        b, ControlInput(0.0, 0.0), ramp_grid, models, m_count=3, horizon_steps=1, rng=b.rng
-    )
-    assert np.allclose(hyp.states[:, 0], 6.0)
-
-
-def test_build_hypotheses_deterministic_given_rng(ramp_grid, models):
-    b = ramp_belief(5, n=40)
-    a = ControlInput(0.2, 0.1)
-    h1 = build_hypotheses(b, a, ramp_grid, models, 15, 5, np.random.default_rng(9))
-    h2 = build_hypotheses(b, a, ramp_grid, models, 15, 5, np.random.default_rng(9))
-    assert np.array_equal(h1.states, h2.states)
-    assert np.array_equal(h1.predicted_z, h2.predicted_z)
-
-
-def test_build_hypotheses_clamps_escaped_rollouts(ramp_grid, models):
-    # Heading east near the east edge: long rollouts leave the map and the
-    # predicted measurement comes from the clamped boundary point.
-    b = ParticleBelief(
-        np.tile([19.8, 0.0, 0.0], (5, 1)), np.full(5, 0.2), np.random.default_rng(0)
-    )
-    hyp = build_hypotheses(
-        b, ControlInput(0.2, 0.0), ramp_grid, models, m_count=3, horizon_steps=50, rng=b.rng
-    )
-    assert np.all(hyp.states[:, 0] > 20.0)  # genuinely outside
-    assert np.allclose(hyp.predicted_z, ramp_field(20.0, 0.0), atol=1e-9)
+# --- expected entropy reduction ---
 
 
 def test_eer_validation(ramp_grid, models):
@@ -799,49 +764,6 @@ def test_eer_validation(ramp_grid, models):
         eer(b, a, ramp_grid, models, 5, 0, rng)
     with pytest.raises(InfoGainError):
         eer(b, (ControlInput(0.2, 0.0), ControlInput(0.3, 0.0)), ramp_grid, models, 5, 5, rng)
-
-
-# --- future entropy ---
-
-
-def test_future_entropy_flat_region_equals_baseline(uniform_grid, models):
-    b = ParticleBelief(
-        np.column_stack(
-            [
-                np.random.default_rng(1).normal(0.0, 0.5, 30),
-                np.random.default_rng(2).normal(0.0, 0.5, 30),
-                np.zeros(30),
-            ]
-        ),
-        np.full(30, 1 / 30),
-        np.random.default_rng(3),
-    )
-    hyp = build_hypotheses(b, ControlInput(0.2, 0.0), uniform_grid, models, 20, 5, b.rng)
-    h_z = future_entropy(hyp, 25000.0, uniform_grid, models)
-    h_base = predicted_entropy_at_horizon(hyp, models)
-    assert h_z.bits == pytest.approx(h_base.bits, abs=1e-9)
-
-
-def test_future_entropy_gradient_informative(ramp_grid, uniform_grid, models):
-    # The same cloud straddling a slope vs sitting on a flat map: a terminal
-    # measurement must lower entropy only where the field varies.
-    rng = np.random.default_rng(4)
-    particles = np.column_stack(
-        [rng.normal(8.0, 1.0, 40), rng.normal(0.0, 0.5, 40), np.zeros(40)]
-    )
-    w = np.full(40, 1 / 40)
-    for grid, base_z in ((ramp_grid, ramp_field(8.2, 0.0)), (uniform_grid, 25000.0)):
-        b = ParticleBelief(particles, w, np.random.default_rng(5))
-        hyp = build_hypotheses(b, ControlInput(0.2, 0.0), grid, models, 40, 1, b.rng)
-        h_z = future_entropy(hyp, base_z, grid, models).bits
-        h_base = predicted_entropy_at_horizon(hyp, models).bits
-        if grid is ramp_grid:
-            assert h_z < h_base - 0.3
-        else:
-            assert h_z == pytest.approx(h_base, abs=1e-9)
-
-
-# --- expected entropy reduction ---
 
 
 def test_eer_matches_direct_oracle(ramp_grid, models):
@@ -929,13 +851,6 @@ def test_eer_finite_when_rollouts_escape(ramp_grid, models):
     )
     assert errors == (None,)
     assert math.isfinite(v)
-
-
-def test_eer_rejects_degenerate_sensor(ramp_grid):
-    models0 = ModelSet(STD_MOTION, SensorNoise(0.0), STD_DT)
-    b = ramp_belief(3, n=20)
-    with pytest.raises(DegenerateDensityError):
-        eer(b, (ControlInput(0.2, 0.0),), ramp_grid, models0, 10, 2, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("grid_name", ["ramp_grid", "peak_grid"])
