@@ -161,10 +161,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    data = simloop.read_trace(args.trace)
+    trace = simloop.read_trace(args.trace)
     out = _out_dir(args)
     path = os.path.join(out, f"export_{args.kind}.csv")
-    trace = data.columns
     columns = {"time_s": trace["time_s"]}
     if args.kind == "trajectory":
         for name in ("truth_x", "truth_y", "est_x", "est_y"):

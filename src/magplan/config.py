@@ -174,9 +174,9 @@ def build_synthetic_map(cfg: dict[str, str]) -> MagMap:
             width=_get(cfg, "map.width"),
             height=_get(cfg, "map.height"),
         )
+        return generate_synthetic(spec, geometry)
     except MapError as exc:
         raise ConfigError(f"invalid map spec: {exc}") from exc
-    return generate_synthetic(spec, geometry)
 
 
 def build_map(cfg: dict[str, str], base_dir: str) -> MagMap:

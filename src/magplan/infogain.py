@@ -143,7 +143,7 @@ ZERO_BELOW = -746.0
 
 
 class InfoGainError(Exception):
-    """Base error for entropy estimation and series analysis."""
+    """Base error for entropy estimation and EER."""
 
 
 class EntropyError(InfoGainError):
@@ -375,8 +375,7 @@ def eer(
     Returns `(bits, errors)`: the (A,) EER array and one entry per action,
     None or the reason its estimate is not finite (its bits are then not
     to be read); the other actions are unaffected. Arguments that fail
-    every action raise InfoGainError, and a zero motion sigma raises
-    DegenerateDensityError.
+    every action raise InfoGainError.
     """
     if m_count > b.n:
         raise InfoGainError(f"m_count {m_count} exceeds particle count {b.n}")
@@ -427,26 +426,3 @@ def eer(
     errors = tuple(next((why for ok, why in checks if not ok[k]), None) for k in range(n_actions))
     return bits, errors
 
-
-def iqr_reject(series) -> np.ndarray:
-    """Replace fence-breaking values with the last kept value.
-
-    Fences are Q1 - 1.5*IQR and Q3 + 1.5*IQR over the whole input, with
-    linearly interpolated quartiles. The first element is always kept and
-    seeds the replacement chain.
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1:
-        raise InfoGainError(f"expected a 1D series, got shape {arr.shape}")
-    if arr.shape[0] < 4:
-        raise InfoGainError(f"need at least 4 values, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise InfoGainError("series values must be finite")
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
-    spread = 1.5 * (q3 - q1)
-    lo, hi = q1 - spread, q3 + spread
-    out = arr.copy()
-    for i in range(1, out.shape[0]):
-        if not (lo <= arr[i] <= hi):
-            out[i] = out[i - 1]
-    return out

@@ -40,7 +40,8 @@ class ModelError(Exception):
 
 
 class DegenerateDensityError(ModelError):
-    """A transition density was requested for motion noise with a zero sigma."""
+    """Motion noise with a zero sigma where a transition density is needed:
+    in a `ModelSet`, or passed to the pairwise kernel."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -90,7 +91,8 @@ class ControlInput:
 
 @dataclass(frozen=True)
 class MotionNoise:
-    """Per-step standard deviations of the additive motion noise."""
+    """Per-step standard deviations of the additive motion noise, finite and
+    >= 0; a zero sigma samples a noise-free axis but has no density."""
 
     sigma_x: float
     sigma_y: float
@@ -100,9 +102,6 @@ class MotionNoise:
         sigmas = (self.sigma_x, self.sigma_y, self.sigma_theta)
         if not all(math.isfinite(s) and s >= 0 for s in sigmas):
             raise ModelError(f"motion sigmas must be finite and >= 0, got {self}")
-
-    def is_zero(self) -> bool:
-        return self.sigma_x == 0 and self.sigma_y == 0 and self.sigma_theta == 0
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,17 @@ class SensorNoise:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """The model bundle threaded through filter, entropy, and planner calls."""
+    """The model bundle threaded through filter, entropy, and planner calls,
+    each of which evaluates transition densities: `dt` must be finite and
+    > 0, and every motion sigma > 0 (DegenerateDensityError otherwise)."""
 
     motion: MotionNoise
     sensor: SensorNoise
     dt: float
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ModelError(f"dt must be finite and > 0, got {self.dt}")
+        _check_dt(self.dt)
+        _check_densities_valid(self.motion)
 
 
 def unicycle_rollout(
@@ -161,8 +162,8 @@ def unicycle_rollout(
 
 
 def _check_dt(dt: float) -> None:
-    if dt <= 0:
-        raise ModelError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ModelError(f"dt must be finite and > 0, got {dt}")
 
 
 def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndarray:
@@ -175,10 +176,8 @@ def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndar
 def add_motion_noise(
     means: np.ndarray, noise: MotionNoise, rng: np.random.Generator
 ) -> np.ndarray:
-    """(N, 3) motion means plus independent per-axis noise draws, as a new array;
-    with all sigmas zero no rng draw is consumed and `means` itself is returned."""
-    if noise.is_zero():
-        return means
+    """(N, 3) motion means plus independent per-axis noise draws, with the
+    headings wrapped, as a new array."""
     out = means + rng.normal(
         0.0, [noise.sigma_x, noise.sigma_y, noise.sigma_theta], size=means.shape
     )
@@ -189,7 +188,7 @@ def add_motion_noise(
 def step_motion(
     p: Pose, u: ControlInput, dt: float, noise: MotionNoise, rng: np.random.Generator
 ) -> Pose:
-    """One noisy unicycle step from p; with all sigmas zero no rng draw is consumed.
+    """One noisy unicycle step from p.
 
     `add_motion_noise(motion_mean_array(...))` on one pose: its three scalar
     draws consume the generator as the array form's one (1, 3) draw does.
@@ -198,8 +197,6 @@ def step_motion(
     x = p.x + u.v * math.cos(p.theta) * dt
     y = p.y + u.v * math.sin(p.theta) * dt
     theta = wrap_angle(p.theta + u.omega * dt)
-    if noise.is_zero():
-        return Pose(x, y, theta)
     x += rng.normal(0.0, noise.sigma_x)
     y += rng.normal(0.0, noise.sigma_y)
     return Pose(x, y, wrap_angle(theta + rng.normal(0.0, noise.sigma_theta)))
@@ -208,8 +205,7 @@ def step_motion(
 def _check_densities_valid(noise: MotionNoise) -> None:
     if noise.sigma_x == 0 or noise.sigma_y == 0 or noise.sigma_theta == 0:
         raise DegenerateDensityError(
-            "transition density undefined with a zero motion sigma; "
-            "use the sampled form instead"
+            f"motion sigmas must all be > 0 for a transition density, got {noise}"
         )
 
 

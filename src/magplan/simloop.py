@@ -23,14 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import infogain, pflocal, textio
-from .infogain import iqr_reject
 from .magmap import MagMap, lookup
 from .models import (
     ControlInput,
-    DegenerateDensityError,
     ModelSet,
     Pose,
-    _check_densities_valid,
     measurement_log_likelihood_array,
     motion_mean_array,
     simulate_measurement,
@@ -86,12 +83,6 @@ class EpisodeConfig:
                 f"eer m_count {self.eer_params.m_count} exceeds "
                 f"n_particles {self.n_particles}"
             )
-        try:
-            _check_densities_valid(self.models.motion)
-        except DegenerateDensityError:
-            raise EpisodeError(
-                f"motion sigmas must all be > 0 for a running filter, got {self.models.motion}"
-            ) from None
         if self.seed < 0:
             raise EpisodeError(f"seed must be >= 0, got {self.seed}")
         try:
@@ -306,8 +297,23 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeTrace:
 
 
 def filter_entropy(entropy: np.ndarray) -> np.ndarray:
-    """IQR-filtered entropy; a series shorter than the filter's 4 samples is copied."""
-    return iqr_reject(entropy) if len(entropy) >= 4 else entropy.copy()
+    """The 1-D entropy series with each value outside the IQR fences replaced
+    by the last kept value; a series shorter than 4 values is copied unfiltered.
+
+    Fences are Q1 - 1.5*IQR and Q3 + 1.5*IQR over the whole series, with
+    linearly interpolated quartiles. The first value is always kept and seeds
+    the replacement chain.
+    """
+    out = entropy.copy()
+    if len(entropy) < 4:
+        return out
+    q1, q3 = np.percentile(entropy, [25.0, 75.0])
+    spread = 1.5 * (q3 - q1)
+    lo, hi = q1 - spread, q3 + spread
+    for i in range(1, len(out)):
+        if not (lo <= entropy[i] <= hi):
+            out[i] = out[i - 1]
+    return out
 
 
 def compute_metrics(trace: EpisodeTrace) -> MetricsRecord:
@@ -442,27 +448,12 @@ def write_trace(trace: EpisodeTrace, path: str, provenance: dict[str, str]) -> N
     textio.write_table(path, head, map(_trace_cells, trace.rows), ints=ints)
 
 
-@dataclass(frozen=True)
-class TraceData:
-    """A trace file read back: each column by its `trace_columns` name, as
-    floats (the integer and flag columns too), whether the episode reached its
-    goal, and every `# key: value` comment."""
-
-    columns: dict[str, np.ndarray]
-    reached_goal: bool
-    comments: dict[str, str]
-
-
-def read_trace(path: str) -> TraceData:
-    """Parse a trace file; a malformed one raises EpisodeError naming the file
-    and, for a bad row, its line. The header must be `trace_columns` of some
-    action count."""
+def read_trace(path: str) -> dict[str, np.ndarray]:
+    """Parse a trace file into its columns by `trace_columns` name, as floats
+    (the integer and flag columns too). A malformed file raises EpisodeError
+    naming the file and, for a bad row, its line. The header must be
+    `trace_columns` of some action count; `#` comment lines are skipped."""
     lines = textio.read_lines(path)
-    comments: dict[str, str] = {}
-    for line in lines:
-        key, colon, val = line[1:].partition(":")
-        if line.startswith("#") and colon:
-            comments[key.strip()] = val.strip()
     # Comment lines drop out of the table like blank ones, keeping their line numbers.
     body = ["" if line.startswith("#") else line for line in lines]
     start = next((n for n, line in enumerate(body) if line.strip()), None)
@@ -495,11 +486,7 @@ def read_trace(path: str) -> TraceData:
             r, c = np.argwhere(bad)[0]
             cell = lines[linenos[r] - 1].split(",")[c]
             raise EpisodeError(f"{path}: line {linenos[r]}: {header[c]} must {what}, got {cell!r}")
-    return TraceData(
-        columns=dict(zip(header, table.T)),
-        reached_goal=comments.get("reached_goal", "0") == "1",
-        comments=comments,
-    )
+    return dict(zip(header, table.T))
 
 
 def write_metrics(metrics: MetricsRecord, path: str, provenance: dict[str, str]) -> None:

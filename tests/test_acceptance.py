@@ -25,11 +25,11 @@ from magplan.config import (
     load_config,
     sweep_params,
 )
-from magplan.infogain import eer, entropy_posterior, iqr_reject
+from magplan.infogain import eer, entropy_posterior
 from magplan.magmap import MagMap
 from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, SensorNoise
 from magplan.pflocal import estimate, init, predict, resample_if_needed, update
-from magplan.simloop import run_episode, sweep
+from magplan.simloop import filter_entropy, run_episode, sweep
 from oracles import GridBayes1D, kalman_posterior_entropy_bits, make_tl_log, predicted_entropy
 from test_tlcal import EPS_STAR
 
@@ -347,7 +347,7 @@ def test_09_outlier_filter_contract():
         series = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n)
         if rng.random() < 0.4:
             series[rng.integers(1, n)] *= 50.0  # plant a spike
-        out = iqr_reject(series)
+        out = filter_entropy(series)
         q1, q3 = np.percentile(series, [25.0, 75.0])
         lo, hi = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
         assert out[0] == series[0]
@@ -358,4 +358,4 @@ def test_09_outlier_filter_contract():
                 assert out[i] == out[i - 1]
 
     constant = np.full(25, -3.75)
-    assert np.array_equal(iqr_reject(constant), constant)
+    assert np.array_equal(filter_entropy(constant), constant)

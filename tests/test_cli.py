@@ -18,6 +18,11 @@ from test_config import BASE, render
 from test_tlcal import EPS_STAR
 
 
+def comment_lines(path) -> list[str]:
+    """The `#` lines of a written file."""
+    return [l for l in pathlib.Path(path).read_text().splitlines() if l.startswith("#")]
+
+
 def write_cfg(tmp_path, name="exp.cfg", extra=None, remove=()):
     entries = {k: v for k, v in BASE.items() if k not in remove}
     entries.update(extra or {})
@@ -76,6 +81,16 @@ def test_genmap_missing_map_keys(tmp_path, capsys):
     cfg = write_cfg(tmp_path, remove=("map.peak_sigma_x",))
     assert main(["genmap", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "map.peak_sigma_x" in capsys.readouterr().err
+
+
+def test_non_positive_synthetic_field_is_a_config_error(tmp_path, capsys):
+    # A dip deeper than the 25000 nT base field leaves values <= 0 in the grid.
+    cfg = write_cfg(tmp_path, extra={"map.peak_amplitude": "-40000.0"})
+    for command in ("genmap", "run"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "error: invalid map spec: map values must all be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # --- calibrate ---
@@ -150,11 +165,13 @@ def test_run_writes_trace_and_metrics(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "8 steps (budget exhausted)" in stdout
-    data = read_trace(str(out / "trace.csv"))
-    assert len(data.columns["step"]) == 8
-    assert data.comments["seed"] == "0"
-    assert data.comments["magplan_version"] == __version__
-    assert len(data.comments["config_hash"]) == 16
+    assert len(read_trace(str(out / "trace.csv"))["step"]) == 8
+    head = comment_lines(out / "trace.csv")
+    assert "# seed: 0" in head
+    assert f"# magplan_version: {__version__}" in head
+    assert "# reached_goal: 0" in head
+    hashes = [l for l in head if l.startswith("# config_hash: ")]
+    assert len(hashes) == 1 and len(hashes[0]) == len("# config_hash: ") + 16
     metrics_text = (out / "metrics.csv").read_text()
     assert "# magplan-metrics v1" in metrics_text
 
@@ -174,7 +191,7 @@ def test_run_seed_override(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(base), "--quiet"]) == 0
     assert main(["run", "--config", cfg, "--out", str(other), "--seed", "5", "--quiet"]) == 0
     assert main(["run", "--config", cfg, "--out", str(again), "--seed", "5", "--quiet"]) == 0
-    assert read_trace(str(other / "trace.csv")).comments["seed"] == "5"
+    assert "# seed: 5" in comment_lines(other / "trace.csv")
     assert (other / "trace.csv").read_bytes() != (base / "trace.csv").read_bytes()
     assert (other / "trace.csv").read_bytes() == (again / "trace.csv").read_bytes()
 
@@ -201,7 +218,7 @@ def test_run_uses_map_file_relative_to_config(tmp_path):
     )
     out = tmp_path / "filemap"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert len(read_trace(str(out / "trace.csv")).columns["step"]) == 4
+    assert len(read_trace(str(out / "trace.csv"))["step"]) == 4
 
 
 def test_run_non_ascii_map_file_is_a_config_error(tmp_path, capsys):
@@ -269,7 +286,7 @@ def test_sweep_writes_cells_and_summary(tmp_path, capsys):
         l for l in (out / "summary.csv").read_text().splitlines() if not l.startswith("#")
     ]
     assert len(lines) == 3  # header + 2 cells
-    assert read_trace(str(out / "trace_wh5_seed0.csv")).comments["w_h"] == "5.0"
+    assert "# w_h: 5.0" in comment_lines(out / "trace_wh5_seed0.csv")
 
 
 def test_sweep_summary_records_no_base_seed(tmp_path):
@@ -291,7 +308,7 @@ def test_sweep_summary_records_no_base_seed(tmp_path):
     assert any(l.startswith("# config_hash: ") for l in preamble)
     assert not any(l.startswith("# seed:") for l in preamble)
     assert summary[len(preamble) + 1].split(",")[:2] == ["0.0", "1"]
-    assert read_trace(str(out / "trace_wh0_seed1.csv")).comments["seed"] == "1"
+    assert "# seed: 1" in comment_lines(out / "trace_wh0_seed1.csv")
 
 
 def test_sweep_failing_cells_exit_nonzero(tmp_path, capsys):
@@ -385,14 +402,14 @@ def test_export_trajectory(run_trace, tmp_path):
 def test_export_detcov_matches_trace(run_trace, tmp_path):
     out = tmp_path / "plots"
     assert main(["export", str(run_trace), "--kind", "detcov", "--out", str(out), "--quiet"]) == 0
-    data = read_trace(str(run_trace))
+    cols = read_trace(str(run_trace))
     body = [
         l
         for l in (out / "export_detcov.csv").read_text().splitlines()
         if not l.startswith("#")
     ][1:]
     got = [float(line.split(",")[2]) for line in body]
-    assert got == data.columns["det_pos_cov"].tolist()
+    assert got == cols["det_pos_cov"].tolist()
 
 
 def test_export_entropy_includes_filtered_column(run_trace, tmp_path):

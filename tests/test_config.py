@@ -165,16 +165,22 @@ def test_every_key_is_set_by_a_shipped_config():
 AWAITING_A_CALLER = {"tlcal.save_maglog", "tlcal.load_coefficients"}
 
 
+def parsed_sources() -> tuple[list[pathlib.Path], dict[pathlib.Path, ast.Module]]:
+    """The package's source files, and the parse tree of each package and
+    benchmark source file."""
+    root = pathlib.Path(__file__).parents[1]
+    package = sorted((root / "src" / "magplan").glob("*.py"))
+    bench = sorted((root / "perfbench").glob("*.py"))
+    assert package and bench
+    return package, {path: ast.parse(path.read_text()) for path in package + bench}
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # A public function or class that only tests use belongs in
     # tests/oracles.py or goes away. A Name, an Attribute or an import alias
     # anywhere in the package or the benchmark counts as a caller; a public
     # method or property of a public class needs an Attribute.
-    root = pathlib.Path(__file__).parents[1]
-    package = sorted((root / "src" / "magplan").glob("*.py"))
-    bench = sorted((root / "perfbench").glob("*.py"))
-    assert package and bench
-    trees = {path: ast.parse(path.read_text()) for path in package + bench}
+    package, trees = parsed_sources()
     used, attributes = set(), set()
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
         if isinstance(node, ast.Name):
@@ -200,6 +206,44 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
     assert sorted(n for n in members if n.split(".")[2] not in attributes) == []
+
+
+def test_every_record_field_has_a_reader_outside_the_tests():
+    # A field of a public dataclass that only tests read goes away. A read is
+    # an attribute load anywhere in the package or the benchmark, except
+    # inside the class's own private members (its __post_init__, say). The
+    # rule goes by name, like the one above, so a field passes on the reads
+    # of any attribute that shares its name: a `reached_goal` field on a
+    # second record would pass on the readers of EpisodeTrace.reached_goal.
+    package, trees = parsed_sources()
+    loads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for path in package:
+        for cls in trees[path].body:
+            if not (
+                isinstance(cls, ast.ClassDef)
+                and not cls.name.startswith("_")
+                and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+            ):
+                continue
+            private = {
+                id(node)
+                for member in cls.body
+                if isinstance(member, ast.FunctionDef) and member.name.startswith("_")
+                for node in ast.walk(member)
+            }
+            read = {node.attr for node in loads if id(node) not in private}
+            unread += [
+                f"{path.stem}.{cls.name}.{field.target.id}"
+                for field in cls.body
+                if isinstance(field, ast.AnnAssign) and field.target.id not in read
+            ]
+    assert unread == []
 
 
 # --- hashing ---

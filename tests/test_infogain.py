@@ -37,14 +37,13 @@ from magplan.models import (
 from magplan import infogain, pflocal
 from magplan.pflocal import ParticleBelief, _safe_log, estimate, init, predict, update
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_action
-from magplan.simloop import EpisodeConfig, EpisodeRunner
+from magplan.simloop import EpisodeConfig, EpisodeRunner, filter_entropy
 from magplan.infogain import (
     TILE_ELEMENTS,
     EntropyError,
     InfoGainError,
     eer,
     entropy_posterior,
-    iqr_reject,
     logsumexp,
 )
 from oracles import (
@@ -1045,52 +1044,50 @@ def test_exp_step_matches_plain_exp_bitwise():
         assert bit_equal(d, want)
 
 
-# --- outlier rejection ---
+# --- outlier rejection (simloop.filter_entropy) ---
 
 
 def test_iqr_constant_series_unchanged():
     s = np.full(10, 3.25)
-    assert np.array_equal(iqr_reject(s), s)
+    assert np.array_equal(filter_entropy(s), s)
 
 
 def test_iqr_single_spike_replaced_by_predecessor():
     s = np.array([1.0, 1.0, 1.0, 1.0, 100.0, 1.0, 1.0, 1.0])
-    out = iqr_reject(s)
+    out = filter_entropy(s)
     assert out.tolist() == [1.0] * 8
 
 
 def test_iqr_replacement_chains_from_last_kept():
     s = np.array([2.0, 2.1, 50.0, 60.0, 2.2, 1.9, 2.0, 2.1])
-    out = iqr_reject(s)
+    out = filter_entropy(s)
     assert out[2] == out[1] and out[3] == out[1]
     assert out[4] == 2.2
 
 
 def test_iqr_first_element_always_kept():
     s = np.array([500.0, 1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0])
-    out = iqr_reject(s)
+    out = filter_entropy(s)
     assert out[0] == 500.0
 
 
 def test_iqr_no_outliers_is_identity():
     rng = np.random.default_rng(8)
     s = rng.uniform(10.0, 11.0, 50)
-    assert np.array_equal(iqr_reject(s), s)
+    assert np.array_equal(filter_entropy(s), s)
 
 
 def test_iqr_validation():
-    with pytest.raises(InfoGainError):
-        iqr_reject(np.ones(3))
-    with pytest.raises(InfoGainError):
-        iqr_reject(np.array([1.0, 2.0, np.nan, 3.0]))
-    with pytest.raises(InfoGainError):
-        iqr_reject(np.ones((4, 2)))
+    # A series shorter than the filter's 4 values is copied unfiltered.
+    s = np.ones(3)
+    out = filter_entropy(s)
+    assert out is not s and np.array_equal(out, s)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=120))
 def test_iqr_output_inside_fences_or_chained(series):
     arr = np.asarray(series)
-    out = iqr_reject(arr)
+    out = filter_entropy(arr)
     q1, q3 = np.percentile(arr, [25.0, 75.0])
     lo, hi = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
     assert out[0] == arr[0]

@@ -50,7 +50,7 @@ NO_NOISE = MotionNoise(0.0, 0.0, 0.0)
 
 
 def idle_rng() -> np.random.Generator:
-    """Generator for noiseless calls; consuming from it would be a bug."""
+    """A fresh generator for noiseless calls; NO_NOISE draws only zeros from it."""
     return np.random.default_rng(0)
 
 
@@ -170,8 +170,11 @@ def test_noise_parameters_validated():
         ModelSet(NO_NOISE, SensorNoise(1.0), dt=0.0)
     with pytest.raises(ModelError):
         ModelSet(NO_NOISE, SensorNoise(1.0), dt=math.inf)
-    assert MotionNoise(0.0, 0.0, 0.0).is_zero()
-    assert not MotionNoise(0.0, 1e-9, 0.0).is_zero()
+    with pytest.raises(ModelError, match="dt must be finite and > 0"):
+        ModelSet(MotionNoise(0.01, 0.01, 0.01), SensorNoise(1.0), dt=math.nan)
+    # Every ModelSet caller evaluates transition densities.
+    with pytest.raises(DegenerateDensityError, match="motion sigmas must all be > 0"):
+        ModelSet(MotionNoise(0.01, 0.0, 0.01), SensorNoise(1.0), dt=0.1)
 
 
 def test_control_input_validated():
@@ -292,14 +295,6 @@ def test_step_motion_matches_array_form_bitwise(x, y, theta, v, omega, dt, sigma
     assert rng.bit_generator.state == twin_rng.bit_generator.state
 
 
-def test_zero_noise_step_consumes_no_draws():
-    rng = np.random.default_rng(11)
-    before = rng.bit_generator.state
-    step_motion(Pose(0.0, 0.0, 0.0), ControlInput(0.1, 0.0), 0.1, NO_NOISE, rng)
-    add_motion_noise(np.zeros((4, 3)), NO_NOISE, rng)
-    assert rng.bit_generator.state == before
-
-
 @pytest.mark.parametrize("steps", [1, 8])
 def test_rollout_matches_repeated_steps_bitwise(steps):
     # Six actions of 20 hypotheses each, headings close to the +/-pi seam and
@@ -328,6 +323,12 @@ def test_rollout_matches_repeated_steps_bitwise(steps):
 def test_step_rejects_bad_dt():
     with pytest.raises(ModelError):
         step_motion(Pose(0.0, 0.0, 0.0), ControlInput(0.1, 0.0), 0.0, NO_NOISE, idle_rng())
+    noise = MotionNoise(0.01, 0.01, 0.01)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="dt must be finite and > 0"):
+            step_motion(Pose(0.0, 0.0, 0.0), ControlInput(0.1, 0.0), dt, noise, idle_rng())
+        with pytest.raises(ModelError, match="dt must be finite and > 0"):
+            motion_mean_array(np.zeros((2, 3)), ControlInput(0.1, 0.0), dt)
 
 
 # --- transition density ---

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RAMP_BASE, RAMP_SLOPE, STD_DT, bit_equal, ramp_field
-from magplan.models import ControlInput, MotionNoise, Pose, SensorNoise, wrap_angle_array
+from magplan.models import (
+    ControlInput,
+    ModelError,
+    MotionNoise,
+    Pose,
+    SensorNoise,
+    wrap_angle_array,
+)
 from magplan.pflocal import (
     FilterError,
     ParticleBelief,
@@ -164,6 +171,13 @@ def test_predict_spreads_the_cloud():
     out = predict(b, ControlInput(0.2, 0.0), 0.1, noise)
     assert out.particles[:, 0].std() == pytest.approx(0.01, rel=0.05)
     assert out.particles[:, 1].std() == pytest.approx(0.01, rel=0.05)
+
+
+def test_predict_rejects_bad_dt():
+    b = make_belief(np.zeros((4, 3)), [0.25] * 4)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ModelError, match="dt must be finite and > 0"):
+            predict(b, ControlInput(0.2, 0.1), dt, MotionNoise(0.01, 0.01, 0.01))
 
 
 def test_predict_keeps_weights_after_reweighting():

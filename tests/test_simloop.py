@@ -15,6 +15,7 @@ from magplan.config import build_episode_config, load_config
 from magplan.magmap import OutOfMapError
 from magplan.models import (
     ControlInput,
+    DegenerateDensityError,
     ModelError,
     ModelSet,
     MotionNoise,
@@ -88,8 +89,9 @@ def base_cfg(peak_grid):
     ],
 )
 def test_config_scalar_validation(base_cfg, field, value, fragment):
-    # dt is checked by ModelSet, before an EpisodeConfig can exist.
-    error = ModelError if field == "dt" else EpisodeError
+    # dt and the motion sigmas are checked by ModelSet, before an
+    # EpisodeConfig can exist.
+    error = {"dt": ModelError, "motion": DegenerateDensityError}.get(field, EpisodeError)
     with pytest.raises(error, match=fragment):
         base_cfg(**{field: value})
 
@@ -224,9 +226,9 @@ def test_failed_action_goes_through_the_step(base_cfg, monkeypatch, tmp_path):
 
     path = tmp_path / "trace.csv"
     write_trace(EpisodeTrace((row,), False, len(ACTIONS)), str(path), {})
-    data = read_trace(str(path))
+    cols = read_trace(str(path))
     for field, prefix in (("eer_bits", "eer"), ("distances", "dist"), ("costs", "cost")):
-        got = [data.columns[f"{prefix}_{j}"][0] for j in range(len(ACTIONS))]
+        got = [cols[f"{prefix}_{j}"][0] for j in range(len(ACTIONS))]
         assert bit_equal(np.array(got), np.array(getattr(row, field)))
 
 
@@ -462,10 +464,11 @@ def test_trace_round_trip(base_cfg, tmp_path):
     trace = run_episode(base_cfg(step_budget=6, seed=5))
     path = tmp_path / "trace.csv"
     write_trace(trace, str(path), {"config_hash": "abc123", "seed": "5"})
-    data = read_trace(str(path))
-    assert data.comments["config_hash"] == "abc123"
-    assert data.reached_goal == trace.reached_goal
-    cols = data.columns
+    assert path.read_text().splitlines()[:4] == [
+        "# magplan-trace v1", "# config_hash: abc123", "# seed: 5",
+        f"# reached_goal: {int(trace.reached_goal)}",
+    ]
+    cols = read_trace(str(path))
     assert len(cols["step"]) == len(trace)
 
     def group(names, k):
@@ -502,7 +505,7 @@ def test_trace_bytes_round_trip_through_the_columns(base_cfg, tmp_path):
     assert any(row.resampled for row in trace.rows)
     path, again = tmp_path / "trace.csv", tmp_path / "again.csv"
     write_trace(trace, str(path), {"config_hash": "abc123", "seed": "5"})
-    columns = read_trace(str(path)).columns
+    columns = read_trace(str(path))
     assert columns["resampled"].tolist() == [row.resampled for row in trace.rows]
     header = trace_columns(trace.n_actions)
     lines = path.read_text().splitlines()
@@ -559,7 +562,7 @@ def test_trace_reader_rejects_malformed(tmp_path):
     cells[22], cells[-1] = "2.0", "inf\n"  # cost_1
     failedaction = tmp_path / "failedaction.csv"
     failedaction.write_text("".join(lines[:5] + [",".join(cells)] + lines[6:]))
-    cols = read_trace(str(failedaction)).columns
+    cols = read_trace(str(failedaction))
     assert [cols["cost_0"][1], cols["cost_1"][1]] == [1.1, math.inf]
 
     # One number grammar: no digit separators, no non-ASCII digits, and an
@@ -594,10 +597,10 @@ def test_trace_schema_matches_written_header(tmp_path):
     write_trace(EpisodeTrace(rows, False, 2), str(path), {})
     header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
     assert header.split(",") == trace_columns(2)
-    data = read_trace(str(path))
-    assert data.columns["truth_x"].tolist() == [rows[0].truth.x]
-    assert data.columns["cov_xy"].tolist() == [rows[0].covariance[0, 1]]
-    assert data.columns["cost_1"].tolist() == [2.2]
+    cols = read_trace(str(path))
+    assert cols["truth_x"].tolist() == [rows[0].truth.x]
+    assert cols["cov_xy"].tolist() == [rows[0].covariance[0, 1]]
+    assert cols["cost_1"].tolist() == [2.2]
 
 
 def test_metrics_file_contents(base_cfg, tmp_path):
