@@ -34,6 +34,10 @@ N_COEFFS = 20
 # as unidentifiable from the log.
 EXCITATION_RATIO = 1e-12
 
+# Rows per block of build_regressor_matrix: a block's scratch planes (about
+# 390 KB) stay in cache and are reused by every block.
+BLOCK_ROWS = 2048
+
 
 class CalibrationError(Exception):
     """Base error for calibration data handling and fitting."""
@@ -159,25 +163,46 @@ def build_regressor_matrix(log: MagLog) -> np.ndarray:
     differences (c_i - c_{i-1}) / (t_i - t_{i-1}). Matrix row i belongs to
     sample i + 1; a sample whose regressors overflow raises
     InvalidSampleError naming it.
+
+    The C-order matrix is filled in blocks of BLOCK_ROWS rows. Each block is
+    computed as contiguous column planes in one scratch buffer, reused by
+    every block, and copied into the matrix transposed, so the memory beyond
+    the output is bounded by one block. Every entry is the same floating-
+    point operation on the same operands whatever the block size.
     """
-    if len(log) < 2:
+    n = len(log) - 1
+    if n < 1:
         raise InsufficientDataError("need at least 2 samples to form rate terms")
+    t, b_vec, b_total = log.timestamp, log.b_vec, log.b_total
+    rows = np.empty((n, N_COEFFS), dtype=float)
+    # Column j of a block's planes holds sample r0 + j: the 20 regressor
+    # planes, then the three rates and the time step. Column 0 holds only
+    # the cosines of the sample before the block, which seed its rates.
+    scratch = np.empty((N_COEFFS + 4, min(n, BLOCK_ROWS) + 1), dtype=float)
+    scratch[18] = 1.0
+    eddy = scratch[9:18].reshape(3, 3, -1)
     # A valid log can still overflow in the cosines, the rates or the products,
     # so the finished matrix is checked once instead of each step.
     with np.errstate(over="ignore", invalid="ignore"):
-        cos = log.b_vec / log.b_total[:, None]
-        rates = np.diff(cos, axis=0) / np.diff(log.timestamp)[:, None]
-        c = cos[1:]
-        bt = log.b_total[1:, None]
-        rows = np.empty((len(log) - 1, N_COEFFS), dtype=float)
-        rows[:, 0:3] = c
-        rows[:, 3:9] = (c[:, [0, 1, 2, 0, 0, 1]] * c[:, [0, 1, 2, 1, 2, 2]]) * bt
-        rows[:, 9:18] = (c[:, :, None] * rates[:, None, :]).reshape(-1, 9) * bt
-    rows[:, 18] = 1.0
-    rows[:, 19] = log.speed[1:]
+        for r0 in range(0, n, BLOCK_ROWS):
+            m = min(BLOCK_ROWS, n - r0)
+            cols, cur = slice(1, m + 1), slice(r0 + 1, r0 + m + 1)
+            cos = scratch[0:3, : m + 1]
+            np.divide(b_vec[r0 : r0 + m + 1].T, b_total[r0 : r0 + m + 1], out=cos)
+            c, rates, dt = cos[:, 1:], scratch[20:23, cols], scratch[23, cols]
+            np.subtract(t[cur], t[r0 : r0 + m], out=dt)
+            np.subtract(c, cos[:, :-1], out=rates)
+            rates /= dt
+            np.multiply(c, c, out=scratch[3:6, cols])
+            np.multiply(c[0], c[1:3], out=scratch[6:8, cols])
+            np.multiply(c[1], c[2], out=scratch[8, cols])
+            np.multiply(c[:, None], rates[None], out=eddy[:, :, cols])
+            scratch[3:18, cols] *= b_total[cur]
+            scratch[19, cols] = log.speed[cur]
+            rows[r0 : r0 + m] = scratch[:N_COEFFS, cols].T
     if not np.isfinite(rows).all():
         i = int(np.argmax(~np.isfinite(rows).all(axis=1))) + 1
-        got = f"b_vec {log.b_vec[i].tolist()}, b_total {log.b_total[i]}"
+        got = f"b_vec {b_vec[i].tolist()}, b_total {b_total[i]}"
         raise InvalidSampleError(i, f"regressors overflow, got {got}")
     return rows
 
@@ -220,9 +245,10 @@ def fit(log: MagLog, b_earth: Sequence[float]) -> CalibrationCoefficients:
 
 def _checked_truth(log: MagLog, b_earth: Sequence[float]) -> np.ndarray:
     """b_earth as a float array, checked to hold one finite entry per sample."""
-    if len(b_earth) != len(log):
-        raise CalibrationError(f"b_earth has {len(b_earth)} entries for {len(log)} samples")
     truth = np.asarray(b_earth, dtype=float)
+    if truth.ndim != 1 or len(truth) != len(log):
+        got = f"{len(truth)} entries" if truth.ndim == 1 else f"shape {truth.shape}"
+        raise CalibrationError(f"b_earth has {got} for {len(log)} samples")
     bad = np.flatnonzero(~np.isfinite(truth))
     if bad.size:
         raise CalibrationError(f"b_earth[{bad[0]}] must be finite, got {truth[bad[0]]}")
@@ -270,13 +296,12 @@ def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
 
 
 def save_maglog(path: str, log: MagLog, b_earth: Optional[Sequence[float]] = None) -> None:
-    if b_earth is not None and len(b_earth) != len(log):
-        raise CalibrationError("b_earth length must match log length")
+    """Write a `maglog v1` file, with the be_truth column when b_earth is given."""
     table = np.empty((len(log), MAGLOG_V1_WIDTH + (b_earth is not None)), dtype=float)
     for k, c in MAGLOG_V1.items():
         table[:, c] = getattr(log, k)
     if b_earth is not None:
-        table[:, MAGLOG_V1_WIDTH] = b_earth
+        table[:, MAGLOG_V1_WIDTH] = _checked_truth(log, b_earth)
     textio.write_table(path, ["maglog v1"], table.tolist())
 
 

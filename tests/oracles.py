@@ -6,8 +6,9 @@ vectorized code paths, so agreement between the two is evidence rather than
 tautology. The only shared primitives are numpy's rng (both sides must
 consume identical draws) and, where a test says so, the map sampler. The
 exceptions are marked in their sections: the library's former dense,
-per-step and two-axis-index forms, kept as references for the faster forms
-that replaced them, and scalar wrappers over the library's array forms.
+per-step, two-axis-index and one-shot regressor forms, kept as references for
+the faster forms that replaced them, and scalar wrappers over the library's
+array forms.
 """
 
 from __future__ import annotations
@@ -68,6 +69,26 @@ def tl_row_reference(
         1.0,
         speed,
     ]
+
+
+def one_shot_regressor_matrix(log: MagLog) -> np.ndarray:
+    """The library's former `build_regressor_matrix`: all rows in one array pass.
+
+    Kept as the bitwise reference for the blocked build. Overflowing rows
+    are left as they come out, without the finiteness check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = log.b_vec / log.b_total[:, None]
+        rates = np.diff(cos, axis=0) / np.diff(log.timestamp)[:, None]
+        c = cos[1:]
+        bt = log.b_total[1:, None]
+        rows = np.empty((len(log) - 1, 20), dtype=float)
+        rows[:, 0:3] = c
+        rows[:, 3:9] = (c[:, [0, 1, 2, 0, 0, 1]] * c[:, [0, 1, 2, 1, 2, 2]]) * bt
+        rows[:, 9:18] = (c[:, :, None] * rates[:, None, :]).reshape(-1, 9) * bt
+    rows[:, 18] = 1.0
+    rows[:, 19] = log.speed[1:]
+    return rows
 
 
 def _attitude(t: float) -> tuple[float, float, float]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from magplan.tlcal import (
+    BLOCK_ROWS,
     MAGLOG_V1,
     N_COEFFS,
     CalibrationCoefficients,
@@ -32,7 +33,7 @@ from magplan.tlcal import (
     save_maglog,
 )
 from conftest import FULLWIDTH_42_LATIN1, ODD_FLOATS
-from oracles import log_from_rows, make_tl_log, tl_row_reference
+from oracles import log_from_rows, make_tl_log, one_shot_regressor_matrix, tl_row_reference
 
 # Representative interference model: permanent terms of tens of nT, induced
 # and eddy factors small enough to keep the total perturbation below ~1%.
@@ -128,21 +129,25 @@ def test_maglog_rejects_a_timestamp_step_past_the_largest_float():
 
 
 @pytest.mark.parametrize(
-    "b_total",
+    "b_total, row",
     [
-        1e-10,  # the direction cosine b_vec / b_total overflows
-        1.0,  # the cosine is finite, and its products overflow
+        (1e-10, 1),  # the direction cosine b_vec / b_total overflows
+        (1.0, 1),  # the cosine is finite, and its products overflow
+        (1.0, BLOCK_ROWS + 2),  # as above, in the second block of matrix rows
     ],
+    ids=["1e-10", "1.0", "second-block"],
 )
-def test_regressors_that_overflow_name_the_sample(b_total):
+def test_regressors_that_overflow_name_the_sample(b_total, row):
     # A valid log: every value finite, b_total > 0, increasing timestamps.
-    log = log_from_rows([(0.0, 1e300, 0.0, 0.0, b_total, 0.2), (1.0, 1e300, 0.0, 0.0, b_total, 0.2)])
+    # Only the last sample carries the huge b_vec.
+    rows = [(float(k), 1e300 if k == row else 1.0, 0.0, 0.0, b_total, 0.2) for k in range(row + 1)]
+    log = log_from_rows(rows)
     zero = CalibrationCoefficients(np.zeros(N_COEFFS))
     for build in (build_regressor_matrix, lambda log: compensate_log(log, zero)):
         # The suite turns warnings into errors, so this also pins "no overflow warning".
-        with pytest.raises(InvalidSampleError, match="row 1: regressors overflow") as info:
+        with pytest.raises(InvalidSampleError, match=f"row {row}: regressors overflow") as info:
             build(log)
-        assert info.value.row == 1
+        assert info.value.row == row
 
 
 def test_maglog_rejects_mismatched_columns():
@@ -255,6 +260,26 @@ def test_row_matches_longhand_reference(rows):
         # The scaled products may differ from the longhand grouping by an ulp.
         expected = tl_row_reference(c, r, b_total, speed)[3:18]
         assert row[3:18].tolist() == pytest.approx(expected, rel=1e-13)
+
+
+# n samples give n - 1 matrix rows; the ids count rows in blocks of B.
+@pytest.mark.parametrize(
+    "n, noise_sigma",
+    [
+        (10_000, 0.0),  # the acceptance log
+        (2, 1.0),
+        (BLOCK_ROWS, 1.0),
+        (BLOCK_ROWS + 1, 1.0),
+        (BLOCK_ROWS + 2, 1.0),
+        (2 * BLOCK_ROWS + 2, 1.0),
+    ],
+    ids=["acceptance", "1-row", "B-1-rows", "B-rows", "B+1-rows", "2B+1-rows"],
+)
+def test_blocked_matrix_equals_one_shot_reference_bitwise(n, noise_sigma):
+    log, _ = make_tl_log(EPS_STAR, n, noise_sigma=noise_sigma, seed=n)
+    a = build_regressor_matrix(log)
+    assert a.shape == (n - 1, N_COEFFS) and a.flags.c_contiguous
+    assert a.tobytes() == one_shot_regressor_matrix(log).tobytes()
 
 
 def test_matrix_skips_seed_sample_and_checks_order():
@@ -468,6 +493,21 @@ def test_save_maglog_writes_fixed_text(tmp_path):
     assert path.read_text() == "maglog v1\n" + "".join(
         line + t + "\n" for line, t in zip(body, truth)
     )
+
+
+def test_save_maglog_rejects_truth_that_load_maglog_rejects(tmp_path):
+    log, b_earth = make_tl_log(np.zeros(N_COEFFS), n=5)
+    path = tmp_path / "log.maglog"
+    nan_truth = b_earth.copy()
+    nan_truth[3] = math.nan
+    for bad, fragment in (
+        (nan_truth, r"b_earth\[3\] must be finite, got nan"),
+        (np.column_stack([b_earth, b_earth]), r"b_earth has shape \(5, 2\) for 5 samples"),
+        (b_earth[:-1], "b_earth has 4 entries for 5 samples"),
+    ):
+        with pytest.raises(CalibrationError, match=fragment):
+            save_maglog(path, log, bad)
+        assert not path.exists()
 
 
 def test_save_coefficients_writes_fixed_text(tmp_path):
