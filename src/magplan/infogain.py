@@ -4,8 +4,9 @@ Belief entropy is estimated directly from the weighted particle set, using
 the pairwise transition densities between consecutive particle clouds and
 the measurement likelihoods of the incorporated reading (the particle
 entropy estimator of Boers, Driessen, Bagchi and Mandal, FUSION 2010). All
-sums run in log space through the one `logsumexp` below; entropies are
-reported in bits.
+sums run in log space through the one `logsumexp` below, the filter's
+reweighting in `pflocal` included; entropies are reported in bits, and
+`EntropyError` is the one error (`eer` reports failures per action).
 
 Estimator conventions (the hard cases, pinned down by the oracle tests):
 
@@ -76,7 +77,7 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   p(z_j | hypothesis j). Both entropies run over the same M hypotheses, so
   an uninformative map cancels the two terms identically.
 
-`eer` scores all A candidate actions of a planning step in one batched
+`eer` scores the A actions of the planner's `ActionSet` in one batched
 kernel over an (A, M, 3) hypothesis tensor. One rng.choice call of shape
 (A, M) draws every hypothesis set; it consumes the generator exactly like A
 successive size-M draws in action order. One batched noise-free rollout
@@ -97,7 +98,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -114,7 +115,10 @@ from .models import (
     transition_log_density_from_means,
     unicycle_rollout,
 )
-from .pflocal import ParticleBelief, _safe_log
+
+if TYPE_CHECKING:  # annotations only: pflocal and planner import this module
+    from .pflocal import ParticleBelief
+    from .planner import ActionSet, EerParams
 
 LN2 = math.log(2.0)
 
@@ -142,11 +146,7 @@ FAST_FLOOR = -700.0
 ZERO_BELOW = -746.0
 
 
-class InfoGainError(Exception):
-    """Base error for entropy estimation and EER."""
-
-
-class EntropyError(InfoGainError):
+class EntropyError(Exception):
     """An entropy estimate could not be formed (degenerate inputs or -inf mass)."""
 
 
@@ -155,6 +155,13 @@ class EntropyEstimate:
     """An entropy value in bits; `_particle_entropy` raises on a non-finite one."""
 
     bits: float
+
+
+def _safe_log(w: np.ndarray) -> np.ndarray:
+    """Elementwise log with log(0) = -inf, never touching the zero entries."""
+    out = np.full(w.shape, -np.inf)
+    np.log(w, out=out, where=w > 0)
+    return out
 
 
 def logsumexp(a, axis=None) -> np.ndarray:
@@ -354,42 +361,33 @@ def entropy_posterior(
 
 def eer(
     b: ParticleBelief,
-    actions: Sequence[ControlInput],
+    aset: ActionSet,
     grid: MagMap,
     models: ModelSet,
-    m_count: int,
-    horizon_steps: int,
+    params: EerParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, tuple[str | None, ...]]:
-    """Expected entropy reduction of each action, in bits, in action order.
+    """Expected entropy reduction of each action in `aset`, in bits, in action order.
 
-    M hypotheses per action are subsampled proportional to weight and rolled
-    out noise free with the action held constant; each terminal hypothesis
-    predicts the measurement it would see by one `magmap.lookup` (at the
-    nearest extent point if it left the map). The expectation runs over
-    one representative future measurement per hypothesis, weighted by the
-    normalized likelihoods p(z_j | hypothesis j). Baseline and future
-    entropies are both evaluated at the terminal horizon step over the same
-    hypothesis set, so a map with no gradient yields exactly zero.
+    `params.m_count` hypotheses per action are drawn with replacement,
+    proportional to weight, and rolled out noise free with the action held
+    constant; each terminal hypothesis predicts the measurement it would see
+    by one `magmap.lookup` (at the nearest extent point if it left the map).
+    The expectation runs over one representative future measurement per
+    hypothesis, weighted by the normalized likelihoods p(z_j | hypothesis j).
+    Baseline and future entropies are both evaluated at the terminal horizon
+    step over the same hypothesis set, so a map with no gradient yields
+    exactly zero. `ActionSet` and `EerParams` own their rules; eer checks none.
 
     Returns `(bits, errors)`: the (A,) EER array and one entry per action,
     None or the reason its estimate is not finite (its bits are then not
-    to be read); the other actions are unaffected. Arguments that fail
-    every action raise InfoGainError.
+    to be read); the other actions are unaffected.
     """
-    if m_count > b.n:
-        raise InfoGainError(f"m_count {m_count} exceeds particle count {b.n}")
-    if m_count < 2:
-        raise InfoGainError(f"need at least 2 hypotheses, got {m_count}")
-    if horizon_steps < 1:
-        raise InfoGainError(f"horizon must be >= 1, got {horizon_steps}")
-    speeds = {a.v for a in actions}
-    if len(speeds) != 1:
-        raise InfoGainError(f"actions must share one linear speed, got {speeds}")
+    actions, m_count, horizon = aset.actions, params.m_count, params.horizon_steps
     n_actions = len(actions)
     omega = np.array([a.omega for a in actions])[:, None]
     idx = rng.choice(b.n, size=(n_actions, m_count), replace=True, p=b.weights)
-    states = unicycle_rollout(b.particles[idx], actions[0].v, omega, models.dt, horizon_steps)
+    states = unicycle_rollout(b.particles[idx], actions[0].v, omega, models.dt, horizon)
 
     w = 1.0 / m_count
     pts = states[..., :2].reshape(-1, 2)

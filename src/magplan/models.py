@@ -40,8 +40,8 @@ class ModelError(Exception):
 
 
 class DegenerateDensityError(ModelError):
-    """Motion noise with a zero sigma where a transition density is needed:
-    in a `ModelSet`, or passed to the pairwise kernel."""
+    """Motion noise with a zero sigma in a `ModelSet`, which has no transition
+    density; raised by `ModelSet` alone."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -120,9 +120,9 @@ class SensorNoise:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """The model bundle threaded through filter, entropy, and planner calls,
-    each of which evaluates transition densities: `dt` must be finite and
-    > 0, and every motion sigma > 0 (DegenerateDensityError otherwise)."""
+    """The model bundle of filter, entropy, and planner calls, each of which
+    evaluates transition densities: `dt` finite and > 0, and every motion
+    sigma > 0 (DegenerateDensityError), checked here once for the kernel."""
 
     motion: MotionNoise
     sensor: SensorNoise
@@ -130,7 +130,10 @@ class ModelSet:
 
     def __post_init__(self) -> None:
         _check_dt(self.dt)
-        _check_densities_valid(self.motion)
+        if 0 in (self.motion.sigma_x, self.motion.sigma_y, self.motion.sigma_theta):
+            raise DegenerateDensityError(
+                f"motion sigmas must all be > 0 for a transition density, got {self.motion}"
+            )
 
 
 def unicycle_rollout(
@@ -169,7 +172,6 @@ def _check_dt(dt: float) -> None:
 def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndarray:
     """Noise-free unicycle step applied to every [x, y, theta] row."""
     _check_dt(dt)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
     return unicycle_rollout(states, u.v, u.omega, dt, 1)
 
 
@@ -200,13 +202,6 @@ def step_motion(
     x += rng.normal(0.0, noise.sigma_x)
     y += rng.normal(0.0, noise.sigma_y)
     return Pose(x, y, wrap_angle(theta + rng.normal(0.0, noise.sigma_theta)))
-
-
-def _check_densities_valid(noise: MotionNoise) -> None:
-    if noise.sigma_x == 0 or noise.sigma_y == 0 or noise.sigma_theta == 0:
-        raise DegenerateDensityError(
-            f"motion sigmas must all be > 0 for a transition density, got {noise}"
-        )
 
 
 def wrap_residual(d: np.ndarray, shift: np.ndarray, short: bool) -> np.ndarray:
@@ -275,9 +270,8 @@ def transition_log_density_from_means(
     Every heading must lie in [-pi, pi], as those of motion steps and of a
     `pflocal.ParticleBelief` do. `short_wrap` is True when the caller has
     checked `short_wrap_holds` for the two heading planes, so the residual
-    takes the four-pass wrap.
+    takes the four-pass wrap. The sigmas come from a `ModelSet`, which checked them.
     """
-    _check_densities_valid(noise)
     tmp, shift = scratch
     log_norm = -(
         math.log(noise.sigma_x)
@@ -316,7 +310,6 @@ def measurement_log_likelihood_array(
     and marked down by log(OUT_OF_MAP_PENALTY), keeping weights finite while
     strongly discounting escaped hypotheses.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
     return sensor_log_likelihood(z, *lookup(grid, states[:, :2]), noise)
 
 

@@ -5,6 +5,7 @@ filter cycle is predict (motion sampling), update (measurement likelihood
 reweighting in log space), and conditional systematic resampling when the
 effective sample size drops below a threshold. The closed loop's filter
 step, `simloop.assimilate`, runs the private forms of these steps below.
+The reweighting reduces its log mass through `infogain`'s one log-sum-exp.
 
 Beliefs are immutable snapshots; operations return new beliefs. The rng
 travels with the belief and is shared by its successors, so a filter
@@ -25,6 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .infogain import _logsumexp_into, _safe_log
 from .magmap import MagMap
 from .models import (
     ControlInput,
@@ -50,13 +52,6 @@ class FilterError(Exception):
 
 class WeightCollapseError(FilterError):
     """All particle weights underflowed during a measurement update."""
-
-
-def _safe_log(w: np.ndarray) -> np.ndarray:
-    """Elementwise log with log(0) = -inf, never touching the zero entries."""
-    out = np.full(w.shape, -np.inf)
-    np.log(w, out=out, where=w > 0)
-    return out
 
 
 def _snapshot(cls, *values):
@@ -176,20 +171,17 @@ def update(
 
 
 def _reweighted(b: ParticleBelief, log_w: np.ndarray, log_lik: np.ndarray):
-    """`b` reweighted by `log_lik` (`log_w` is `_safe_log(b.weights)`), and its
-    log mass, reduced as `infogain.logsumexp` reduces it, np.log included."""
-    log_w = log_w + log_lik
-    peak = float(np.max(log_w))
-    if not math.isfinite(peak):
+    """`b` reweighted by `log_lik` (`log_w` is `_safe_log(b.weights)`) and its log
+    mass, by `_logsumexp_into`; the weights re-sum the exp terms it leaves."""
+    terms = log_w + log_lik
+    log_mass = float(_logsumexp_into(terms))
+    if not math.isfinite(log_mass):
         raise WeightCollapseError("every particle has zero posterior mass")
-    shifted = np.exp(log_w - peak)
-    total = float(shifted.sum())
-    log_mass = float(np.log(total)) + peak
     if log_mass < math.log(COLLAPSE_THRESHOLD):
         raise WeightCollapseError(
             f"unnormalized posterior mass underflowed (log mass {log_mass:.1f})"
         )
-    return _snapshot(ParticleBelief, b.particles, shifted / total, b.rng), log_mass
+    return _snapshot(ParticleBelief, b.particles, terms / float(terms.sum()), b.rng), log_mass
 
 
 def effective_sample_size(b: ParticleBelief) -> float:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .infogain import InfoGainError, eer
+from .infogain import eer
 from .magmap import MagMap
 from .models import ControlInput, ModelSet, Pose
 from .pflocal import ParticleBelief
@@ -152,19 +152,12 @@ def select_action(
 ) -> SelectionResult:
     """Evaluate every action from the mean pose `estimate(b).mean`; take the argmin.
 
-    A failing rollout gets nan bits, +inf cost and its reason in `errors`
-    (when `eer` raises InfoGainError, every action carries that message);
+    A failing rollout gets nan bits, +inf cost and its reason in `errors`;
     selection fails only if every action fails. EER for the whole action
     set is one batched draw from the shared rng, in action order, so the
     choice is reproducible. Ties go to the lowest action index.
     """
-    try:
-        gains, errors = eer(
-            b, aset.actions, grid, models, eer_params.m_count,
-            eer_params.horizon_steps, rng,
-        )
-    except InfoGainError as exc:
-        gains, errors = np.full(len(aset), math.nan), (str(exc),) * len(aset)
+    gains, errors = eer(b, aset, grid, models, eer_params, rng)
     bits = tuple(math.nan if e is not None else float(g) for g, e in zip(gains, errors))
     dists = tuple(expected_distance(mean_pose, a, goal, models.dt) for a in aset.actions)
     costs = tuple(

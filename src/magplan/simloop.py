@@ -33,7 +33,7 @@ from .models import (
     simulate_measurement,
     step_motion,
 )
-from .pflocal import ParticleBelief, WeightCollapseError, _safe_log
+from .pflocal import ParticleBelief, WeightCollapseError
 from .planner import (
     ActionSet,
     EerParams,
@@ -171,7 +171,7 @@ def assimilate(
     """
     means = motion_mean_array(belief.particles, u, models.dt)
     predicted = pflocal._moved(belief, means, models.motion)
-    log_w = _safe_log(belief.weights)
+    log_w = infogain._safe_log(belief.weights)
     cur = predicted.particles
     log_pred = infogain._log_predicted_density(cur, means, log_w, models.motion)
     log_lik = measurement_log_likelihood_array(z, cur, grid, models.sensor)
@@ -399,9 +399,7 @@ class _TimedPlans(EpisodeRunner):
 def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> tuple[float, ...]:
     """The wall time in ms of each select_action call in the episode's own loop
     (`EpisodeRunner.run`) for at most n_steps steps: it stops at the goal and
-    raises StepFailure as run does."""
-    if n_steps < 1:
-        raise EpisodeError(f"n_steps must be >= 1, got {n_steps}")
+    raises StepFailure as run does; an n_steps < 1 fails EpisodeConfig's check."""
     runner = _TimedPlans(replace(cfg, step_budget=min(n_steps, cfg.step_budget)))
     runner.run()
     return tuple(runner.plan_ms)

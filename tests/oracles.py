@@ -6,9 +6,9 @@ vectorized code paths, so agreement between the two is evidence rather than
 tautology. The only shared primitives are numpy's rng (both sides must
 consume identical draws) and, where a test says so, the map sampler. The
 exceptions are marked in their sections: the library's former dense,
-per-step, two-axis-index and one-shot regressor forms, kept as references for
-the faster forms that replaced them, and scalar wrappers over the library's
-array forms.
+per-step, two-axis-index and one-shot regressor forms and its former inline
+reweighting, kept as references for the forms that replaced them, and scalar
+wrappers over the library's array forms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from magplan import infogain
-from magplan.infogain import EntropyEstimate
+from magplan.infogain import EntropyEstimate, _safe_log
 from magplan.magmap import MagMap, sample_point
 from magplan.models import (
     ControlInput,
@@ -32,7 +32,7 @@ from magplan.models import (
     transition_log_density_from_means,
     wrap_angle_array,
 )
-from magplan.pflocal import _safe_log
+from magplan.pflocal import COLLAPSE_THRESHOLD, WeightCollapseError
 from magplan.tlcal import MagLog
 
 LN2 = math.log(2.0)
@@ -453,6 +453,31 @@ def plain_logsumexp(a, axis=None) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True)) + peak
     return np.squeeze(out, axis=axis)
+
+
+# --- The filter's former inline reweighting ----------------------------------
+#
+# `pflocal._reweighted` as it was before it reduced through the library's
+# log-sum-exp: its own max shift, plain `np.exp`, one sum for both the log
+# mass and the normalisation. A bitwise comparison pins the shared reduction,
+# its exp step included, to this form.
+
+
+def inline_reweighted(log_w: np.ndarray, log_lik: np.ndarray) -> tuple[np.ndarray, float]:
+    """(weights, log mass) of the reweighting by `log_lik`, given `log_w =
+    _safe_log(w)`; raises WeightCollapseError with the filter's messages."""
+    log_w = log_w + log_lik
+    peak = float(np.max(log_w))
+    if not math.isfinite(peak):
+        raise WeightCollapseError("every particle has zero posterior mass")
+    shifted = np.exp(log_w - peak)
+    total = float(shifted.sum())
+    log_mass = float(np.log(total)) + peak
+    if log_mass < math.log(COLLAPSE_THRESHOLD):
+        raise WeightCollapseError(
+            f"unnormalized posterior mass underflowed (log mass {log_mass:.1f})"
+        )
+    return shifted / total, log_mass
 
 
 # --- Dense predicted density and scalar wrappers ----------------------------

@@ -29,6 +29,7 @@ from magplan.infogain import eer, entropy_posterior
 from magplan.magmap import MagMap
 from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, SensorNoise
 from magplan.pflocal import estimate, init, predict, resample_if_needed, update
+from magplan.planner import ActionSet, EerParams
 from magplan.simloop import filter_entropy, run_episode, sweep
 from oracles import GridBayes1D, kalman_posterior_entropy_bits, make_tl_log, predicted_entropy
 from test_tlcal import EPS_STAR
@@ -174,12 +175,11 @@ def test_04_flat_map_yields_zero_gain(uniform_grid):
         for omega in turn_rates:
             (gain,), errors = eer(
                 b,
-                (ControlInput(0.2, omega),),
+                ActionSet((ControlInput(0.2, omega),)),
                 uniform_grid,
                 models,
-                m_count=30,
-                horizon_steps=10,
-                rng=np.random.default_rng(seed),
+                EerParams(30, 10),
+                np.random.default_rng(seed),
             )
             assert errors == (None,)
             assert abs(gain) <= 1e-9

@@ -25,7 +25,6 @@ from conftest import (
 )
 from magplan.models import (
     ControlInput,
-    DegenerateDensityError,
     ModelSet,
     MotionNoise,
     Pose,
@@ -35,13 +34,13 @@ from magplan.models import (
     wrap_residual,
 )
 from magplan import infogain, pflocal
-from magplan.pflocal import ParticleBelief, _safe_log, estimate, init, predict, update
+from magplan.pflocal import ParticleBelief, estimate, init, predict, update
 from magplan.planner import ActionSet, EerParams, Goal, PlannerWeights, select_action
 from magplan.simloop import EpisodeConfig, EpisodeRunner, filter_entropy
 from magplan.infogain import (
     TILE_ELEMENTS,
     EntropyError,
-    InfoGainError,
+    _safe_log,
     eer,
     entropy_posterior,
     logsumexp,
@@ -425,6 +424,9 @@ def test_ufunc_buffer_is_one_tile_row_and_restored(monkeypatch):
         seen.append((np.getbufsize(), a.ctypes.data % 64, np.geterr(), threading.get_ident()))
         return reduce(a, axis)
 
+    def first_tile_raises(a, axis=None):
+        raise FloatingPointError("first tile")
+
     monkeypatch.setattr(infogain, "_logsumexp_into", spy)
     saved = np.setbufsize(4096)
     threads = threading.active_count()
@@ -443,8 +445,9 @@ def test_ufunc_buffer_is_one_tile_row_and_restored(monkeypatch):
             seen.clear()
             infogain._log_predicted_density(cur[:40], means[:40], log_w[:40], KERNEL_MODELS.motion)
             assert [size for size, *_ in seen] == [4096]
-            with pytest.raises(DegenerateDensityError):
-                infogain._log_predicted_density(cur, means, log_w, MotionNoise(0.021, 0.0, 0.047))
+            monkeypatch.setattr(infogain, "_logsumexp_into", first_tile_raises)
+            with pytest.raises(FloatingPointError, match="first tile"):
+                infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
             assert np.getbufsize() == 4096
             assert threading.active_count() == threads
     finally:
@@ -751,25 +754,11 @@ class TestLinearGaussianScenario:
 # --- expected entropy reduction ---
 
 
-def test_eer_validation(ramp_grid, models):
-    b = ramp_belief(2, n=10)
-    rng = np.random.default_rng(0)
-    a = (ControlInput(0.2, 0.0),)
-    with pytest.raises(InfoGainError):
-        eer(b, a, ramp_grid, models, 11, 5, rng)
-    with pytest.raises(InfoGainError):
-        eer(b, a, ramp_grid, models, 1, 5, rng)
-    with pytest.raises(InfoGainError):
-        eer(b, a, ramp_grid, models, 5, 0, rng)
-    with pytest.raises(InfoGainError):
-        eer(b, (ControlInput(0.2, 0.0), ControlInput(0.3, 0.0)), ramp_grid, models, 5, 5, rng)
-
-
 def test_eer_matches_direct_oracle(ramp_grid, models):
     b = ramp_belief(17, n=60, spread=0.2)
     u = ControlInput(0.2, 0.1)
     (got,), errors = eer(
-        b, (u,), ramp_grid, models, m_count=25, horizon_steps=3, rng=np.random.default_rng(77)
+        b, ActionSet((u,)), ramp_grid, models, EerParams(25, 3), np.random.default_rng(77)
     )
     want = direct_eer_bits(
         b.particles,
@@ -800,12 +789,11 @@ def test_eer_zero_on_uniform_map(uniform_grid, models):
         for omega in TURN_RATES:
             (v,), errors = eer(
                 b,
-                (ControlInput(0.2, omega),),
+                ActionSet((ControlInput(0.2, omega),)),
                 uniform_grid,
                 models,
-                m_count=30,
-                horizon_steps=10,
-                rng=np.random.default_rng(seed),
+                EerParams(30, 10),
+                np.random.default_rng(seed),
             )
             assert errors == (None,)
             assert abs(v) <= 1e-9
@@ -814,16 +802,18 @@ def test_eer_zero_on_uniform_map(uniform_grid, models):
 def test_eer_deterministic_given_rng(peak_grid, models):
     b = init(Pose(5.0, 0.5, 0.0), np.diag([0.3**2, 0.3**2, 0.01]), 250, seed=3)
     u = ControlInput(0.2, math.radians(15.0))
-    a = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0][0]
-    b2 = eer(b, (u,), peak_grid, models, 30, 10, np.random.default_rng(5))[0][0]
+    a = eer(b, ActionSet((u,)), peak_grid, models, EerParams(30, 10), np.random.default_rng(5))
+    b2 = eer(b, ActionSet((u,)), peak_grid, models, EerParams(30, 10), np.random.default_rng(5))
+    a, b2 = a[0][0], b2[0][0]
     assert a == b2
 
 
 def test_eer_prefers_gradient_over_flat_heading(peak_grid, models):
     # Belief south of the peak, heading east: turning left climbs the bump,
     # turning right walks away over flattening field.
-    toward = ControlInput(0.2, math.radians(25.0))
-    away = ControlInput(0.2, math.radians(-25.0))
+    toward = ActionSet((ControlInput(0.2, math.radians(25.0)),))
+    away = ActionSet((ControlInput(0.2, math.radians(-25.0)),))
+    params = EerParams(30, 10)
     for seed in range(3):
         b = init(
             Pose(5.0, 0.5, 0.0),
@@ -834,8 +824,8 @@ def test_eer_prefers_gradient_over_flat_heading(peak_grid, models):
         rng_t = np.random.default_rng(seed * 2 + 1)
         rng_a = np.random.default_rng(seed * 2 + 1)
         assert (
-            eer(b, (toward,), peak_grid, models, 30, 10, rng_t)[0][0]
-            > eer(b, (away,), peak_grid, models, 30, 10, rng_a)[0][0]
+            eer(b, toward, peak_grid, models, params, rng_t)[0][0]
+            > eer(b, away, peak_grid, models, params, rng_a)[0][0]
         )
 
 
@@ -846,7 +836,8 @@ def test_eer_finite_when_rollouts_escape(ramp_grid, models):
         np.random.default_rng(1),
     )
     (v,), errors = eer(
-        b, (ControlInput(0.2, 0.0),), ramp_grid, models, 20, 30, np.random.default_rng(2)
+        b, ActionSet((ControlInput(0.2, 0.0),)), ramp_grid, models, EerParams(20, 30),
+        np.random.default_rng(2),
     )
     assert errors == (None,)
     assert math.isfinite(v)
@@ -864,7 +855,7 @@ def test_batched_eer_matches_scalar_oracle_per_action(grid_name, models, request
     )
     rng_kernel = np.random.default_rng(31)
     rng_oracle = np.random.default_rng(31)
-    got, errors = eer(b, actions, grid, models, m_count=30, horizon_steps=10, rng=rng_kernel)
+    got, errors = eer(b, ActionSet(actions), grid, models, EerParams(30, 10), rng_kernel)
     assert got.shape == (len(actions),)
     assert errors == (None,) * len(actions)
     for a, value in zip(actions, got):
@@ -887,18 +878,18 @@ def test_batched_eer_matches_scalar_oracle_per_action(grid_name, models, request
 def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
     # A non-finite map value under one action's terminal hypotheses makes
     # that action's estimate non-finite; the other actions keep their values.
-    actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
+    aset, params = ActionSet.from_turn_rates(0.2, TURN_RATES), EerParams(20, 4)
     b = ramp_belief(9, n=60)
-    want, _ = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    want, _ = eer(b, aset, ramp_grid, models, params, np.random.default_rng(6))
     real_lookup = infogain.lookup
 
     def poisoned(grid, pts):
         values, inside = real_lookup(grid, pts)
-        values.reshape(len(actions), -1)[2] = np.nan
+        values.reshape(len(aset), -1)[2] = np.nan
         return values, inside
 
     monkeypatch.setattr(infogain, "lookup", poisoned)
-    got, errors = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    got, errors = eer(b, aset, ramp_grid, models, params, np.random.default_rng(6))
     assert "zero mass" in errors[2]
     for k in (0, 1, 3, 4, 5):
         assert errors[k] is None
@@ -906,8 +897,8 @@ def test_batched_eer_fails_one_action_alone(ramp_grid, models, monkeypatch):
 
     goal = Goal((10.0, 0.0), 0.5)
     r = select_action(
-        b, estimate(b).mean, goal, ActionSet(actions), PlannerWeights(1.0, 1.0, 0.5), ramp_grid, models,
-        EerParams(20, 4), np.random.default_rng(6),
+        b, estimate(b).mean, goal, aset, PlannerWeights(1.0, 1.0, 0.5), ramp_grid, models,
+        params, np.random.default_rng(6),
     )
     for k, (bits, cost, error) in enumerate(zip(r.eer_bits, r.costs, r.errors)):
         if k == 2:
@@ -920,9 +911,9 @@ def test_batched_eer_reports_a_nonfinite_gain(ramp_grid, models, monkeypatch):
     # A likelihood block with a -inf diagonal for one action leaves its
     # entropies and evidence finite but its pbar, and so its EER, nan: the
     # fourth check names it; the other actions keep their values.
-    actions = tuple(ControlInput(0.2, w) for w in TURN_RATES)
+    aset, params = ActionSet.from_turn_rates(0.2, TURN_RATES), EerParams(20, 4)
     b = ramp_belief(9, n=60)
-    want, _ = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    want, _ = eer(b, aset, ramp_grid, models, params, np.random.default_rng(6))
     real_likelihood = infogain.sensor_log_likelihood
 
     def poisoned(*args):
@@ -931,7 +922,7 @@ def test_batched_eer_reports_a_nonfinite_gain(ramp_grid, models, monkeypatch):
         return log_lik
 
     monkeypatch.setattr(infogain, "sensor_log_likelihood", poisoned)
-    got, errors = eer(b, actions, ramp_grid, models, 20, 4, np.random.default_rng(6))
+    got, errors = eer(b, aset, ramp_grid, models, params, np.random.default_rng(6))
     assert errors[3] == "EER is not finite"
     assert not math.isfinite(got[3])
     for k in (0, 1, 2, 4, 5):

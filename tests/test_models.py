@@ -403,13 +403,6 @@ def test_transition_matrix_shape_and_scalar_agreement():
             assert math.exp(mat[i, j]) == pytest.approx(want, rel=1e-10)
 
 
-def test_degenerate_transition_sigma_raises():
-    with pytest.raises(DegenerateDensityError):
-        transition_log_density_matrix(
-            np.zeros((2, 3)), np.zeros((2, 3)), ControlInput(0.1, 0.0), 0.1, NO_NOISE
-        )
-
-
 # --- measurement model ---
 
 

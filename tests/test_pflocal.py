@@ -10,12 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RAMP_BASE, RAMP_SLOPE, STD_DT, bit_equal, ramp_field
+from magplan import pflocal
+from magplan.infogain import FAST_FLOOR, ZERO_BELOW, _safe_log
 from magplan.models import (
     ControlInput,
     ModelError,
     MotionNoise,
     Pose,
     SensorNoise,
+    measurement_log_likelihood_array,
     wrap_angle_array,
 )
 from magplan.pflocal import (
@@ -30,7 +33,7 @@ from magplan.pflocal import (
     systematic_resample_indices,
     update,
 )
-from oracles import GridBayes1D
+from oracles import GridBayes1D, inline_reweighted
 
 PRIOR_COV = np.diag([0.1**2, 0.1**2, math.radians(5.0) ** 2])
 
@@ -226,6 +229,41 @@ def test_update_collapse_raises(ramp_grid):
     b = make_belief([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], [0.5, 0.5])
     with pytest.raises(WeightCollapseError):
         update(b, RAMP_BASE + 4.0e6, ramp_grid, SensorNoise(0.5))
+
+
+# z for each case: a peaked cloud whose shifted log terms reach exp's band
+# (ZERO_BELOW, FAST_FLOOR], every log term -inf, and every log term nan.
+REWEIGHT_CASES = {"exp band": ramp_field(5.0, 0.0), "-inf collapse": math.inf, "nan z": math.nan}
+
+
+@pytest.mark.parametrize("case", list(REWEIGHT_CASES))
+def test_update_equals_former_inline_reweighting_bitwise(ramp_grid, case):
+    # The reweighting reduces through infogain's log-sum-exp; its weights,
+    # log mass and collapse messages equal the former inline form's.
+    rng = np.random.default_rng(26)
+    n = 500
+    particles = np.column_stack(
+        [rng.uniform(4.0, 6.0, n), rng.uniform(-0.5, 0.5, n), rng.uniform(-3.0, 3.0, n)]
+    )
+    weights = rng.dirichlet(np.ones(n))
+    weights[:5] = 0.0
+    b = make_belief(particles, weights / weights.sum())
+    sensor, z = SensorNoise(5.0), REWEIGHT_CASES[case]
+    log_w = _safe_log(b.weights)
+    log_lik = measurement_log_likelihood_array(z, b.particles, ramp_grid, sensor)
+    if case == "exp band":
+        terms = log_w + log_lik - np.max(log_w + log_lik)
+        assert np.any((terms > ZERO_BELOW) & (terms <= FAST_FLOOR))
+        want_weights, want_mass = inline_reweighted(log_w, log_lik)
+        got, mass = pflocal._reweighted(b, log_w, log_lik)
+        assert bit_equal(got.weights, want_weights) and bit_equal(mass, want_mass)
+        assert bit_equal(update(b, z, ramp_grid, sensor).weights, want_weights)
+        return
+    message = "^every particle has zero posterior mass$"
+    with pytest.raises(WeightCollapseError, match=message):
+        inline_reweighted(log_w, log_lik)
+    with pytest.raises(WeightCollapseError, match=message):
+        update(b, z, ramp_grid, sensor)
 
 
 def test_update_against_grid_oracle(ramp_grid):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EDGE_HEADINGS, STD_DT, STD_MOTION, STD_SENSOR, bit_equal
+from magplan import infogain
 from magplan.models import ControlInput, ModelSet, MotionNoise, Pose, step_motion
 from magplan.pflocal import ParticleBelief, estimate, init
 from magplan.planner import (
@@ -284,13 +285,24 @@ def test_zero_info_weight_ignores_the_map(peak_grid, uniform_grid, models, aset)
     assert on_peak.chosen_index == on_flat.chosen_index
 
 
-def test_all_actions_failing_raises(peak_grid, models, aset):
-    b = pinned_belief(n=5)  # fewer particles than hypotheses
+def test_all_actions_failing_raises(peak_grid, models, aset, monkeypatch):
+    # Every action's map reads poisoned, as test_simloop's
+    # test_failed_action_goes_through_the_step does for one.
+    real_lookup = infogain.lookup
+
+    def poisoned(grid, pts):
+        values, inside = real_lookup(grid, pts)
+        values[:] = np.nan
+        return values, inside
+
+    monkeypatch.setattr(infogain, "lookup", poisoned)
+    b = pinned_belief()
     with pytest.raises(PlannerError, match="every action failed") as info:
         select_action(
             b, estimate(b).mean, Goal((8.0, 3.0), 0.5), aset,
             PlannerWeights(1.0, 1.0, 0.5), peak_grid, models, EerParams(30, 10),
             np.random.default_rng(0),
         )
-    # eer's InfoGainError is every action's reason.
-    assert str(info.value).count("m_count 30 exceeds particle count 5") == len(aset)
+    # Each action names its own reason.
+    reason = "a predicted measurement has zero mass under the rollout"
+    assert str(info.value).count(reason) == len(aset)
