@@ -28,25 +28,33 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
 * Both are `_entropy_nats`, with 0 * (-inf) counted as 0. The filter step
   takes the first term from its reweighting, which reduces the same N terms.
 
-* The pairwise sum over j is formed in row tiles of at most
-  TILE_ELEMENTS elements, each a block of whole rows i reduced by its own
-  max-shifted log-sum-exp, so it equals the dense N x N form bit for bit
-  while holding O(N * tile) memory instead of O(N^2). The heading residual
-  is wrapped by two exact shifts rather than np.remainder, which is exact
-  only while both headings lie in [-pi, pi]: every motion step returns such
-  headings, and a `ParticleBelief` stores any heading outside that range
-  wrapped, so the kernel takes its clouds as they are. Each call lays
-  cur and the means out once as contiguous (3, n) coordinate planes and
-  allocates one tile's buffers: the tile and the two float scratch buffers
-  of the Gaussian. Every tile reuses them, and is reduced in place by the
-  body of `logsumexp` (peak subtracted, exp, sum and log on the tile buffer
-  itself), so the loop makes no tile-sized temporaries. In a peaked belief
-  most peak-shifted terms lie far below the peak, where numpy's `exp`
-  leaves its fast loop (below about -707.8, near and past the underflow to
-  subnormals and 0). So the exp step (`_exp_into`) clamps every term at
-  FAST_FLOOR = -700, zeroes the clamped lanes and writes back the exact
-  exp of the few terms in the band (-746, -700]; the result is plain
-  `np.exp`'s, bit for bit.
+* T_ij is the motion model's Gaussian about prev particle j's motion mean
+  mu_j, with (dx, dy, dth) = cur_i - mu_j and sx, sy, st the `ModelSet`'s
+  motion sigmas; `_fill_tiles` alone evaluates it:
+
+      log T_ij = -(log sx + log sy + log st + 1.5 log(2 pi))
+                 - 0.5 * (((dx/sx)^2 + (dy/sy)^2) + (dth/st)^2)
+
+  dth is wrapped into (-pi, pi], so a step across the +/-pi seam is not
+  scored as a near-full turn, by two exact shifts rather than np.remainder.
+  That is exact while both headings lie in [-pi, pi]: every motion step
+  returns such headings, and a `ParticleBelief` stores any heading outside
+  that range wrapped, so the kernel takes its clouds as they are.
+
+* The pairwise sum over j is formed in row tiles of at most TILE_ELEMENTS
+  elements, each a block of whole rows i reduced by its own max-shifted
+  log-sum-exp, so it equals the dense N x N form bit for bit while holding
+  O(N * tile) memory instead of O(N^2). Each call lays cur and the means out
+  once as contiguous (3, n) coordinate planes and allocates one tile's
+  buffers: the tile and the two float scratch buffers of the Gaussian. Every
+  tile reuses them, and is reduced in place by the body of `logsumexp` (peak
+  subtracted, exp, sum and log on the tile buffer itself), so the loop makes
+  no tile-sized temporaries. In a peaked belief most peak-shifted terms lie
+  far below the peak, where numpy's `exp` leaves its fast loop (below about
+  -707.8, near and past the underflow to subnormals and 0). So the exp step
+  (`_exp_into`) clamps every term at FAST_FLOOR = -700, zeroes the clamped
+  lanes and writes back the exact exp of the few terms in the band (-746,
+  -700]; the result is plain `np.exp`'s, bit for bit.
 
 * A call of more than one tile (n > rows: N above 221 for one cloud, so
   the dense_filter benchmark at N = 2000 but not the shipped N = 150 step
@@ -56,7 +64,7 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   + log_w and - peak) no longer copy their broadcast operand through the
   default 8192-element buffer. When the call's residual bounds
   min(cur heading) - max(mean heading) >= -3 and max - min <= pi hold, the
-  heading residual takes the four-pass wrap (`models.short_wrap_holds`),
+  heading residual takes the four-pass wrap (`_short_wrap_holds`),
   whose second shift is the first one. Its tile scratch starts on a
   64-byte boundary, so every row of a 2000-wide tile starts on a cache
   line. And a call of at least SPLIT_ELEMENTS pairwise elements (batch x n
@@ -104,15 +112,13 @@ import numpy as np
 
 from .magmap import MagMap, lookup
 from .models import (
+    TWO_PI,
     ControlInput,
     ModelSet,
-    coordinate_planes,
+    MotionNoise,
     measurement_log_likelihood_array,
     motion_mean_array,
-    MotionNoise,
     sensor_log_likelihood,
-    short_wrap_holds,
-    transition_log_density_from_means,
     unicycle_rollout,
 )
 
@@ -144,6 +150,12 @@ SPLIT_ELEMENTS = 3_000_000
 # every input at or below ZERO_BELOW has exp +0.0.
 FAST_FLOOR = -700.0
 ZERO_BELOW = -746.0
+
+# Lowest heading residual for which the short form of `_wrap_residual` is
+# exact: every negative d from here up has d + 2*pi round past pi. At d = -pi
+# it does not (-pi + 2*pi is pi), and the full wrap gives +pi where the
+# short form would give -pi. This is a correctness bound, not a tuning knob.
+SHORT_WRAP_FLOOR = -3.0
 
 
 class EntropyError(Exception):
@@ -221,13 +233,10 @@ def _log_predicted_density(
     """log of sum_j T_ij w_prev_j for every cur particle i, in row tiles, given
     the prev particles' motion `means` and `log_w = _safe_log(w_prev)`. Leading
     axes stack clouds, cur (..., n, 3), means (..., m, 3) and log_w (..., m)
-    into (..., n); each tile holds the same rows of every cloud. Every heading
-    lies in [-pi, pi]. A call of more than one tile sets the ufunc buffer to
-    one row (restored on the way out), may take the four-pass wrap and, from
-    SPLIT_ELEMENTS on, shares its tiles with one helper thread; see the
-    module docstring."""
-    cur = coordinate_planes(cur_states)
-    mu = coordinate_planes(means)[..., None, :]
+    into (..., n); each tile holds the same rows of every cloud. The module
+    docstring says what a call of more than one tile changes."""
+    cur = _coordinate_planes(cur_states)
+    mu = _coordinate_planes(means)[..., None, :]
     lead, n, m = cur.shape[1:-1], cur.shape[-1], mu.shape[-1]
     rows = max(1, TILE_ELEMENTS // (math.prod(lead) * m))
     out = np.empty((*lead, n))
@@ -235,7 +244,7 @@ def _log_predicted_density(
     if n <= rows:
         _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)), False)
         return out
-    short_wrap = short_wrap_holds(cur[2], mu[2])
+    short_wrap = _short_wrap_holds(cur[2], mu[2])
     split = math.prod(lead) * n * m >= SPLIT_ELEMENTS and _usable_cpus() > 1
     # errstate restores the buffer size on the way out, also on an exception;
     # numpy takes only multiples of 16.
@@ -290,17 +299,79 @@ def _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap) -> None:
 
 def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap) -> None:
     """Write `_log_predicted_density` into `out` tile by tile, `rows` rows at a
-    time, reusing the (3, ..., rows, m) scratch `bufs` for every tile."""
+    time, reusing the (3, ..., rows, m) scratch `bufs` for every tile.
+
+    log T_ij runs in place in the plain expression's operation order, so its
+    bits are the same. Each residual starts as a copy of the next-state
+    plane, which is cheaper than a subtraction that broadcasts both operands.
+    """
     n = cur.shape[-1]
+    sx, sy, st = motion.sigma_x, motion.sigma_y, motion.sigma_theta
+    log_norm = -(math.log(sx) + math.log(sy) + math.log(st) + 1.5 * math.log(TWO_PI))
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         tile, tmp, shift = bufs[..., : r1 - r0, :]
-        transition_log_density_from_means(
-            cur[..., r0:r1, None], mu, motion, out=tile, scratch=(tmp, shift),
-            short_wrap=short_wrap,
-        )
+        nxt = cur[..., r0:r1, None]
+        np.copyto(tile, nxt[0])
+        tile -= mu[0]
+        tile /= sx
+        np.square(tile, out=tile)
+        np.copyto(tmp, nxt[1])
+        tmp -= mu[1]
+        tmp /= sy
+        tile += np.square(tmp, out=tmp)
+        np.copyto(tmp, nxt[2])
+        tmp -= mu[2]
+        _wrap_residual(tmp, shift, short_wrap)
+        tmp /= st
+        tile += np.square(tmp, out=tmp)
+        tile *= 0.5
+        np.subtract(log_norm, tile, out=tile)
         tile += log_w
         out[..., r0:r1] = _logsumexp_into(tile, axis=-1)
+
+
+def _coordinate_planes(states: np.ndarray) -> np.ndarray:
+    """The x, y and heading columns of an (..., 3) stack as one contiguous
+    (3, ...) array, so each coordinate is read at unit stride."""
+    states = np.asarray(states, dtype=float)
+    return np.ascontiguousarray(states.transpose(-1, *range(states.ndim - 1)))
+
+
+def _wrap_residual(d: np.ndarray, shift: np.ndarray, short: bool) -> np.ndarray:
+    """`models.wrap_angle_array(d)` in place, by two exact shifts.
+
+    Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
+    holds for the difference of two headings in [-pi, pi]. Each shift is a
+    comparison written as 0.0 or 1.0 into the float buffer `shift` (d's
+    shape), scaled by 2*pi and added, so the wrap makes no temporaries.
+
+    `short` is True for a caller that has checked every d lies in
+    [SHORT_WRAP_FLOOR, pi] (see `_short_wrap_holds`). There a negative d has
+    d + 2*pi > pi and a non-negative one stays at most pi, so the second
+    shift equals the first: the wrap adds and subtracts one shift, four
+    passes instead of six, with the same bits.
+    """
+    np.less(d, 0.0, out=shift)
+    shift *= TWO_PI
+    d += shift
+    if not short:
+        np.greater(d, math.pi, out=shift)
+        shift *= TWO_PI
+    d -= shift
+    return d
+
+
+def _short_wrap_holds(nxt_theta: np.ndarray, mu_theta: np.ndarray) -> bool:
+    """Whether every residual nxt - mu of the two heading arrays lies in
+    [SHORT_WRAP_FLOOR, pi], so `_wrap_residual(..., short=True)` is exact.
+
+    Rounding is monotone, so each residual lies between min(nxt) - max(mu)
+    and max(nxt) - min(mu); a nan heading fails the check.
+    """
+    lo = nxt_theta.min() - mu_theta.max()
+    hi = nxt_theta.max() - mu_theta.min()
+    return bool(SHORT_WRAP_FLOOR <= lo and hi <= math.pi)
 
 
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:

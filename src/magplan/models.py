@@ -3,7 +3,9 @@
 Unicycle kinematics with additive per-step Gaussian noise, and a scalar
 magnetometer whose reading is the map value at the robot position plus
 Gaussian noise. Shared by the simulator (sampling), the particle filter
-(likelihoods), and the planner (transition densities for entropy terms).
+(motion steps and likelihoods), and the planner (rollouts and predicted
+readings). `ModelSet` checks once what every filter, entropy and planner
+call relies on.
 
 The single-pose operations the simulator runs once per step (`step_motion`,
 `simulate_measurement`) take and return `Pose` and are written in `math`
@@ -23,12 +25,6 @@ import numpy as np
 from .magmap import MagMap, lookup, sample_point
 
 TWO_PI = 2.0 * math.pi
-
-# Lowest heading residual for which the short form of `wrap_residual` is
-# exact: every negative d from here up has d + 2*pi round past pi. At d = -pi
-# it does not (-pi + 2*pi is pi), and the full wrap gives +pi where the
-# short form would give -pi. This is a correctness bound, not a tuning knob.
-SHORT_WRAP_FLOOR = -3.0
 
 # Likelihood multiplier for poses outside the map: `magmap.lookup` reads the
 # map at the nearest extent point and the density is scaled down by this factor.
@@ -120,9 +116,9 @@ class SensorNoise:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """The model bundle of filter, entropy, and planner calls, each of which
-    evaluates transition densities: `dt` finite and > 0, and every motion
-    sigma > 0 (DegenerateDensityError), checked here once for the kernel."""
+    """The model bundle of filter, entropy, and planner calls: `dt` finite and
+    > 0, and every motion sigma > 0 (DegenerateDensityError), which
+    `infogain`'s pairwise kernel divides by; checked here once for them all."""
 
     motion: MotionNoise
     sensor: SensorNoise
@@ -170,8 +166,7 @@ def _check_dt(dt: float) -> None:
 
 
 def motion_mean_array(states: np.ndarray, u: ControlInput, dt: float) -> np.ndarray:
-    """Noise-free unicycle step applied to every [x, y, theta] row."""
-    _check_dt(dt)
+    """Noise-free unicycle step of every [x, y, theta] row; its callers check dt."""
     return unicycle_rollout(states, u.v, u.omega, dt, 1)
 
 
@@ -202,103 +197,6 @@ def step_motion(
     x += rng.normal(0.0, noise.sigma_x)
     y += rng.normal(0.0, noise.sigma_y)
     return Pose(x, y, wrap_angle(theta + rng.normal(0.0, noise.sigma_theta)))
-
-
-def wrap_residual(d: np.ndarray, shift: np.ndarray, short: bool) -> np.ndarray:
-    """`wrap_angle_array(d)` in place, by two exact shifts instead of np.remainder.
-
-    Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
-    holds for the difference of two headings in [-pi, pi]. Each shift is a
-    comparison written as 0.0 or 1.0 into the float buffer `shift` (d's
-    shape), scaled by 2*pi and added, so the wrap makes no temporaries.
-
-    `short` is True for a caller that has checked every d lies in
-    [SHORT_WRAP_FLOOR, pi] (see `short_wrap_holds`). There a negative d has
-    d + 2*pi > pi and a non-negative one stays at most pi, so the second
-    shift equals the first: the wrap adds and subtracts one shift, four
-    passes instead of six, with the same bits.
-    """
-    np.less(d, 0.0, out=shift)
-    shift *= TWO_PI
-    d += shift
-    if not short:
-        np.greater(d, math.pi, out=shift)
-        shift *= TWO_PI
-    d -= shift
-    return d
-
-
-def short_wrap_holds(nxt_theta: np.ndarray, mu_theta: np.ndarray) -> bool:
-    """Whether every residual nxt - mu of the two heading arrays lies in
-    [SHORT_WRAP_FLOOR, pi], so `wrap_residual(..., short=True)` is exact.
-
-    Rounding is monotone, so each residual lies between min(nxt) - max(mu)
-    and max(nxt) - min(mu); a nan heading fails the check.
-    """
-    lo = nxt_theta.min() - mu_theta.max()
-    hi = nxt_theta.max() - mu_theta.min()
-    return bool(SHORT_WRAP_FLOOR <= lo and hi <= math.pi)
-
-
-def coordinate_planes(states: np.ndarray) -> np.ndarray:
-    """The x, y and heading columns of an (..., 3) stack as one contiguous
-    (3, ...) array, so each coordinate is read at unit stride."""
-    states = np.asarray(states, dtype=float)
-    return np.ascontiguousarray(states.transpose(-1, *range(states.ndim - 1)))
-
-
-def transition_log_density_from_means(
-    nxt: np.ndarray,
-    mu: np.ndarray,
-    noise: MotionNoise,
-    out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
-    short_wrap: bool,
-) -> np.ndarray:
-    """Pairwise log N(next; mean, noise) from (3, ...) coordinate planes.
-
-    `nxt` holds the next states' and `mu` the motion means' x, y and heading
-    planes (see `coordinate_planes`), shaped to broadcast against each other:
-    `nxt[:, :, None]` against `mu[:, None, :]` gives the (N, M) block of
-    every next state i against every mean j, and leading axes stack blocks.
-    The block is written into `out`, and `scratch` is two float buffers of
-    the block's shape; a caller that evaluates many blocks passes the same
-    ones each time, so the kernel allocates nothing.
-
-    The angular residual is wrapped before the Gaussian is evaluated so a
-    heading step across the +/-pi seam is not scored as a near-full turn.
-    Every heading must lie in [-pi, pi], as those of motion steps and of a
-    `pflocal.ParticleBelief` do. `short_wrap` is True when the caller has
-    checked `short_wrap_holds` for the two heading planes, so the residual
-    takes the four-pass wrap. The sigmas come from a `ModelSet`, which checked them.
-    """
-    tmp, shift = scratch
-    log_norm = -(
-        math.log(noise.sigma_x)
-        + math.log(noise.sigma_y)
-        + math.log(noise.sigma_theta)
-        + 1.5 * math.log(TWO_PI)
-    )
-    # In place, in the operation order of the plain expression, so the result
-    # is bitwise the same: q = ((dx/sx)^2 + (dy/sy)^2) + (dth/st)^2, then
-    # log_norm - 0.5 * q. Each residual next - mu starts as a copy of the
-    # next-state plane, which is cheaper than one subtraction that
-    # broadcasts both operands.
-    np.copyto(out, nxt[0])
-    out -= mu[0]
-    out /= noise.sigma_x
-    np.square(out, out=out)
-    np.copyto(tmp, nxt[1])
-    tmp -= mu[1]
-    tmp /= noise.sigma_y
-    out += np.square(tmp, out=tmp)
-    np.copyto(tmp, nxt[2])
-    tmp -= mu[2]
-    wrap_residual(tmp, shift, short_wrap)
-    tmp /= noise.sigma_theta
-    out += np.square(tmp, out=tmp)
-    out *= 0.5
-    return np.subtract(log_norm, out, out=out)
 
 
 def measurement_log_likelihood_array(

@@ -4,19 +4,20 @@ Weighted pose hypotheses approximate the posterior over robot state. The
 filter cycle is predict (motion sampling), update (measurement likelihood
 reweighting in log space), and conditional systematic resampling when the
 effective sample size drops below a threshold. The closed loop's filter
-step, `simloop.assimilate`, runs the private forms of these steps below.
-The reweighting reduces its log mass through `infogain`'s one log-sum-exp.
+step, `assimilate`, composes the private forms of these steps with
+`infogain`'s entropy terms. The reweighting reduces its log mass through
+`infogain`'s one log-sum-exp.
 
 Beliefs are immutable snapshots; operations return new beliefs. The rng
 travels with the belief and is shared by its successors, so a filter
 lineage is single-writer by construction.
 
-Validation runs where values enter: `init` and the `ParticleBelief`
-constructor check what callers pass, freeze copies and store any heading
-outside [-pi, pi] wrapped, as `Pose` does. The filter steps trust the
-arrays they have just computed: `_snapshot` freezes them in place and
-returns them with no copy and no check. `GaussianSummary` is made only by
-`estimate` and checks nothing.
+Validation runs where values enter: `init`, `predict`'s dt and the
+`ParticleBelief` constructor check what callers pass, freeze copies and
+store any heading outside [-pi, pi] wrapped, as `Pose` does. The filter
+steps trust the arrays they have just computed: `_snapshot` freezes them in
+place and returns them with no copy and no check. `GaussianSummary` is made
+only by `estimate` and checks nothing.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .infogain import _logsumexp_into, _safe_log
+from .infogain import _log_predicted_density, _logsumexp_into, _particle_entropy, _safe_log
 from .magmap import MagMap
 from .models import (
     ControlInput,
+    ModelSet,
     MotionNoise,
     Pose,
     SensorNoise,
+    _check_dt,
     add_motion_noise,
     measurement_log_likelihood_array,
     motion_mean_array,
@@ -148,6 +151,7 @@ def predict(
     b: ParticleBelief, u: ControlInput, dt: float, noise: MotionNoise
 ) -> ParticleBelief:
     """Push every particle through one noisy motion step; weights unchanged."""
+    _check_dt(dt)
     return _moved(b, motion_mean_array(b.particles, u, dt), noise)
 
 
@@ -232,3 +236,48 @@ def estimate(b: ParticleBelief) -> GaussianSummary:
     cov = (resid * w[:, None]).T @ resid
     cov = 0.5 * (cov + cov.T)
     return _snapshot(GaussianSummary, Pose(mean_x, mean_y, mean_theta), cov)
+
+
+@dataclass(frozen=True)
+class Assimilation:
+    """One filter step: the new belief, and the estimate (taken before any
+    resample), entropy, ESS and flags that the trace records of the step."""
+
+    belief: ParticleBelief
+    summary: GaussianSummary
+    entropy_bits: float
+    ess: float
+    resampled: bool
+    collapsed: bool
+
+
+def assimilate(
+    belief: ParticleBelief, u: ControlInput, z: float, grid: MagMap, models: ModelSet
+) -> Assimilation:
+    """Predict + update + entropy + resample when the ESS falls below N/2.
+
+    On weight collapse the belief resets to uniform weights over the predicted
+    particles and the entropy is the no-measurement one, with w_cur = w_prev
+    (see `infogain`). Each term the filter steps share, the log evidence too,
+    is computed once.
+    """
+    means = motion_mean_array(belief.particles, u, models.dt)
+    predicted = _moved(belief, means, models.motion)
+    log_w = _safe_log(belief.weights)
+    cur = predicted.particles
+    log_pred = _log_predicted_density(cur, means, log_w, models.motion)
+    log_lik = measurement_log_likelihood_array(z, cur, grid, models.sensor)
+    try:
+        updated, log_evidence = _reweighted(predicted, log_w, log_lik)
+    except WeightCollapseError:
+        uniform = np.full(predicted.n, 1.0 / predicted.n)
+        updated = _snapshot(ParticleBelief, cur, uniform, predicted.rng)
+        entropy = _particle_entropy(predicted.weights, log_pred)
+        collapsed = True
+    else:
+        entropy = _particle_entropy(updated.weights, log_pred, log_lik, log_evidence)
+        collapsed = False
+    summary = estimate(updated)
+    ess = effective_sample_size(updated)
+    new = _resampled(updated, ess, belief.n / 2.0)
+    return Assimilation(new, summary, entropy.bits, ess, new is not updated, collapsed)

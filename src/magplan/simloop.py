@@ -2,9 +2,9 @@
 
 Each step: the planner picks an action from the current belief, the true
 state advances under that action with process noise, a measurement is
-synthesized at the new true pose, and the filter step `assimilate` takes it
-in (predict, update, entropy, conditional resample) and returns one
-`Assimilation` record. The runner exposes these substeps individually; the
+synthesized at the new true pose, and the filter step `pflocal.assimilate`
+takes it in (predict, update, entropy, conditional resample) and returns one
+`pflocal.Assimilation` record. The runner exposes these substeps individually; the
 true state is touched only by advance_truth and measure, so the filter and
 planner can be shown to see the world through measurements alone.
 
@@ -22,18 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import infogain, pflocal, textio
+from . import pflocal, textio
 from .magmap import MagMap, lookup
-from .models import (
-    ControlInput,
-    ModelSet,
-    Pose,
-    measurement_log_likelihood_array,
-    motion_mean_array,
-    simulate_measurement,
-    step_motion,
-)
-from .pflocal import ParticleBelief, WeightCollapseError
+from .models import ControlInput, ModelSet, Pose, simulate_measurement, step_motion
+from .pflocal import ParticleBelief
 from .planner import (
     ActionSet,
     EerParams,
@@ -146,51 +138,6 @@ class MetricsRecord:
     reached_goal: bool
 
 
-@dataclass(frozen=True)
-class Assimilation:
-    """One filter step: the new belief, and the estimate (taken before any
-    resample), entropy, ESS and flags that the trace records of the step."""
-
-    belief: ParticleBelief
-    summary: pflocal.GaussianSummary
-    entropy_bits: float
-    ess: float
-    resampled: bool
-    collapsed: bool
-
-
-def assimilate(
-    belief: ParticleBelief, u: ControlInput, z: float, grid: MagMap, models: ModelSet
-) -> Assimilation:
-    """Predict + update + entropy + resample when the ESS falls below N/2.
-
-    On weight collapse the belief resets to uniform weights over the predicted
-    particles and the entropy is the no-measurement one, with w_cur = w_prev
-    (see `infogain`). Each term the filter steps share, the log evidence too,
-    is computed once.
-    """
-    means = motion_mean_array(belief.particles, u, models.dt)
-    predicted = pflocal._moved(belief, means, models.motion)
-    log_w = infogain._safe_log(belief.weights)
-    cur = predicted.particles
-    log_pred = infogain._log_predicted_density(cur, means, log_w, models.motion)
-    log_lik = measurement_log_likelihood_array(z, cur, grid, models.sensor)
-    try:
-        updated, log_evidence = pflocal._reweighted(predicted, log_w, log_lik)
-    except WeightCollapseError:
-        uniform = np.full(predicted.n, 1.0 / predicted.n)
-        updated = pflocal._snapshot(ParticleBelief, cur, uniform, predicted.rng)
-        entropy = infogain._particle_entropy(predicted.weights, log_pred)
-        collapsed = True
-    else:
-        entropy = infogain._particle_entropy(updated.weights, log_pred, log_lik, log_evidence)
-        collapsed = False
-    summary = pflocal.estimate(updated)
-    ess = pflocal.effective_sample_size(updated)
-    new = pflocal._resampled(updated, ess, belief.n / 2.0)
-    return Assimilation(new, summary, entropy.bits, ess, new is not updated, collapsed)
-
-
 class EpisodeRunner:
     """One episode's mutable state, stepped substep by substep.
 
@@ -233,10 +180,10 @@ class EpisodeRunner:
             self.truth, self.cfg.grid, self.cfg.models.sensor, self.sensor_rng
         )
 
-    def assimilate(self, action: ControlInput, z: float) -> Assimilation:
-        """`assimilate` on the belief; keeps the new belief and the planner's
-        summary, which is re-estimated only after a resample."""
-        record = assimilate(self.belief, action, z, self.cfg.grid, self.cfg.models)
+    def assimilate(self, action: ControlInput, z: float) -> pflocal.Assimilation:
+        """`pflocal.assimilate` on the belief; keeps the new belief and the
+        planner's summary, which is re-estimated only after a resample."""
+        record = pflocal.assimilate(self.belief, action, z, self.cfg.grid, self.cfg.models)
         self.belief = record.belief
         self.summary = pflocal.estimate(record.belief) if record.resampled else record.summary
         return record

@@ -7,8 +7,10 @@ tautology. The only shared primitives are numpy's rng (both sides must
 consume identical draws) and, where a test says so, the map sampler. The
 exceptions are marked in their sections: the library's former dense,
 per-step, two-axis-index and one-shot regressor forms and its former inline
-reweighting, kept as references for the forms that replaced them, and scalar
-wrappers over the library's array forms.
+reweighting, kept as references for the forms that replaced them (the dense
+forms take their motion means and heading wrap from the library's array
+forms); `predicted_entropy`, which runs the library's own kernel and
+estimator; and scalar wrappers over the library's array forms.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from magplan.models import (
     MotionNoise,
     Pose,
     SensorNoise,
-    coordinate_planes,
     measurement_log_likelihood_array,
     motion_mean_array,
-    transition_log_density_from_means,
     wrap_angle_array,
 )
 from magplan.pflocal import COLLAPSE_THRESHOLD, WeightCollapseError
@@ -480,18 +480,43 @@ def inline_reweighted(log_w: np.ndarray, log_lik: np.ndarray) -> tuple[np.ndarra
     return shifted / total, log_mass
 
 
-# --- Dense predicted density and scalar wrappers ----------------------------
+# --- Dense transition density and scalar wrappers ---------------------------
 #
-# `dense_log_predicted_density` is the library's predicted density as it was
-# before row tiling: the whole N x N transition matrix at once, the heading
-# residual wrapped with np.remainder, reduced with `plain_logsumexp` above
-# (plain `np.exp`, out of place), so a bitwise comparison with the tiled
-# kernel pins the library's whole reduction, its exp step included.
-# `transition_log_density_matrix` is the pairwise transition matrix over the
-# library's kernel, which only tests call. `predicted_entropy` is the
+# `dense_transition_log_density` is the library's pairwise transition density
+# (the Gaussian of the `infogain` docstring) as one out-of-place expression:
+# the whole N x M matrix at once, the heading residual wrapped with
+# np.remainder (`wrap_angle_array`). It shares none of the library's tiled,
+# in-place kernel, so a bitwise comparison pins that kernel to the plain
+# formula. `dense_log_predicted_density` is the library's predicted density
+# as it was before row tiling: that matrix plus log_w, reduced with
+# `plain_logsumexp` above (plain `np.exp`, out of place), so a bitwise
+# comparison with the tiled kernel pins the library's whole reduction, its
+# exp step included. `transition_log_density_matrix` is the same matrix
+# between states and their predecessors. `predicted_entropy` is the
 # library's no-measurement particle entropy between two beliefs, as the
 # closed-loop step forms it on weight collapse. The scalar wrappers below
 # evaluate the library's array forms at one pose or one point.
+
+
+def dense_transition_log_density(
+    next_states: np.ndarray, means: np.ndarray, noise: MotionNoise
+) -> np.ndarray:
+    """Pairwise log N(next_i; means_j, noise) as an (N, M) matrix."""
+    nxt = np.atleast_2d(np.asarray(next_states, dtype=float))
+    dx = nxt[:, None, 0] - means[None, :, 0]
+    dy = nxt[:, None, 1] - means[None, :, 1]
+    dth = wrap_angle_array(nxt[:, None, 2] - means[None, :, 2])
+    log_norm = -(
+        math.log(noise.sigma_x)
+        + math.log(noise.sigma_y)
+        + math.log(noise.sigma_theta)
+        + 1.5 * math.log(TWO_PI)
+    )
+    return log_norm - 0.5 * (
+        (dx / noise.sigma_x) ** 2
+        + (dy / noise.sigma_y) ** 2
+        + (dth / noise.sigma_theta) ** 2
+    )
 
 
 def dense_log_predicted_density(
@@ -502,21 +527,7 @@ def dense_log_predicted_density(
     Same arguments as the library's: the prev particles' motion `means` and
     `log_w = _safe_log(w_prev)`.
     """
-    nxt = np.atleast_2d(np.asarray(cur_states, dtype=float))
-    dx = nxt[:, None, 0] - means[None, :, 0]
-    dy = nxt[:, None, 1] - means[None, :, 1]
-    dth = wrap_angle_array(nxt[:, None, 2] - means[None, :, 2])
-    log_norm = -(
-        math.log(noise.sigma_x)
-        + math.log(noise.sigma_y)
-        + math.log(noise.sigma_theta)
-        + 1.5 * math.log(TWO_PI)
-    )
-    log_t = log_norm - 0.5 * (
-        (dx / noise.sigma_x) ** 2
-        + (dy / noise.sigma_y) ** 2
-        + (dth / noise.sigma_theta) ** 2
-    )
+    log_t = dense_transition_log_density(cur_states, means, noise)
     return plain_logsumexp(log_t + log_w[None, :], axis=1)
 
 
@@ -539,12 +550,8 @@ def transition_log_density_matrix(
     noise: MotionNoise,
 ) -> np.ndarray:
     """Pairwise log p(next_i | prev_j, u) as an (N, M) matrix."""
-    nxt = coordinate_planes(np.atleast_2d(next_states))
-    mu = coordinate_planes(motion_mean_array(prev_states, u, dt))
-    out, tmp, shift = np.empty((3, nxt.shape[1], mu.shape[1]))
-    return transition_log_density_from_means(
-        nxt[:, :, None], mu[:, None, :], noise, out, (tmp, shift), False
-    )
+    means = motion_mean_array(np.atleast_2d(prev_states), u, dt)
+    return dense_transition_log_density(next_states, means, noise)
 
 
 def transition_density(

@@ -208,6 +208,39 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(n for n in members if n.split(".")[2] not in attributes) == []
 
 
+def test_only_pflocal_names_private_names_of_other_modules():
+    # A private name is its module's own decision. The filter step in pflocal
+    # composes infogain's kernel and log-weight helpers and checks models' dt,
+    # so pflocal alone may name them; anywhere else a private name of another
+    # magplan module, read as an attribute or taken by a `from` import, means
+    # a mechanism has no single owner.
+    package, trees = parsed_sources()
+    stems = {path.stem for path in package}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    leaks = set()
+    for path in package:
+        if path.stem == "pflocal":
+            continue
+        modules = set()
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.ImportFrom):
+                # `from . import m` names module m; `from .m import n`, m's member n.
+                source = (node.module or "magplan").rpartition(".")[2]
+                for alias in node.names:
+                    if source == "magplan" and alias.name in stems:
+                        modules.add(alias.asname or alias.name)
+                    elif source in stems and private(alias.name):
+                        leaks.add(f"{path.stem}: {source}.{alias.name}")
+        for node in ast.walk(trees[path]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and private(node.attr)):
+                leaks.add(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert sorted(leaks) == []
+
+
 def test_every_record_field_has_a_reader_outside_the_tests():
     # A field of a public dataclass that only tests read goes away. A read is
     # an attribute load anywhere in the package or the benchmark, except

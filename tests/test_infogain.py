@@ -31,7 +31,6 @@ from magplan.models import (
     SensorNoise,
     motion_mean_array,
     wrap_angle_array,
-    wrap_residual,
 )
 from magplan import infogain, pflocal
 from magplan.pflocal import ParticleBelief, estimate, init, predict, update
@@ -41,6 +40,7 @@ from magplan.infogain import (
     TILE_ELEMENTS,
     EntropyError,
     _safe_log,
+    _wrap_residual,
     eer,
     entropy_posterior,
     logsumexp,
@@ -350,14 +350,14 @@ def band_clouds(n: int, seed: int, cur_band, mean_band, signed_zeros: bool = Fal
 
 @pytest.fixture
 def wrap_forms(monkeypatch):
-    """The `short` flag of every `wrap_residual` call the kernel makes."""
+    """The `short` flag of every `_wrap_residual` call the kernel makes."""
     forms = []
 
     def spy(d, shift, short):
         forms.append(short)
-        return wrap_residual(d, shift, short)
+        return _wrap_residual(d, shift, short)
 
-    monkeypatch.setattr("magplan.models.wrap_residual", spy)
+    monkeypatch.setattr("magplan.infogain._wrap_residual", spy)
     return forms
 
 

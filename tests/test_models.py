@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EDGE_HEADINGS, bit_equal
+from magplan.infogain import SHORT_WRAP_FLOOR, _short_wrap_holds, _wrap_residual
 from magplan.magmap import (
     GridGeometry,
     MagMap,
@@ -20,7 +21,6 @@ from magplan.magmap import (
 )
 from magplan.models import (
     OUT_OF_MAP_PENALTY,
-    SHORT_WRAP_FLOOR,
     ControlInput,
     DegenerateDensityError,
     ModelError,
@@ -31,13 +31,11 @@ from magplan.models import (
     add_motion_noise,
     measurement_log_likelihood_array,
     motion_mean_array,
-    short_wrap_holds,
     simulate_measurement,
     step_motion,
     unicycle_rollout,
     wrap_angle,
     wrap_angle_array,
-    wrap_residual,
 )
 from oracles import (
     measurement_likelihood,
@@ -91,14 +89,14 @@ def test_wrap_residual_matches_wrap_angle_array_bitwise():
     )
     resid = (headings[:, None] - headings[None, :]).ravel()
     assert np.abs(resid).max() == 2 * math.pi
-    got = wrap_residual(resid.copy(), np.empty_like(resid), False)
+    got = _wrap_residual(resid.copy(), np.empty_like(resid), False)
     assert bit_equal(got, wrap_angle_array(resid))
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_wrap_residual_property(a: float, b: float):
     d = np.array([a - b])
-    assert bit_equal(wrap_residual(d.copy(), np.empty_like(d), False), wrap_angle_array(d))
+    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d), False), wrap_angle_array(d))
 
 
 # The short form's range, its ends and the float values next to each end.
@@ -115,13 +113,13 @@ def test_short_wrap_matches_wrap_angle_array_bitwise():
         [SHORT_WRAP_EDGES, np.random.default_rng(9).uniform(-3.0, math.pi, 1000)]
     )
     assert {-3.0, math.pi, 5e-324, -5e-324} <= set(SHORT_WRAP_EDGES)
-    assert bit_equal(wrap_residual(d.copy(), np.empty_like(d), True), wrap_angle_array(d))
+    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d), True), wrap_angle_array(d))
 
 
 @given(st.floats(-3.0, math.pi))
 def test_short_wrap_property(d: float):
     d = np.array([d])
-    assert bit_equal(wrap_residual(d.copy(), np.empty_like(d), True), wrap_angle_array(d))
+    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d), True), wrap_angle_array(d))
 
 
 def test_short_wrap_parts_from_the_full_wrap_at_minus_pi():
@@ -129,18 +127,18 @@ def test_short_wrap_parts_from_the_full_wrap_at_minus_pi():
     # which the full wrap keeps and the short form shifts back to -pi.
     d = np.array([-math.pi])
     assert wrap_angle_array(d)[0] == math.pi
-    assert wrap_residual(d.copy(), np.empty_like(d), False)[0] == math.pi
-    assert wrap_residual(d.copy(), np.empty_like(d), True)[0] == -math.pi
+    assert _wrap_residual(d.copy(), np.empty_like(d), False)[0] == math.pi
+    assert _wrap_residual(d.copy(), np.empty_like(d), True)[0] == -math.pi
 
 
 def test_short_wrap_holds_on_its_bounds():
     assert SHORT_WRAP_FLOOR == -3.0
-    assert short_wrap_holds(np.array([-1.5, 0.0]), np.array([1.5, 0.0]))
+    assert _short_wrap_holds(np.array([-1.5, 0.0]), np.array([1.5, 0.0]))
     below = math.nextafter(-3.0, -4.0)
-    assert not short_wrap_holds(np.array([below + 1.5]), np.array([1.5]))
-    assert short_wrap_holds(np.array([2.0]), np.array([2.0 - math.pi]))
-    assert not short_wrap_holds(np.array([2.0]), np.array([2.0 - math.nextafter(math.pi, 4.0)]))
-    assert not short_wrap_holds(np.array([0.0, math.nan]), np.array([0.0]))
+    assert not _short_wrap_holds(np.array([below + 1.5]), np.array([1.5]))
+    assert _short_wrap_holds(np.array([2.0]), np.array([2.0 - math.pi]))
+    assert not _short_wrap_holds(np.array([2.0]), np.array([2.0 - math.nextafter(math.pi, 4.0)]))
+    assert not _short_wrap_holds(np.array([0.0, math.nan]), np.array([0.0]))
 
 
 # --- pose and parameter validation ---
@@ -327,8 +325,6 @@ def test_step_rejects_bad_dt():
     for dt in (math.nan, math.inf):
         with pytest.raises(ModelError, match="dt must be finite and > 0"):
             step_motion(Pose(0.0, 0.0, 0.0), ControlInput(0.1, 0.0), dt, noise, idle_rng())
-        with pytest.raises(ModelError, match="dt must be finite and > 0"):
-            motion_mean_array(np.zeros((2, 3)), ControlInput(0.1, 0.0), dt)
 
 
 # --- transition density ---

@@ -315,7 +315,7 @@ def test_assimilate_is_the_step_the_runner_traces(base_cfg, over, flags):
     for _ in range(cfg.step_budget):
         belief = copy.deepcopy(runner.belief)
         row = runner.step()
-        record = simloop.assimilate(belief, row.action, row.z, cfg.grid, cfg.models)
+        record = pflocal.assimilate(belief, row.action, row.z, cfg.grid, cfg.models)
         assert bit_equal(record.entropy_bits, row.entropy_bits)
         assert bit_equal(record.ess, row.ess)
         assert (record.resampled, record.collapsed) == (row.resampled, row.collapsed)
