@@ -49,35 +49,48 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
   buffers: the tile and the two float scratch buffers of the Gaussian. Every
   tile reuses them, and is reduced in place by the body of `logsumexp` (peak
   subtracted, exp, sum and log on the tile buffer itself), so the loop makes
-  no tile-sized temporaries. In a peaked belief most peak-shifted terms lie
-  far below the peak, where numpy's `exp` leaves its fast loop (below about
-  -707.8, near and past the underflow to subnormals and 0). So the exp step
+  no tile-sized float temporaries; only the exp step's masks, when a term
+  lies at or below FAST_FLOOR, are tile-shaped (bool). In a peaked belief
+  most peak-shifted terms lie far below the peak, where numpy's `exp`
+  leaves its fast loop (below about -707.8, near and past the underflow to
+  subnormals and 0). So the exp step
   (`_exp_into`) clamps every term at FAST_FLOOR = -700, zeroes the clamped
   lanes and writes back the exact exp of the few terms in the band (-746,
   -700]; the result is plain `np.exp`'s, bit for bit.
 
 * A call of more than one tile (n > rows: N above 221 for one cloud, so
   the dense_filter benchmark at N = 2000 but not the shipped N = 150 step
-  or eer's stack) changes three things, all bit for bit. Its tiles run with
-  numpy's ufunc buffer set to one tile row (m rounded up to a multiple of
-  16), so the tile's five row and column broadcasts (the three residuals,
-  + log_w and - peak) no longer copy their broadcast operand through the
-  default 8192-element buffer. When the call's residual bounds
-  min(cur heading) - max(mean heading) >= -3 and max - min <= pi hold, the
-  heading residual takes the four-pass wrap (`_short_wrap_holds`),
-  whose second shift is the first one. Its tile scratch starts on a
-  64-byte boundary, so every row of a 2000-wide tile starts on a cache
-  line. And a call of at least SPLIT_ELEMENTS pairwise elements (batch x n
-  x m; N of about 1750 and up for one cloud) in a process that may use
-  more than one CPU (`_usable_cpus`: its affinity set where the platform
-  has one, as Linux does, else `os.cpu_count()`) splits its tiles into
-  two contiguous halves of whole tiles: one helper thread fills the
-  second half while the caller fills the first, each on its own scratch,
-  and the caller joins the helper before it returns or raises. The helper
-  runs in a copy of the caller's context, so its tiles see the caller's
-  errstate and the row-sized buffer. Every row goes through the same tile
-  operations either way. One-tile calls skip all four: on eer's
-  (6, 20, 20) call the range check alone cost more than the wrap it saves.
+  or eer's stack) changes five things, all bit for bit:
+
+  - Its tiles run with numpy's ufunc buffer set to one tile row (m rounded
+    up to a multiple of 16), so the tile's five row and column broadcasts
+    (the three residuals, + log_w and - peak) no longer copy their
+    broadcast operand through the default 8192-element buffer.
+  - Each residual plane is one subtraction that broadcasts the cur column
+    against the mean row straight into the tile scratch
+    (`_residual_into`), where a one-tile call copies the cur plane and
+    subtracts the means in place. It is the same subtraction of the same
+    operands; under the row buffer it takes one pass instead of two.
+  - When the call's residual bounds min(cur heading) - max(mean heading)
+    >= -3 and max - min <= pi hold, the heading residual takes the
+    four-pass wrap (`_short_wrap_holds`), whose second shift is the first
+    one.
+  - Its tile scratch starts on a 64-byte boundary, so every row of a
+    2000-wide tile starts on a cache line.
+  - A call of at least SPLIT_ELEMENTS pairwise elements (batch x n x m; N
+    of about 1750 and up for one cloud) in a process that may use more
+    than one CPU (`_usable_cpus`: its affinity set where the platform has
+    one, as Linux does, else `os.cpu_count()`) splits its tiles into two
+    contiguous halves of whole tiles: one helper thread fills the second
+    half while the caller fills the first, each on its own scratch, and
+    the caller joins the helper before it returns or raises. The helper
+    runs in a copy of the caller's context, so its tiles see the caller's
+    errstate and the row-sized buffer. Every row goes through the same
+    tile operations either way.
+
+  One-tile calls skip all five: on eer's (6, 20, 20) call the range check
+  alone cost more than the wrap it saves, and under the default buffer the
+  broadcast residual is slower than the copy and the in-place subtraction.
 
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
@@ -242,7 +255,10 @@ def _log_predicted_density(
     out = np.empty((*lead, n))
     log_w = log_w[..., None, :]
     if n <= rows:
-        _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)), False)
+        _fill_tiles(
+            out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)),
+            multi_tile=False, short_wrap=False,
+        )
         return out
     short_wrap = _short_wrap_holds(cur[2], mu[2])
     split = math.prod(lead) * n * m >= SPLIT_ELEMENTS and _usable_cpus() > 1
@@ -254,7 +270,9 @@ def _log_predicted_density(
             _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap)
         else:
             bufs = _aligned_empty((3, *lead, rows, m))
-            _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap)
+            _fill_tiles(
+                out, cur, mu, log_w, motion, rows, bufs, multi_tile=True, short_wrap=short_wrap
+            )
     return out
 
 
@@ -276,34 +294,34 @@ def _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap) -> None:
     mid = (-(-n // rows) + 1) // 2 * rows
     halves = [
         (out[..., r0:r1], cur[..., r0:r1], mu, log_w, motion, rows,
-         _aligned_empty((3, *out.shape[:-1], rows, m)), short_wrap)
+         _aligned_empty((3, *out.shape[:-1], rows, m)))
         for r0, r1 in ((0, mid), (mid, n))
     ]
     failed: list[BaseException] = []
 
     def helper() -> None:
         try:
-            _fill_tiles(*halves[1])
+            _fill_tiles(*halves[1], multi_tile=True, short_wrap=short_wrap)
         except BaseException as exc:  # re-raised on the caller's thread below
             failed.append(exc)
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
     thread.start()
     try:
-        _fill_tiles(*halves[0])
+        _fill_tiles(*halves[0], multi_tile=True, short_wrap=short_wrap)
     finally:
         thread.join()
     if failed:
         raise failed[0]
 
 
-def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap) -> None:
+def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, *, multi_tile, short_wrap) -> None:
     """Write `_log_predicted_density` into `out` tile by tile, `rows` rows at a
     time, reusing the (3, ..., rows, m) scratch `bufs` for every tile.
 
     log T_ij runs in place in the plain expression's operation order, so its
-    bits are the same. Each residual starts as a copy of the next-state
-    plane, which is cheaper than a subtraction that broadcasts both operands.
+    bits are the same. `multi_tile` picks the residual form (`_residual_into`)
+    and `short_wrap` the heading wrap's (`_wrap_residual`).
     """
     n = cur.shape[-1]
     sx, sy, st = motion.sigma_x, motion.sigma_y, motion.sigma_theta
@@ -312,16 +330,13 @@ def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap) -> None:
         r1 = min(r0 + rows, n)
         tile, tmp, shift = bufs[..., : r1 - r0, :]
         nxt = cur[..., r0:r1, None]
-        np.copyto(tile, nxt[0])
-        tile -= mu[0]
+        _residual_into(tile, nxt[0], mu[0], multi_tile)
         tile /= sx
         np.square(tile, out=tile)
-        np.copyto(tmp, nxt[1])
-        tmp -= mu[1]
+        _residual_into(tmp, nxt[1], mu[1], multi_tile)
         tmp /= sy
         tile += np.square(tmp, out=tmp)
-        np.copyto(tmp, nxt[2])
-        tmp -= mu[2]
+        _residual_into(tmp, nxt[2], mu[2], multi_tile)
         _wrap_residual(tmp, shift, short_wrap)
         tmp /= st
         tile += np.square(tmp, out=tmp)
@@ -329,6 +344,19 @@ def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, short_wrap) -> None:
         np.subtract(log_norm, tile, out=tile)
         tile += log_w
         out[..., r0:r1] = _logsumexp_into(tile, axis=-1)
+
+
+def _residual_into(d: np.ndarray, nxt: np.ndarray, mu: np.ndarray, broadcast: bool) -> None:
+    """nxt - mu into the tile plane `d`, for a column `nxt` and a row `mu`:
+    one subtraction broadcasting both operands, the cheaper form under a
+    multi-tile call's one-row ufunc buffer, or else (cheaper under numpy's
+    default buffer, by about 2% of a sweep_cells op) a copy of nxt and an
+    in-place subtraction of mu."""
+    if broadcast:
+        np.subtract(nxt, mu, out=d)
+    else:
+        np.copyto(d, nxt)
+        d -= mu
 
 
 def _coordinate_planes(states: np.ndarray) -> np.ndarray:

@@ -405,6 +405,38 @@ def test_one_tile_call_takes_the_six_pass_wrap(wrap_forms):
     assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion))
 
 
+@pytest.mark.parametrize("offset", [0.0, 5e5], ids=["near-origin", "offset-5e5-m"])
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_multi_tile_rows_equal_one_tile_calls_bitwise(monkeypatch, split, offset):
+    # A multi-tile call forms each residual plane with one subtraction that
+    # broadcasts both operands; a one-tile call copies cur and subtracts the
+    # means. Slices of cur small enough for one tile, against the same means,
+    # must give the multi-tile call's rows, serially and split. At map
+    # offsets of 5e5 m the subtraction cancels most bits of its operands.
+    two_cpus(monkeypatch, 0 if split else infogain.SPLIT_ELEMENTS)
+    n = ragged_n(3)
+    rows = TILE_ELEMENTS // n
+    prev, cur, w = seam_clouds(n, 29)
+    means, log_w, motion = kernel_args(prev, w)
+    cur[:, :2] += offset
+    means[:, :2] += offset
+    forms = []
+    residual = infogain._residual_into
+
+    def spy(d, nxt, mu, broadcast):
+        forms.append(broadcast)
+        residual(d, nxt, mu, broadcast)
+
+    monkeypatch.setattr(infogain, "_residual_into", spy)
+    got = infogain._log_predicted_density(cur, means, log_w, motion)
+    assert len(forms) > 3 and set(forms) == {True}
+    forms.clear()
+    slices = [cur[r0 : r0 + rows] for r0 in range(0, n, rows)]
+    want = np.concatenate([infogain._log_predicted_density(c, means, log_w, motion) for c in slices])
+    assert forms == [False] * 3 * len(slices)
+    assert bit_equal(got, want)
+
+
 def test_ufunc_buffer_is_one_tile_row_and_restored(monkeypatch):
     # The tiles of a multi-tile call run with numpy's ufunc buffer at one row,
     # rounded up to a multiple of 16, on scratch that starts on a 64-byte
@@ -481,9 +513,9 @@ def fills(monkeypatch):
     fill = infogain._fill_tiles
     caller = threading.get_ident()
 
-    def spy(out, *args):
+    def spy(out, *args, **kwargs):
         calls.append((threading.get_ident() == caller, out.shape[-1]))
-        return fill(out, *args)
+        return fill(out, *args, **kwargs)
 
     monkeypatch.setattr(infogain, "_fill_tiles", spy)
     return calls
@@ -587,10 +619,10 @@ def test_split_call_raises_from_either_half_and_leaves_no_thread(monkeypatch, fa
     fill = infogain._fill_tiles
     caller = threading.get_ident()
 
-    def spy(*fill_args):
+    def spy(*fill_args, **fill_kwargs):
         if (threading.get_ident() == caller) == (failing == "caller"):
             raise HalfFailed(failing)
-        return fill(*fill_args)
+        return fill(*fill_args, **fill_kwargs)
 
     monkeypatch.setattr(infogain, "_fill_tiles", spy)
     with pytest.raises(HalfFailed, match=failing):
