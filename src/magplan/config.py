@@ -20,7 +20,6 @@ import numpy as np
 
 from . import textio
 from .magmap import (
-    GridGeometry,
     MagMap,
     MapError,
     SyntheticMapSpec,
@@ -168,13 +167,13 @@ def build_synthetic_map(cfg: dict[str, str]) -> MagMap:
                 _get(cfg, "map.peak_sigma_y"),
             ),
         )
-        geometry = GridGeometry(
-            origin=(_get(cfg, "map.origin_x"), _get(cfg, "map.origin_y")),
-            cell_size=_get(cfg, "map.cell_size"),
-            width=_get(cfg, "map.width"),
-            height=_get(cfg, "map.height"),
+        return generate_synthetic(
+            spec,
+            (_get(cfg, "map.origin_x"), _get(cfg, "map.origin_y")),
+            _get(cfg, "map.cell_size"),
+            _get(cfg, "map.width"),
+            _get(cfg, "map.height"),
         )
-        return generate_synthetic(spec, geometry)
     except MapError as exc:
         raise ConfigError(f"invalid map spec: {exc}") from exc
 

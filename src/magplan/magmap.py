@@ -47,28 +47,16 @@ class MapFormatError(MapError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class GridGeometry:
-    """Placement of a grid in the workspace: node (0, 0) sits at `origin`."""
-
-    origin: tuple[float, float]
-    cell_size: float
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        if not (self.cell_size > 0 and math.isfinite(self.cell_size)):
-            raise MapError(f"cell_size must be finite and > 0, got {self.cell_size}")
-        if self.width < 2 or self.height < 2:
-            raise MapError(f"grid must be at least 2x2, got {self.width}x{self.height}")
-        if not all(math.isfinite(c) for c in self.origin):
-            raise MapError(f"origin must be finite, got {self.origin}")
-
-    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """X and Y coordinates of grid columns and rows."""
-        xs = self.origin[0] + self.cell_size * np.arange(self.width)
-        ys = self.origin[1] + self.cell_size * np.arange(self.height)
-        return xs, ys
+def _check_placement(
+    origin: tuple[float, float], cell_size: float, width: int, height: int
+) -> None:
+    """The rules of every map's placement; node (0, 0) sits at `origin`."""
+    if not (cell_size > 0 and math.isfinite(cell_size)):
+        raise MapError(f"cell_size must be finite and > 0, got {cell_size}")
+    if width < 2 or height < 2:
+        raise MapError(f"grid must be at least 2x2, got {width}x{height}")
+    if not all(math.isfinite(c) for c in origin):
+        raise MapError(f"origin must be finite, got {origin}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +76,7 @@ class MagMap:
         if vals.ndim != 2:
             raise MapError(f"values must be a 2D grid, got ndim={vals.ndim}")
         height, width = vals.shape
-        geom = GridGeometry(self.origin, self.cell_size, width, height)  # validates
-        del geom
+        _check_placement(self.origin, self.cell_size, width, height)
         if not np.all(np.isfinite(vals)):
             raise MapError("map values must all be finite")
         if not np.all(vals > 0):
@@ -185,16 +172,20 @@ class SyntheticMapSpec:
             raise MapError("peak_amplitude must be finite")
 
 
-def generate_synthetic(spec: SyntheticMapSpec, geometry: GridGeometry) -> MagMap:
-    """Evaluate the peak-on-background field on every grid node."""
-    xs, ys = geometry.node_coords()
+def generate_synthetic(
+    spec: SyntheticMapSpec, origin: tuple[float, float], cell_size: float, width: int, height: int
+) -> MagMap:
+    """Evaluate the peak-on-background field on every node of a width x height
+    grid whose node (0, 0) sits at `origin`."""
+    xs = origin[0] + cell_size * np.arange(width)
+    ys = origin[1] + cell_size * np.arange(height)
     xg, yg = np.meshgrid(xs, ys)
     sx, sy = spec.peak_sigma
     dx = xg - spec.peak_center[0]
     dy = yg - spec.peak_center[1]
     bump = np.exp(-(dx * dx / (2 * sx * sx) + dy * dy / (2 * sy * sy)))
     values = spec.base_field + spec.peak_amplitude * bump
-    return MagMap(geometry.origin, geometry.cell_size, values)
+    return MagMap(origin, cell_size, values)
 
 
 def save_map(grid: MagMap, path: str) -> None:
@@ -218,7 +209,8 @@ def load_map(path: str) -> MagMap:
     try:
         width, height = (textio.parse_cell(f, int) for f in header[2:4])
         origin_x, origin_y, cell_size = (textio.parse_cell(f) for f in header[4:])
-        geometry = GridGeometry((origin_x, origin_y), cell_size, width, height)
+        # Checked before the body is read, so a bad header wins over a bad body.
+        _check_placement((origin_x, origin_y), cell_size, width, height)
     except (textio.TextError, MapError) as exc:
         raise MapFormatError(str(exc), line=1) from None
     try:
@@ -230,4 +222,4 @@ def load_map(path: str) -> MagMap:
     bad = ~((values > 0) & (values < np.inf)).all(axis=1)
     if bad.any():
         raise MapFormatError("field values must be finite and > 0", line=linenos[np.argmax(bad)])
-    return MagMap(geometry.origin, geometry.cell_size, values)
+    return MagMap((origin_x, origin_y), cell_size, values)

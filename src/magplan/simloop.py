@@ -274,7 +274,6 @@ def compute_metrics(trace: EpisodeTrace) -> MetricsRecord:
     est = np.array([[r.est.x, r.est.y] for r in trace.rows])
     err = np.hypot(*(truth - est).T)
     seg = np.diff(truth, axis=0)
-    path_length = float(np.hypot(seg[:, 0], seg[:, 1]).sum()) if len(trace) > 1 else 0.0
     return MetricsRecord(
         det_pos_cov=det,
         entropy_raw=entropy,
@@ -285,7 +284,7 @@ def compute_metrics(trace: EpisodeTrace) -> MetricsRecord:
         final_error=float(err[-1]),
         final_det_pos_cov=float(det[-1]),
         mean_det_pos_cov=float(det.mean()),
-        path_length=path_length,
+        path_length=float(np.hypot(seg[:, 0], seg[:, 1]).sum()),
         steps=len(trace),
         reached_goal=trace.reached_goal,
     )

@@ -207,7 +207,7 @@ def build_regressor_matrix(log: MagLog) -> np.ndarray:
     return rows
 
 
-def _warn_on_poor_excitation(a: np.ndarray) -> list[int]:
+def _warn_on_poor_excitation(a: np.ndarray) -> None:
     # Column 19 (the constant bias regressor) has zero variance by
     # construction, so it is exempt from the check. Huge finite regressors
     # may square to inf, which marks every finite column as weak.
@@ -221,7 +221,6 @@ def _warn_on_poor_excitation(a: np.ndarray) -> list[int]:
             ExcitationWarning,
             stacklevel=3,
         )
-    return weak
 
 
 def fit(log: MagLog, b_earth: Sequence[float]) -> CalibrationCoefficients:

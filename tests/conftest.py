@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from magplan.magmap import GridGeometry, MagMap, SyntheticMapSpec, generate_synthetic
+from magplan.magmap import MagMap, SyntheticMapSpec, generate_synthetic
 from magplan.models import ModelSet, MotionNoise, SensorNoise
 
 # Property tests share one profile: no wall-clock deadline (the sandbox is a
@@ -31,17 +31,15 @@ def model_set() -> ModelSet:
 @pytest.fixture(scope="session")
 def peak_grid() -> MagMap:
     """Single 1000 nT Gaussian peak on a 25 uT background; start/goal scale map."""
-    geom = GridGeometry((-2.0, -4.0), 0.1, 141, 101)
     spec = SyntheticMapSpec(25000.0, (5.0, 3.0), 1000.0, (1.5, 1.5))
-    return generate_synthetic(spec, geom)
+    return generate_synthetic(spec, (-2.0, -4.0), 0.1, 141, 101)
 
 
 @pytest.fixture(scope="session")
 def uniform_grid() -> MagMap:
     """Featureless 25 uT map, generous margins around the origin."""
-    geom = GridGeometry((-20.0, -20.0), 0.5, 81, 81)
     spec = SyntheticMapSpec(25000.0, (0.0, 0.0), 0.0, (1.0, 1.0))
-    return generate_synthetic(spec, geom)
+    return generate_synthetic(spec, (-20.0, -20.0), 0.5, 81, 81)
 
 
 RAMP_BASE = 25000.0

@@ -108,23 +108,24 @@ def steep_ramp() -> MagMap:
     return MagMap((RAMP_X0, -2.0), 0.1, values)
 
 
-def entropy_estimate(seed: int, n: int, grid: MagMap) -> float:
-    """Posterior entropy after three diffusion+measurement steps at x=6."""
+def entropy_estimate(seed: int, n: int, grid: MagMap, check_steps: bool = False) -> float:
+    """Posterior entropy after three diffusion+measurement steps at x=6. With
+    check_steps, the entropy after each earlier step must estimate too."""
     models = ModelSet(ENTROPY_KERNELS, ENTROPY_SENSOR, STD_DT)
     u = ControlInput(0.0, 0.0)
     ss = np.random.SeedSequence(seed).spawn(2)
     b = init(Pose(6.0, 0.0, 0.0), np.diag(np.square(ENTROPY_PRIOR_STD)), n, seed=ss[0])
     z_rng = np.random.default_rng(ss[1])
-    bits = math.nan
-    for _ in range(ENTROPY_STEPS):
+    for step in range(1, ENTROPY_STEPS + 1):
         prev = b
         z = RAMP_BASE + ENTROPY_SLOPE * (6.0 - RAMP_X0) + z_rng.normal(
             0.0, ENTROPY_SENSOR.sigma_z
         )
         b = predict(b, u, STD_DT, ENTROPY_KERNELS)
         b = update(b, z, grid, ENTROPY_SENSOR)
-        bits = entropy_posterior(prev, b, z, u, grid, models).bits
-    return bits
+        if check_steps and step < ENTROPY_STEPS:
+            assert math.isfinite(entropy_posterior(prev, b, z, u, grid, models).bits)
+    return entropy_posterior(prev, b, z, u, grid, models).bits
 
 
 def test_03a_entropy_matches_kalman_closed_form():
@@ -150,9 +151,10 @@ def test_03b_entropy_self_convergence():
     grid = steep_ramp()
     wins = 0
     for seed in range(20):
-        h250 = entropy_estimate(seed, 250, grid)
-        h1000 = entropy_estimate(seed, 1000, grid)
-        h4000 = entropy_estimate(seed, 4000, grid)
+        # Seed 0 also checks that steps 1 and 2 estimate without an EntropyError.
+        h250 = entropy_estimate(seed, 250, grid, check_steps=seed == 0)
+        h1000 = entropy_estimate(seed, 1000, grid, check_steps=seed == 0)
+        h4000 = entropy_estimate(seed, 4000, grid, check_steps=seed == 0)
         wins += abs(h4000 - h1000) < abs(h1000 - h250)
     assert wins >= 15
 

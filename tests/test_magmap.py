@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magplan.magmap import (
-    GridGeometry,
     MagMap,
     MapError,
     MapFormatError,
@@ -55,23 +54,25 @@ def small_maps(draw) -> MagMap:
 
 
 def test_geometry_node_coords():
-    geom = GridGeometry((1.0, 2.0), 0.5, 4, 3)
-    xs, ys = geom.node_coords()
-    assert xs.tolist() == [1.0, 1.5, 2.0, 2.5]
-    assert ys.tolist() == [2.0, 2.5, 3.0]
+    # Each node holds the field at its own coordinates.
+    spec = SyntheticMapSpec(1.0, (0.0, 0.0), 1.0, (1.0, 1.0))
+    m = generate_synthetic(spec, (1.0, 2.0), 0.5, 4, 3)
+    xg, yg = np.meshgrid([1.0, 1.5, 2.0, 2.5], [2.0, 2.5, 3.0])
+    assert m.values == pytest.approx(1.0 + np.exp(-(xg * xg + yg * yg) / 2), rel=1e-15)
 
 
 def test_geometry_rejects_bad_parameters():
+    flat = SyntheticMapSpec(25000.0, (0.0, 0.0), 0.0, (1.0, 1.0))
     with pytest.raises(MapError):
-        GridGeometry((0.0, 0.0), 0.0, 4, 4)
+        generate_synthetic(flat, (0.0, 0.0), 0.0, 4, 4)
     with pytest.raises(MapError):
-        GridGeometry((0.0, 0.0), -1.0, 4, 4)
+        generate_synthetic(flat, (0.0, 0.0), -1.0, 4, 4)
     with pytest.raises(MapError):
-        GridGeometry((0.0, 0.0), 1.0, 1, 4)
+        generate_synthetic(flat, (0.0, 0.0), 1.0, 1, 4)
     with pytest.raises(MapError):
-        GridGeometry((0.0, 0.0), 1.0, 4, 1)
+        generate_synthetic(flat, (0.0, 0.0), 1.0, 4, 1)
     with pytest.raises(MapError):
-        GridGeometry((math.nan, 0.0), 1.0, 4, 4)
+        generate_synthetic(flat, (math.nan, 0.0), 1.0, 4, 4)
 
 
 def test_map_rejects_nonpositive_and_nonfinite_values():
@@ -260,43 +261,39 @@ def test_sample_monotone_within_cell_when_corners_are():
 
 
 def test_synthetic_peak_center_and_tail():
-    geom = GridGeometry((-10.0, -10.0), 1.0, 21, 21)
     spec = SyntheticMapSpec(25000.0, (0.0, 0.0), 1000.0, (1.0, 1.0))
-    m = generate_synthetic(spec, geom)
+    m = generate_synthetic(spec, (-10.0, -10.0), 1.0, 21, 21)
     assert sval(m, 0.0, 0.0) == pytest.approx(26000.0, abs=1e-9)
     # 10 sigma out the bump contributes ~2e-19 nT.
     assert sval(m, 10.0, 0.0) == pytest.approx(25000.0, abs=1e-9)
 
 
 def test_synthetic_value_one_sigma_from_center():
-    geom = GridGeometry((-5.0, -5.0), 1.0, 11, 11)
     spec = SyntheticMapSpec(25000.0, (0.0, 0.0), 1000.0, (1.0, 1.0))
-    m = generate_synthetic(spec, geom)
+    m = generate_synthetic(spec, (-5.0, -5.0), 1.0, 11, 11)
     expected = 25000.0 + 1000.0 * math.exp(-0.5)
     assert sval(m, 1.0, 0.0) == pytest.approx(expected, rel=1e-12)
     assert sval(m, 0.0, -1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_synthetic_anisotropic_sigma():
-    geom = GridGeometry((-6.0, -6.0), 1.0, 13, 13)
     spec = SyntheticMapSpec(1.0, (0.0, 0.0), 100.0, (2.0, 1.0))
-    m = generate_synthetic(spec, geom)
+    m = generate_synthetic(spec, (-6.0, -6.0), 1.0, 13, 13)
     # Two sigma along x equals one sigma... no: exp(-0.5*(2/2)^2) vs
     # exp(-0.5*1^2) at (2,0) and (0,1) respectively, which must agree.
     assert sval(m, 2.0, 0.0) == pytest.approx(sval(m, 0.0, 1.0), rel=1e-12)
 
 
 def test_synthetic_mirror_symmetry_about_peak():
-    geom = GridGeometry((-4.0, -4.0), 0.5, 17, 17)
     spec = SyntheticMapSpec(500.0, (0.0, 0.0), 50.0, (1.3, 0.7))
-    m = generate_synthetic(spec, geom)
+    m = generate_synthetic(spec, (-4.0, -4.0), 0.5, 17, 17)
     assert np.allclose(m.values, m.values[:, ::-1], rtol=1e-13)
     assert np.allclose(m.values, m.values[::-1, :], rtol=1e-13)
 
 
 def test_synthetic_zero_amplitude_is_uniform():
-    geom = GridGeometry((0.0, 0.0), 1.0, 5, 5)
-    m = generate_synthetic(SyntheticMapSpec(25000.0, (2.0, 2.0), 0.0, (1.0, 1.0)), geom)
+    spec = SyntheticMapSpec(25000.0, (2.0, 2.0), 0.0, (1.0, 1.0))
+    m = generate_synthetic(spec, (0.0, 0.0), 1.0, 5, 5)
     assert np.all(m.values == 25000.0)
 
 
@@ -309,18 +306,17 @@ def test_synthetic_spec_validation():
         SyntheticMapSpec(1.0, (0.0, 0.0), math.nan, (1.0, 1.0))
     # A bump deep enough to drive values nonpositive must be rejected at
     # generation, not silently clipped.
-    geom = GridGeometry((-2.0, -2.0), 1.0, 5, 5)
+    spec = SyntheticMapSpec(100.0, (0.0, 0.0), -200.0, (1.0, 1.0))
     with pytest.raises(MapError):
-        generate_synthetic(SyntheticMapSpec(100.0, (0.0, 0.0), -200.0, (1.0, 1.0)), geom)
+        generate_synthetic(spec, (-2.0, -2.0), 1.0, 5, 5)
 
 
 # --- file format ---
 
 
 def test_save_load_round_trip(tmp_path):
-    geom = GridGeometry((-1.5, 2.25), 0.125, 7, 5)
     spec = SyntheticMapSpec(48211.375, (0.1, 3.0), 312.0625, (0.4, 0.9))
-    m = generate_synthetic(spec, geom)
+    m = generate_synthetic(spec, (-1.5, 2.25), 0.125, 7, 5)
     path = tmp_path / "trip.magmap"
     save_map(m, path)
     back = load_map(path)
@@ -378,6 +374,9 @@ def test_saved_header_layout(tmp_path):
         ("magmap v1 2.0 2 0 0 1\n1 1\n1 1\n", 1),
         ("magmap v1 2 2e0 0 0 1\n1 1\n1 1\n", 1),
         ("magmap v1 -1 0 0 0 1\n", 1),
+        # A bad header placement wins over a bad body.
+        ("magmap v1 2 2 0 0 0\n1 oops\n1 1\n", 1),
+        ("magmap v1 1 2 0 0 1\n1\n1\n", 1),
         # A blank line keeps its place in the count.
         ("magmap v1 2 2 0 0 1\n\n1 oops\n1 1\n", 3),
         ("magmap v1 2 2 0 0 1\n1 1\n\n1 inf\n", 4),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import EDGE_HEADINGS, bit_equal
 from magplan.infogain import SHORT_WRAP_FLOOR, _short_wrap_holds, _wrap_residual
 from magplan.magmap import (
-    GridGeometry,
     MagMap,
     OutOfMapError,
     SyntheticMapSpec,
@@ -404,8 +403,8 @@ def test_transition_matrix_shape_and_scalar_agreement():
 
 @pytest.fixture(scope="module")
 def flat_map():
-    geom = GridGeometry((-5.0, -5.0), 1.0, 11, 11)
-    return generate_synthetic(SyntheticMapSpec(25000.0, (0.0, 0.0), 0.0, (1.0, 1.0)), geom)
+    spec = SyntheticMapSpec(25000.0, (0.0, 0.0), 0.0, (1.0, 1.0))
+    return generate_synthetic(spec, (-5.0, -5.0), 1.0, 11, 11)
 
 
 def test_measurement_likelihood_peak_and_falloff(flat_map):
