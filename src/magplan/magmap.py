@@ -14,7 +14,10 @@ File format (text, one map per file)::
 
 Values are nT, written with round-trip precision. Cells follow the `textio`
 number grammar (width and height are integers), blank lines are skipped and
-errors name the file line.
+errors name the file line. `load_map` reads the header with
+`textio.head_line` and the grid with `textio.read_body`, one `np.loadtxt` on
+the path; the file's lines are read only when that call fails, or when an
+error must name a line of the grid.
 """
 
 from __future__ import annotations
@@ -197,11 +200,10 @@ def save_map(grid: MagMap, path: str) -> None:
 
 def load_map(path: str) -> MagMap:
     """Parse a map file; MapFormatError carries the offending line number."""
-    lines = textio.read_lines(path)
-    if not any(line.strip() for line in lines):
-        raise MapFormatError("empty map file", line=1)
-    header = lines[0].split()
+    header = textio.head_line(path).split()
     if len(header) != 7 or header[0] != "magmap" or header[1] != "v1":
+        if not any(line.strip() for line in textio.read_lines(path)):
+            raise MapFormatError("empty map file", line=1)
         raise MapFormatError(
             "expected header 'magmap v1 <width> <height> <origin_x> <origin_y> <cell_size>'",
             line=1,
@@ -214,12 +216,14 @@ def load_map(path: str) -> MagMap:
     except (textio.TextError, MapError) as exc:
         raise MapFormatError(str(exc), line=1) from None
     try:
-        values, linenos = textio.read_table(lines, 1, None, (width,))
+        values = textio.read_body(path, None, (width,))
     except textio.TextError as exc:
         raise MapFormatError(exc.reason, exc.line) from None
     if len(values) != height:
-        raise MapFormatError(f"declared {height} rows but found {len(values)}", line=len(lines))
+        found = f"declared {height} rows but found {len(values)}"
+        raise MapFormatError(found, line=len(textio.read_lines(path)))
     bad = ~((values > 0) & (values < np.inf)).all(axis=1)
     if bad.any():
-        raise MapFormatError("field values must be finite and > 0", line=linenos[np.argmax(bad)])
+        line = textio.body_lines(path)[np.argmax(bad)]
+        raise MapFormatError("field values must be finite and > 0", line=line)
     return MagMap((origin_x, origin_y), cell_size, values)

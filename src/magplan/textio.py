@@ -6,15 +6,28 @@ reads as int64, so `1.0` and `1e0` are not integers. `_` digit separators,
 non-ASCII digits and empty cells are bad values. numpy rounds as `float`
 does, so the `repr` that `spell` writes round-trips bit for bit.
 
+A file that is one header line and then one table (maglog, tlcoef, magmap)
+is read by `head_line` and then `read_body`, whose one `np.loadtxt` reads the
+table straight from the path. Any other file, and any body numpy refuses,
+is read by `read_lines` and `read_table`, which name the bad line. A trace
+stays on lines because its `#` lines are not numpy's comment syntax: numpy
+cuts a `#` anywhere in a line, where a trace drops only lines that start
+with one.
+
 Every output file goes through `write_table`: ASCII, with any non-ASCII
 character (say, in a file name) written as a backslash escape.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+# The suffixes numpy's DataSource decompresses on open.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class TextError(ValueError):
@@ -34,6 +47,49 @@ def read_lines(path) -> list[str]:
     if not lines[-1]:
         lines.pop()
     return lines
+
+
+def head_line(path) -> str:
+    """The file's first line as `read_lines` reads it; an empty file's is ''."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        return fh.readline().removesuffix("\n")
+
+
+def read_body(path, delimiter: Optional[str], widths: Sequence[int], ints=()) -> np.ndarray:
+    """The table after the file's header line, as `read_table` reads it from `read_lines(path)`.
+
+    One `np.loadtxt` reads it straight from the path, with no list of lines.
+    numpy refuses a non-ASCII byte, a bad cell, a change of width and, in a
+    comma table, a whitespace-only line; it warns on an empty body. Those
+    files, a width outside `widths` and a path numpy would not open as plain
+    text (a compressed suffix, a URL) are read by `read_table`, whose
+    TextError names the line. numpy skips blank lines silently, so a row's
+    file line comes from `body_lines`. Check the header line first: this
+    reads the rest of any file.
+    """
+    name = os.fspath(path)
+    if not name.endswith(_COMPRESSED) and "://" not in name:
+        args = dict(delimiter=delimiter, comments=None, skiprows=1, encoding="ascii")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                table = np.loadtxt(name, ndmin=2, **args)
+                if ints:  # the same cells again, in the integer grammar
+                    np.loadtxt(name, dtype=int, usecols=ints, **args)
+            if table.shape[1] in widths:
+                return table
+        except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+            pass
+    return read_table(read_lines(path), 1, delimiter, widths, ints)[0]
+
+
+def body_lines(path) -> list[int]:
+    """The file line of each `read_body` row: the non-blank lines after the first."""
+    return _row_lines(read_lines(path), 1)
+
+
+def _row_lines(lines: Sequence[str], start: int) -> list[int]:
+    return [n + 1 for n in range(start, len(lines)) if lines[n].strip()]
 
 
 def parse_cell(cell: str, kind: type = float, line: Optional[int] = None):
@@ -59,7 +115,7 @@ def read_table(
     call fails, a TextError names the first bad line: a field count not in
     `widths` or unlike the first row's, or a bad cell.
     """
-    linenos = [n + 1 for n in range(start, len(lines)) if lines[n].strip()]
+    linenos = _row_lines(lines, start)
     rows = [lines[n - 1] for n in linenos]
     if not rows:  # loadtxt warns on empty input
         return np.empty((0, widths[0])), linenos

@@ -15,7 +15,9 @@ Coefficient file format (`tlcoef v1`): first line `tlcoef v1`, then 20 rows
 `index,value` with the integer index 1..20 in the ordering above.
 
 Cells of both follow the `textio` number grammar, blank lines are skipped
-and errors name the file line.
+and errors name the file line. Both are read by `textio.read_body`, one
+`np.loadtxt` on the path; the file's lines are read only when that call
+fails, or when a row's line must be named.
 """
 
 from __future__ import annotations
@@ -265,13 +267,12 @@ def residual_rms(log: MagLog, b_earth: Sequence[float], eps: CalibrationCoeffici
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def _load_table(path: str, header: str, widths: Sequence[int], ints=()):
-    """A `header` file's body table and row lines; the file's lines die with this call."""
-    lines = textio.read_lines(path)
-    if not lines or lines[0].strip() != header:
+def _load_table(path: str, header: str, widths: Sequence[int], ints=()) -> np.ndarray:
+    """A `header` file's body table; `textio.body_lines` gives each row's file line."""
+    if textio.head_line(path).strip() != header:
         raise CalibrationError(f"line 1: expected header {header!r}")
     try:
-        return textio.read_table(lines, 1, ",", widths, ints)
+        return textio.read_body(path, ",", widths, ints)
     except textio.TextError as exc:
         raise CalibrationError(str(exc)) from None
 
@@ -282,15 +283,16 @@ def load_maglog(path: str) -> tuple[MagLog, Optional[np.ndarray]]:
     Returns the log and, when every row carries the optional be_truth
     column, the aligned truth array (otherwise None).
     """
-    table, linenos = _load_table(path, "maglog v1", (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1))
+    table = _load_table(path, "maglog v1", (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1))
     try:
         log = MagLog(**{k: table[:, c] for k, c in MAGLOG_V1.items()})
     except InvalidSampleError as exc:
-        raise CalibrationError(f"line {linenos[exc.row]}: {exc.reason}") from exc
+        raise CalibrationError(f"line {textio.body_lines(path)[exc.row]}: {exc.reason}") from exc
     truth = table[:, MAGLOG_V1_WIDTH].copy() if table.shape[1] > MAGLOG_V1_WIDTH else None
     if truth is not None and not np.isfinite(truth).all():
         i = int(np.argmax(~np.isfinite(truth)))
-        raise CalibrationError(f"line {linenos[i]}: be_truth must be finite, got {truth[i]}")
+        line = textio.body_lines(path)[i]
+        raise CalibrationError(f"line {line}: be_truth must be finite, got {truth[i]}")
     return log, truth
 
 
@@ -309,7 +311,7 @@ def save_coefficients(eps: CalibrationCoefficients, path: str) -> None:
 
 
 def load_coefficients(path: str) -> CalibrationCoefficients:
-    table, linenos = _load_table(path, "tlcoef v1", (2,), ints=(0,))
+    table = _load_table(path, "tlcoef v1", (2,), ints=(0,))
     if len(table) != N_COEFFS:
         raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(table)}")
     index, eps = table.T
@@ -322,5 +324,5 @@ def load_coefficients(path: str) -> CalibrationCoefficients:
             if index[i] != i + 1
             else f"coefficient must be finite, got {eps[i]}"
         )
-        raise CalibrationError(f"line {linenos[i]}: {what}")
+        raise CalibrationError(f"line {textio.body_lines(path)[i]}: {what}")
     return CalibrationCoefficients(eps)

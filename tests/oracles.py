@@ -6,8 +6,9 @@ vectorized code paths, so agreement between the two is evidence rather than
 tautology. The only shared primitives are numpy's rng (both sides must
 consume identical draws) and, where a test says so, the map sampler. The
 exceptions are marked in their sections: the library's former dense,
-per-step, two-axis-index and one-shot regressor forms and its former inline
-reweighting, kept as references for the forms that replaced them (the dense
+per-step, two-axis-index and one-shot regressor forms, its former inline
+reweighting and its former line-walk file readers, kept as references for
+the forms that replaced them (the dense
 forms take their motion means and heading wrap from the library's array
 forms); `predicted_entropy`, which runs the library's own kernel and
 estimator; and scalar wrappers over the library's array forms.
@@ -19,9 +20,9 @@ import math
 
 import numpy as np
 
-from magplan import infogain
+from magplan import infogain, textio
 from magplan.infogain import EntropyEstimate, _safe_log
-from magplan.magmap import MagMap, sample_point
+from magplan.magmap import MagMap, MapError, MapFormatError, _check_placement, sample_point
 from magplan.models import (
     ControlInput,
     ModelSet,
@@ -33,7 +34,15 @@ from magplan.models import (
     wrap_angle_array,
 )
 from magplan.pflocal import COLLAPSE_THRESHOLD, WeightCollapseError
-from magplan.tlcal import MagLog
+from magplan.tlcal import (
+    MAGLOG_V1,
+    MAGLOG_V1_WIDTH,
+    N_COEFFS,
+    CalibrationCoefficients,
+    CalibrationError,
+    InvalidSampleError,
+    MagLog,
+)
 
 LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -159,7 +168,9 @@ class GridBayes1D:
 
     Used as ground truth for the particle filter on a ramp map where only
     the x coordinate is informative. The motion kernel (constant shift plus
-    Gaussian diffusion) is precomputed as a dense transition matrix.
+    Gaussian diffusion) is applied as a banded convolution: the weight of a
+    move of k cells, for every k whose Gaussian term does not underflow to
+    zero (within 40 sigma of the shift). Mass moved off either end is lost.
     """
 
     def __init__(self, x_lo: float, x_hi: float, n_cells: int):
@@ -175,10 +186,14 @@ class GridBayes1D:
     def predict(self, shift: float, sigma: float) -> None:
         key = (shift, sigma)
         if key not in self._kernel_cache:
-            diff = self.xs[:, None] - self.xs[None, :] - shift
-            t = np.exp(-0.5 * (diff / sigma) ** 2) / (sigma * math.sqrt(TWO_PI))
+            reach = math.ceil((abs(shift) + 40.0 * sigma) / self.dx)
+            moves = np.arange(-reach, reach + 1) * self.dx - shift
+            t = np.exp(-0.5 * (moves / sigma) ** 2) / (sigma * math.sqrt(TWO_PI))
             self._kernel_cache[key] = t * self.dx
-        self.p = self._kernel_cache[key] @ self.p
+        band = self._kernel_cache[key]
+        reach = len(band) // 2
+        # Full convolution index i + reach sums p[j] * band[i - j + reach].
+        self.p = np.convolve(self.p, band)[reach : reach + len(self.p)]
         self.p /= self.p.sum() * self.dx
 
     def update(self, z: float, map_at_xs: np.ndarray, sigma_z: float) -> None:
@@ -191,6 +206,83 @@ class GridBayes1D:
 
     def mean(self) -> float:
         return float((self.xs * self.p).sum() * self.dx)
+
+
+# --- The line-walk readers of the header-plus-table formats ------------------
+#
+# The maglog, tlcoef and magmap readers as they were before `textio.read_body`:
+# the whole file as a list of lines, its non-blank rows after the header as one
+# table, each row's file line kept beside it. The shipped readers must return
+# the same arrays, bit for bit, or raise the same message. They share the
+# library's line walk (`textio.read_lines`, `read_table`) and records.
+
+
+def _line_walk_table(path, header: str, widths, ints=()):
+    lines = textio.read_lines(path)
+    if not lines or lines[0].strip() != header:
+        raise CalibrationError(f"line 1: expected header {header!r}")
+    try:
+        return textio.read_table(lines, 1, ",", widths, ints)
+    except textio.TextError as exc:
+        raise CalibrationError(str(exc)) from None
+
+
+def line_walk_maglog(path):
+    table, linenos = _line_walk_table(path, "maglog v1", (MAGLOG_V1_WIDTH, MAGLOG_V1_WIDTH + 1))
+    try:
+        log = MagLog(**{k: table[:, c] for k, c in MAGLOG_V1.items()})
+    except InvalidSampleError as exc:
+        raise CalibrationError(f"line {linenos[exc.row]}: {exc.reason}") from exc
+    truth = table[:, MAGLOG_V1_WIDTH].copy() if table.shape[1] > MAGLOG_V1_WIDTH else None
+    if truth is not None and not np.isfinite(truth).all():
+        i = int(np.argmax(~np.isfinite(truth)))
+        raise CalibrationError(f"line {linenos[i]}: be_truth must be finite, got {truth[i]}")
+    return log, truth
+
+
+def line_walk_coefficients(path) -> CalibrationCoefficients:
+    table, linenos = _line_walk_table(path, "tlcoef v1", (2,), ints=(0,))
+    if len(table) != N_COEFFS:
+        raise CalibrationError(f"expected {N_COEFFS} coefficient rows, got {len(table)}")
+    index, eps = table.T
+    bad = (index != np.arange(1, N_COEFFS + 1)) | ~np.isfinite(eps)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = (
+            f"expected index {i + 1}, got {index[i]:.0f}"
+            if index[i] != i + 1
+            else f"coefficient must be finite, got {eps[i]}"
+        )
+        raise CalibrationError(f"line {linenos[i]}: {what}")
+    return CalibrationCoefficients(eps)
+
+
+def line_walk_map(path) -> MagMap:
+    lines = textio.read_lines(path)
+    if not any(line.strip() for line in lines):
+        raise MapFormatError("empty map file", line=1)
+    header = lines[0].split()
+    if len(header) != 7 or header[0] != "magmap" or header[1] != "v1":
+        raise MapFormatError(
+            "expected header 'magmap v1 <width> <height> <origin_x> <origin_y> <cell_size>'",
+            line=1,
+        )
+    try:
+        width, height = (textio.parse_cell(f, int) for f in header[2:4])
+        origin_x, origin_y, cell_size = (textio.parse_cell(f) for f in header[4:])
+        _check_placement((origin_x, origin_y), cell_size, width, height)
+    except (textio.TextError, MapError) as exc:
+        raise MapFormatError(str(exc), line=1) from None
+    try:
+        values, linenos = textio.read_table(lines, 1, None, (width,))
+    except textio.TextError as exc:
+        raise MapFormatError(exc.reason, exc.line) from None
+    if len(values) != height:
+        raise MapFormatError(f"declared {height} rows but found {len(values)}", line=len(lines))
+    bad = ~((values > 0) & (values < np.inf)).all(axis=1)
+    if bad.any():
+        raise MapFormatError("field values must be finite and > 0", line=linenos[np.argmax(bad)])
+    return MagMap((origin_x, origin_y), cell_size, values)
 
 
 # --- Closed-form entropy for the linear-Gaussian scenario -------------------

@@ -380,6 +380,9 @@ def test_saved_header_layout(tmp_path):
         # A blank line keeps its place in the count.
         ("magmap v1 2 2 0 0 1\n\n1 oops\n1 1\n", 3),
         ("magmap v1 2 2 0 0 1\n1 1\n\n1 inf\n", 4),
+        ("magmap v1 2 2 0 0 1\n1 1\n\n1 -3\n", 4),
+        # A whitespace-only line in the grid is skipped and keeps its place too.
+        ("magmap v1 2 2 0 0 1\n1 1\n \t \n1 0\n", 4),
     ],
 )
 def test_malformed_files_name_the_line(tmp_path, text: str, bad_line: int):
