@@ -38,16 +38,8 @@ class OutOfMapError(MapError):
     """A query point lies outside the map's rectangular extent."""
 
 
-class MapFormatError(MapError):
-    """A map file could not be parsed.
-
-    Attributes:
-        line: 1-based line number where parsing failed.
-    """
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class MapFormatError(textio.TextError, MapError):
+    """A map file could not be parsed; `line` is the 1-based file line at fault."""
 
 
 def _check_placement(
@@ -202,7 +194,7 @@ def load_map(path: str) -> MagMap:
     """Parse a map file; MapFormatError carries the offending line number."""
     header = textio.head_line(path).split()
     if len(header) != 7 or header[0] != "magmap" or header[1] != "v1":
-        if not any(line.strip() for line in textio.read_lines(path)):
+        if not header and not textio.body_lines(path):
             raise MapFormatError("empty map file", line=1)
         raise MapFormatError(
             "expected header 'magmap v1 <width> <height> <origin_x> <origin_y> <cell_size>'",
@@ -221,7 +213,7 @@ def load_map(path: str) -> MagMap:
         raise MapFormatError(exc.reason, exc.line) from None
     if len(values) != height:
         found = f"declared {height} rows but found {len(values)}"
-        raise MapFormatError(found, line=len(textio.read_lines(path)))
+        raise MapFormatError(found, line=(textio.body_lines(path) or [1])[-1])
     bad = ~((values > 0) & (values < np.inf)).all(axis=1)
     if bad.any():
         line = textio.body_lines(path)[np.argmax(bad)]

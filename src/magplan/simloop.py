@@ -203,8 +203,6 @@ class EpisodeRunner:
             self.advance_truth(selection.chosen)
             z = self.measure()
             record = self.assimilate(selection.chosen, z)
-        except EpisodeError:
-            raise
         except Exception as exc:
             raise StepFailure(k, exc) from exc
         row = TraceRow(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from magplan.magmap import MagMap, SyntheticMapSpec, generate_synthetic
-from magplan.models import ModelSet, MotionNoise, SensorNoise
+from magplan.models import MotionNoise, SensorNoise
 
 # Property tests share one profile: no wall-clock deadline (the sandbox is a
 # single slow core) and a fixed derandomized order so runs are reproducible.
@@ -21,11 +21,6 @@ settings.load_profile("default")
 STD_MOTION = MotionNoise(0.01, 0.01, math.radians(0.15))
 STD_SENSOR = SensorNoise(150.0)
 STD_DT = 0.1
-
-
-@pytest.fixture(scope="session")
-def model_set() -> ModelSet:
-    return ModelSet(STD_MOTION, STD_SENSOR, STD_DT)
 
 
 @pytest.fixture(scope="session")

@@ -278,7 +278,8 @@ def line_walk_map(path) -> MagMap:
     except textio.TextError as exc:
         raise MapFormatError(exc.reason, exc.line) from None
     if len(values) != height:
-        raise MapFormatError(f"declared {height} rows but found {len(values)}", line=len(lines))
+        found = f"declared {height} rows but found {len(values)}"
+        raise MapFormatError(found, line=(linenos or [1])[-1])
     bad = ~((values > 0) & (values < np.inf)).all(axis=1)
     if bad.any():
         raise MapFormatError("field values must be finite and > 0", line=linenos[np.argmax(bad)])

@@ -109,6 +109,10 @@ def test_belief_validation():
         make_belief(np.zeros((3, 3)), [1.2, -0.1, -0.1])
     with pytest.raises(FilterError):
         make_belief(np.full((3, 3), np.nan), [0.4, 0.3, 0.3])
+    with pytest.raises(FilterError, match=r"need at least 2 particles, got 1"):
+        make_belief(np.zeros((1, 3)), [1.0])
+    with pytest.raises(FilterError, match=r"weights shape \(2,\) does not match 3 particles"):
+        make_belief(np.zeros((3, 3)), [0.5, 0.5])
     b = make_belief(np.zeros((2, 3)), [0.5, 0.5])
     with pytest.raises(ValueError):
         b.weights[0] = 1.0
