@@ -82,7 +82,7 @@ KNOWN_KEYS: dict[str, str] = {
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value strings; syntax, duplicate, and unknown-key checks.
-    Lines end at a newline only, as `textio.read_lines` reads them."""
+    Only LF ends a line here; `load_config` reads CR LF and a lone CR as LF."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -80,6 +80,10 @@ class Goal:
         if not (self.arrival_radius > 0 and math.isfinite(self.arrival_radius)):
             raise PlannerError(f"arrival_radius must be > 0, got {self.arrival_radius}")
 
+    def distance(self, x: float, y: float) -> float:
+        """numpy's hypot from (x, y) to the goal; math.hypot can differ in the last bit."""
+        return float(np.hypot(x - self.position[0], y - self.position[1]))
+
 
 @dataclass(frozen=True)
 class EerParams:
@@ -129,10 +133,7 @@ def expected_position(p: Pose, a: ControlInput, dt: float) -> tuple[float, float
 
 
 def expected_distance(p: Pose, a: ControlInput, goal: Goal, dt: float) -> float:
-    x, y = expected_position(p, a, dt)
-    gx, gy = goal.position
-    # numpy's hypot, not math.hypot: the two can differ in the last bit.
-    return float(np.hypot(x - gx, y - gy))
+    return goal.distance(*expected_position(p, a, dt))
 
 
 def action_cost(eer_bits: float, dist_m: float, w: PlannerWeights) -> float:

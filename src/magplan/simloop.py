@@ -15,7 +15,6 @@ e.g. changing the hypothesis budget cannot perturb the true trajectory.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -188,13 +187,6 @@ class EpisodeRunner:
         self.summary = pflocal.estimate(record.belief) if record.resampled else record.summary
         return record
 
-    def _at_goal(self, summary: pflocal.GaussianSummary) -> bool:
-        gx, gy = self.cfg.goal.position
-        return (
-            math.hypot(summary.mean.x - gx, summary.mean.y - gy)
-            <= self.cfg.goal.arrival_radius
-        )
-
     def step(self) -> TraceRow:
         """Run one full closed-loop step and append its trace row."""
         k = self.step_index
@@ -225,7 +217,8 @@ class EpisodeRunner:
         )
         self.rows.append(row)
         self.step_index += 1
-        if self._at_goal(record.summary):
+        goal, mean = self.cfg.goal, record.summary.mean
+        if goal.distance(mean.x, mean.y) <= goal.arrival_radius:
             self.reached_goal = True
         return row
 
@@ -340,7 +333,7 @@ class _TimedPlans(EpisodeRunner):
         return selection
 
 
-def benchmark_planning(cfg: EpisodeConfig, n_steps: int = 50) -> tuple[float, ...]:
+def benchmark_planning(cfg: EpisodeConfig, n_steps: int) -> tuple[float, ...]:
     """The wall time in ms of each select_action call in the episode's own loop
     (`EpisodeRunner.run`) for at most n_steps steps: it stops at the goal and
     raises StepFailure as run does; an n_steps < 1 fails EpisodeConfig's check."""

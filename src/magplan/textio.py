@@ -7,12 +7,11 @@ non-ASCII digits and empty cells are bad values. numpy rounds as `float`
 does, so the `repr` that `spell` writes round-trips bit for bit.
 
 A file that is one header line and then one table (maglog, tlcoef, magmap)
-is read by `head_line` and then `read_body`, whose one `np.loadtxt` reads the
-table straight from the path. Any other file, and any body numpy refuses,
-is read by `read_lines` and `read_table`, which name the bad line. A trace
-stays on lines because its `#` lines are not numpy's comment syntax: numpy
-cuts a `#` anywhere in a line, where a trace drops only lines that start
-with one.
+is read by `head_line` and `read_body`, which runs `_parsed` on the path. Any
+other file, and any body numpy refuses, goes to `read_lines` and `read_table`,
+which runs `_parsed` on the lines and names a bad line. A trace stays on lines
+because its `#` lines are not numpy's comment syntax: numpy cuts a `#`
+anywhere in a line, where a trace drops only lines that start with one.
 
 Every output file goes through `write_table`: ASCII, with any non-ASCII
 character (say, in a file name) written as a backslash escape.
@@ -39,9 +38,9 @@ class TextError(ValueError):
 
 
 def read_lines(path) -> list[str]:
-    """The file's lines, ended by a newline only (numpy reads vertical tab, form feed
-    and 0x1c-0x1e as cell padding); a non-ASCII byte reads as U+FFFD, which no
-    grammar accepts."""
+    """The file's lines, each ended by LF, CR LF or a lone CR (Python's universal
+    newlines; numpy reads vertical tab, form feed and 0x1c-0x1e as cell
+    padding); a non-ASCII byte reads as U+FFFD, which no grammar accepts."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().split("\n")
     if not lines[-1]:
@@ -58,29 +57,37 @@ def head_line(path) -> str:
 def read_body(path, delimiter: Optional[str], widths: Sequence[int], ints=()) -> np.ndarray:
     """The table after the file's header line, as `read_table` reads it from `read_lines(path)`.
 
-    One `np.loadtxt` reads it straight from the path, with no list of lines.
-    numpy refuses a non-ASCII byte, a bad cell, a change of width and, in a
-    comma table, a whitespace-only line; it warns on an empty body. Those
-    files, a width outside `widths` and a path numpy would not open as plain
-    text (a compressed suffix, a URL) are read by `read_table`, whose
-    TextError names the line. numpy skips blank lines silently, so a row's
-    file line comes from `body_lines`. Check the header line first: this
-    reads the rest of any file.
+    `_parsed` reads it straight from the path. numpy refuses a non-ASCII
+    byte, a bad cell, a change of width and, in a comma table, a
+    whitespace-only line. Those files, a width outside `widths` and a path
+    numpy would not open as plain text (a compressed suffix, a URL) are read
+    by `read_table`, whose TextError names the line. A row's file line comes
+    from `body_lines`, as numpy skips blank lines. Check the header line
+    first: this reads the rest of any file.
     """
     name = os.fspath(path)
     if not name.endswith(_COMPRESSED) and "://" not in name:
-        args = dict(delimiter=delimiter, comments=None, skiprows=1, encoding="ascii")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)
-                table = np.loadtxt(name, ndmin=2, **args)
-                if ints:  # the same cells again, in the integer grammar
-                    np.loadtxt(name, dtype=int, usecols=ints, **args)
-            if table.shape[1] in widths:
-                return table
-        except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
-            pass
+        table = _parsed(name, delimiter, widths, ints, skiprows=1, encoding="ascii")
+        if table is not None:
+            return table
     return read_table(read_lines(path), 1, delimiter, widths, ints)[0]
+
+
+def _parsed(source, delimiter: Optional[str], widths: Sequence[int], ints, **kwargs):
+    """numpy's parse of a table at a path or in a list of rows: the float table,
+    (0, widths[0]) if it has no row, or None if numpy refuses it or its width."""
+    args = dict(delimiter=delimiter, comments=None, **kwargs)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(source, ndmin=2, **args)
+            if ints:  # the same cells again, in the integer grammar
+                np.loadtxt(source, dtype=int, usecols=ints, **args)
+    except UserWarning:  # loadtxt's only one: "input contained no data"
+        return np.empty((0, widths[0]))
+    except ValueError:  # UnicodeDecodeError is a ValueError
+        return None
+    return table if table.shape[1] in widths else None
 
 
 def body_lines(path) -> list[int]:
@@ -117,16 +124,9 @@ def read_table(
     """
     linenos = _row_lines(lines, start)
     rows = [lines[n - 1] for n in linenos]
-    if not rows:  # loadtxt warns on empty input
-        return np.empty((0, widths[0])), linenos
-    try:
-        table = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
-        if ints:  # the same cells again, in the integer grammar
-            np.loadtxt(rows, delimiter=delimiter, comments=None, dtype=int, usecols=ints)
-        if table.shape[1] in widths:
-            return table, linenos
-    except ValueError:
-        pass
+    table = _parsed(rows, delimiter, widths, ints)
+    if table is not None:
+        return table, linenos
     noun = "CSV fields" if delimiter == "," else "fields"
     first = len(rows[0].split(delimiter))
     for lineno, row in zip(linenos, rows):

@@ -145,6 +145,16 @@ def test_only_a_newline_ends_a_config_line(tmp_path, sep):
     assert load_config(str(p)) == want
 
 
+def test_a_lone_cr_ends_a_config_file_line(tmp_path):
+    # load_config reads in Python's universal newlines; parse_config_text
+    # on a string splits at LF only.
+    p = tmp_path / "exp.cfg"
+    p.write_bytes(b"schema_version = 1\rsim.seed = 3\r")
+    assert load_config(str(p)) == {"schema_version": "1", "sim.seed": "3"}
+    with pytest.raises(ConfigError, match=r"unsupported schema_version '1\\rsim\.seed = 3'"):
+        parse_config_text("schema_version = 1\rsim.seed = 3\n")
+
+
 def test_load_config_reads_file(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(render(BASE))

@@ -155,6 +155,14 @@ def test_goal_validation():
         Goal((0.0, 0.0), -1.0)
 
 
+def test_goal_distance_is_numpys_hypot():
+    # math.hypot gives 3.541737608481315 here, one ulp below, which would
+    # change the trace's dist_j bytes.
+    assert Goal((0.0, 0.0), 1.0).distance(2.507723715533764, 2.501045192290711) == (
+        3.5417376084813155
+    )
+
+
 def test_eer_params_validation():
     with pytest.raises(PlannerError):
         EerParams(1, 5)

@@ -673,6 +673,20 @@ def test_clean_maglog_is_read_without_its_lines(tmp_path, monkeypatch):
     assert np.array_equal(back.b_vec, log.b_vec) and np.array_equal(truth, b_earth)
 
 
+def test_header_only_maglog_is_read_without_its_lines(tmp_path, monkeypatch):
+    # An empty body is numpy's "no data" warning, which the path parse reads
+    # as a 0-row table; it needs no line walk.
+    path = tmp_path / "empty.maglog"
+    path.write_text("maglog v1\n")
+
+    def no_lines(path):
+        raise AssertionError("a header-only maglog was read as a list of lines")
+
+    monkeypatch.setattr(textio, "read_lines", no_lines)
+    back, truth = load_maglog(path)
+    assert len(back.b_total) == 0 and truth is None
+
+
 def test_coefficients_round_trip(tmp_path):
     eps = CalibrationCoefficients(EPS_STAR)
     path = tmp_path / "c.tlcoef"
