@@ -30,7 +30,7 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
 
 * T_ij is the motion model's Gaussian about prev particle j's motion mean
   mu_j, with (dx, dy, dth) = cur_i - mu_j and sx, sy, st the `ModelSet`'s
-  motion sigmas; `_fill_tiles` alone evaluates it:
+  motion sigmas:
 
       log T_ij = -(log sx + log sy + log st + 1.5 log(2 pi))
                  - 0.5 * (((dx/sx)^2 + (dy/sy)^2) + (dth/st)^2)
@@ -43,54 +43,53 @@ Estimator conventions (the hard cases, pinned down by the oracle tests):
 
 * The pairwise sum over j is formed in row tiles of at most TILE_ELEMENTS
   elements, each a block of whole rows i reduced by its own max-shifted
-  log-sum-exp, so it equals the dense N x N form bit for bit while holding
-  O(N * tile) memory instead of O(N^2). Each call lays cur and the means out
-  once as contiguous (3, n) coordinate planes and allocates one tile's
-  buffers: the tile and the two float scratch buffers of the Gaussian. Every
-  tile reuses them, and is reduced in place by the body of `logsumexp` (peak
-  subtracted, exp, sum and log on the tile buffer itself), so the loop makes
-  no tile-sized float temporaries; only the exp step's masks, when a term
-  lies at or below FAST_FLOOR, are tile-shaped (bool). In a peaked belief
-  most peak-shifted terms lie far below the peak, where numpy's `exp`
-  leaves its fast loop (below about -707.8, near and past the underflow to
-  subnormals and 0). So the exp step
-  (`_exp_into`) clamps every term at FAST_FLOOR = -700, zeroes the clamped
-  lanes and writes back the exact exp of the few terms in the band (-746,
-  -700]; the result is plain `np.exp`'s, bit for bit.
+  log-sum-exp, holding O(N * tile) memory instead of O(N^2). Each call lays
+  cur and the means out once as contiguous (3, n) coordinate planes and
+  allocates one tile's scratch, which every tile reuses. Each tile is
+  reduced in place by the body of `logsumexp` (peak subtracted, exp, sum and
+  log on the tile buffer itself), so the loop makes no tile-sized float
+  temporaries; only the exp step's masks, when a term lies at or below
+  FAST_FLOOR, are tile-shaped (bool). In a peaked belief most peak-shifted
+  terms lie far below the peak, where numpy's `exp` leaves its fast loop
+  (below about -707.8, near and past the underflow to subnormals and 0).
+  So the exp step (`_exp_into`) clamps every term at FAST_FLOOR = -700,
+  zeroes the clamped lanes and writes back the exact exp of the few terms
+  in the band (-746, -700]; the result is plain `np.exp`'s, bit for bit.
 
-* A call of more than one tile (n > rows: N above 221 for one cloud, so
-  the dense_filter benchmark at N = 2000 but not the shipped N = 150 step
-  or eer's stack) changes five things, all bit for bit:
+* A call of one tile (n <= rows: the shipped N = 150 step and eer's stacks)
+  evaluates log T_ij as written above, in place and in that operation order
+  (`_fill_tiles`), so its rows equal the dense N x N form's bit for bit.
 
-  - Its tiles run with numpy's ufunc buffer set to one tile row (m rounded
-    up to a multiple of 16), so the tile's five row and column broadcasts
-    (the three residuals, + log_w and - peak) no longer copy their
-    broadcast operand through the default 8192-element buffer.
-  - Each residual plane is one subtraction that broadcasts the cur column
-    against the mean row straight into the tile scratch
-    (`_residual_into`), where a one-tile call copies the cur plane and
-    subtracts the means in place. It is the same subtraction of the same
-    operands; under the row buffer it takes one pass instead of two.
-  - When the call's residual bounds min(cur heading) - max(mean heading)
-    >= -3 and max - min <= pi hold, the heading residual takes the
-    four-pass wrap (`_short_wrap_holds`), whose second shift is the first
-    one.
-  - Its tile scratch starts on a 64-byte boundary, so every row of a
-    2000-wide tile starts on a cache line.
-  - A call of at least SPLIT_ELEMENTS pairwise elements (batch x n x m; N
-    of about 1750 and up for one cloud) in a process that may use more
-    than one CPU (`_usable_cpus`: its affinity set where the platform has
-    one, as Linux does, else `os.cpu_count()`) splits its tiles into two
-    contiguous halves of whole tiles: one helper thread fills the second
-    half while the caller fills the first, each on its own scratch, and
-    the caller joins the helper before it returns or raises. The helper
-    runs in a copy of the caller's context, so its tiles see the caller's
-    errstate and the row-sized buffer. Every row goes through the same
-    tile operations either way.
+* A call of more than one tile (N above 221 for one cloud, such as the
+  dense_filter benchmark at N = 2000) forms each tile as one matrix product
+  (`_gram_operands`, `_fill_gram`). Each cloud pair is centred on the
+  means' centroid in x and y and turned by the first mean's heading
+  (wrapped), then scaled to X_i = (x/sx, y/sy, th/st) and M_j alike, so
 
-  One-tile calls skip all five: on eer's (6, 20, 20) call the range check
-  alone cost more than the wrap it saves, and under the default buffer the
-  broadcast residual is slower than the copy and the in-place subtraction.
+      log sum_j T_ij w_j = log_norm - 0.5|X_i|^2
+                           + log sum_j exp(X_i . M_j + s_j),
+      s_j = log w_j - 0.5|M_j|^2,
+
+  and a tile is one (rows, 3) by (3, m) `np.matmul` into the tile buffer,
+  plus s, reduced by the same log-sum-exp. Centring first keeps the
+  operands as small as the clouds' spread, wherever the map lies. The
+  product has no heading wrap, so it holds only while every turned heading
+  residual lies strictly inside (-pi, pi); where one may not (the seam
+  check), or a squared norm is not finite, every tile takes the one-tile
+  form. The rows then differ from the exact ones by a few eps times
+  D^2 + max|log w_j| + |log_norm| + pi D / st, with D^2 a bound on |X_i|^2
+  and |M_j|^2 (`gram_bound` in `tests/test_infogain.py` counts the
+  roundings).
+
+* A multi-tile call of at least SPLIT_ELEMENTS pairwise elements
+  (batch x n x m; N of about 1750 and up for one cloud), in a process that
+  may use more than one CPU (`_usable_cpus`: its affinity set where the
+  platform has one, as Linux does, else `os.cpu_count()`), splits its tiles
+  into two contiguous halves of whole tiles (`_fill_halves`): one helper
+  thread fills the second half, in a copy of the caller's context (so under
+  its errstate), while the caller fills the first, each on its own scratch;
+  the caller joins the helper before it returns or raises. A split call's
+  rows equal a serial call's bit for bit.
 
 * EER(a) = H_base - sum_j pbar_j H_j, where H_base is the no-measurement
   entropy at the rollout's terminal step, H_j the posterior entropy there
@@ -163,12 +162,6 @@ SPLIT_ELEMENTS = 3_000_000
 # every input at or below ZERO_BELOW has exp +0.0.
 FAST_FLOOR = -700.0
 ZERO_BELOW = -746.0
-
-# Lowest heading residual for which the short form of `_wrap_residual` is
-# exact: every negative d from here up has d + 2*pi round past pi. At d = -pi
-# it does not (-pi + 2*pi is pi), and the full wrap gives +pi where the
-# short form would give -pi. This is a correctness bound, not a tuning knob.
-SHORT_WRAP_FLOOR = -3.0
 
 
 class EntropyError(Exception):
@@ -247,7 +240,7 @@ def _log_predicted_density(
     the prev particles' motion `means` and `log_w = _safe_log(w_prev)`. Leading
     axes stack clouds, cur (..., n, 3), means (..., m, 3) and log_w (..., m)
     into (..., n); each tile holds the same rows of every cloud. The module
-    docstring says what a call of more than one tile changes."""
+    docstring says how a call of more than one tile forms its tiles."""
     cur = _coordinate_planes(cur_states)
     mu = _coordinate_planes(means)[..., None, :]
     lead, n, m = cur.shape[1:-1], cur.shape[-1], mu.shape[-1]
@@ -255,24 +248,19 @@ def _log_predicted_density(
     out = np.empty((*lead, n))
     log_w = log_w[..., None, :]
     if n <= rows:
-        _fill_tiles(
-            out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)),
-            multi_tile=False, short_wrap=False,
-        )
+        _fill_tiles(out, cur, mu, log_w, motion, rows, np.empty((3, *lead, n, m)))
         return out
-    short_wrap = _short_wrap_holds(cur[2], mu[2])
-    split = math.prod(lead) * n * m >= SPLIT_ELEMENTS and _usable_cpus() > 1
-    # errstate restores the buffer size on the way out, also on an exception;
-    # numpy takes only multiples of 16.
-    with np.errstate():
-        np.setbufsize(-(-m // 16) * 16)
-        if split:
-            _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap)
-        else:
-            bufs = _aligned_empty((3, *lead, rows, m))
-            _fill_tiles(
-                out, cur, mu, log_w, motion, rows, bufs, multi_tile=True, short_wrap=short_wrap
-            )
+    gram = _gram_operands(cur, mu, log_w, motion)
+    if gram is None:
+        fill, row_ops, col_ops = _fill_tiles, (cur,), (mu, log_w, motion)
+        scratch = (3, *lead, rows, m)
+    else:
+        fill, row_ops, col_ops = _fill_gram, gram[:2], gram[2:]
+        scratch = (*lead, rows, m)
+    if math.prod(lead) * n * m >= SPLIT_ELEMENTS and _usable_cpus() > 1:
+        _fill_halves(fill, out, row_ops, col_ops, rows, scratch)
+    else:
+        fill(out, *row_ops, *col_ops, rows, np.empty(scratch))
     return out
 
 
@@ -284,60 +272,68 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_halves(out, cur, mu, log_w, motion, rows, short_wrap) -> None:
-    """`_fill_tiles` over two contiguous halves of whole tiles: the caller's
-    thread fills the first ceil(tiles / 2), one helper thread the rest. Each
-    half gets its own aligned scratch, allocated here. The helper runs in a
-    copy of the caller's context, so it has the caller's errstate and ufunc
-    buffer size. An exception in either half propagates after the join."""
-    n, m = cur.shape[-1], mu.shape[-1]
+def _fill_halves(fill, out, row_ops, col_ops, rows, scratch) -> None:
+    """`fill` over two contiguous halves of whole tiles: the caller's thread
+    fills the first ceil(tiles / 2), one helper thread the rest, each with
+    its own `scratch`-shaped buffer. The row operands are cut along their
+    last axis. The helper runs in a copy of the caller's context, so it has
+    the caller's errstate. An exception in either half propagates after the
+    join."""
+    n = out.shape[-1]
     mid = (-(-n // rows) + 1) // 2 * rows
     halves = [
-        (out[..., r0:r1], cur[..., r0:r1], mu, log_w, motion, rows,
-         _aligned_empty((3, *out.shape[:-1], rows, m)))
+        (out[..., r0:r1], *(op[..., r0:r1] for op in row_ops), *col_ops, rows, np.empty(scratch))
         for r0, r1 in ((0, mid), (mid, n))
     ]
     failed: list[BaseException] = []
 
     def helper() -> None:
         try:
-            _fill_tiles(*halves[1], multi_tile=True, short_wrap=short_wrap)
+            fill(*halves[1])
         except BaseException as exc:  # re-raised on the caller's thread below
             failed.append(exc)
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
     thread.start()
     try:
-        _fill_tiles(*halves[0], multi_tile=True, short_wrap=short_wrap)
+        fill(*halves[0])
     finally:
         thread.join()
     if failed:
         raise failed[0]
 
 
-def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, *, multi_tile, short_wrap) -> None:
+def _log_norm(motion: MotionNoise) -> float:
+    """The Gaussian's log normaliser, -(log sx + log sy + log st + 1.5 log 2 pi)."""
+    sx, sy, st = motion.sigma_x, motion.sigma_y, motion.sigma_theta
+    return -(math.log(sx) + math.log(sy) + math.log(st) + 1.5 * math.log(TWO_PI))
+
+
+def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs) -> None:
     """Write `_log_predicted_density` into `out` tile by tile, `rows` rows at a
     time, reusing the (3, ..., rows, m) scratch `bufs` for every tile.
 
     log T_ij runs in place in the plain expression's operation order, so its
-    bits are the same. `multi_tile` picks the residual form (`_residual_into`)
-    and `short_wrap` the heading wrap's (`_wrap_residual`).
+    bits are the same.
     """
     n = cur.shape[-1]
     sx, sy, st = motion.sigma_x, motion.sigma_y, motion.sigma_theta
-    log_norm = -(math.log(sx) + math.log(sy) + math.log(st) + 1.5 * math.log(TWO_PI))
+    log_norm = _log_norm(motion)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         tile, tmp, shift = bufs[..., : r1 - r0, :]
         nxt = cur[..., r0:r1, None]
-        _residual_into(tile, nxt[0], mu[0], multi_tile)
+        np.copyto(tile, nxt[0])
+        tile -= mu[0]
         tile /= sx
         np.square(tile, out=tile)
-        _residual_into(tmp, nxt[1], mu[1], multi_tile)
+        np.copyto(tmp, nxt[1])
+        tmp -= mu[1]
         tmp /= sy
         tile += np.square(tmp, out=tmp)
-        _residual_into(tmp, nxt[2], mu[2], multi_tile)
-        _wrap_residual(tmp, shift, short_wrap)
+        np.copyto(tmp, nxt[2])
+        tmp -= mu[2]
+        _wrap_residual(tmp, shift)
         tmp /= st
         tile += np.square(tmp, out=tmp)
         tile *= 0.5
@@ -346,17 +342,47 @@ def _fill_tiles(out, cur, mu, log_w, motion, rows, bufs, *, multi_tile, short_wr
         out[..., r0:r1] = _logsumexp_into(tile, axis=-1)
 
 
-def _residual_into(d: np.ndarray, nxt: np.ndarray, mu: np.ndarray, broadcast: bool) -> None:
-    """nxt - mu into the tile plane `d`, for a column `nxt` and a row `mu`:
-    one subtraction broadcasting both operands, the cheaper form under a
-    multi-tile call's one-row ufunc buffer, or else (cheaper under numpy's
-    default buffer, by about 2% of a sweep_cells op) a copy of nxt and an
-    in-place subtraction of mu."""
-    if broadcast:
-        np.subtract(nxt, mu, out=d)
-    else:
-        np.copyto(d, nxt)
-        d -= mu
+def _gram_operands(cur, mu, log_w, motion):
+    """(x, a, mt, s) for `_fill_gram` from a call's coordinate planes: x
+    (..., 3, n) and mt (..., 3, m) the centred, turned and scaled cur and
+    means, a = log_norm - 0.5|x_i|^2 and s = log_w - 0.5|mt_j|^2. None where
+    the module docstring's seam check or a squared norm fails."""
+    mu = mu[..., 0, :]
+    ref = mu.mean(axis=-1, keepdims=True)
+    ref[2] = mu[2, ..., :1]
+    x, mt = cur - ref, mu - ref
+    for theta in (x[2], mt[2]):
+        _wrap_residual(theta, np.empty_like(theta))
+    # Rounding is monotone, so every residual lies between these two.
+    lo = x[2].min(axis=-1) - mt[2].max(axis=-1)
+    hi = x[2].max(axis=-1) - mt[2].min(axis=-1)
+    sigma = np.array([motion.sigma_x, motion.sigma_y, motion.sigma_theta])
+    sigma = sigma.reshape(3, *[1] * (x.ndim - 1))
+    x /= sigma
+    mt /= sigma
+    with np.errstate(over="ignore"):
+        a = _log_norm(motion) - 0.5 * np.add.reduce(np.square(x), axis=0)
+        half = 0.5 * np.add.reduce(np.square(mt), axis=0)
+    if not (
+        np.all(-math.pi < lo) and np.all(hi < math.pi)
+        and np.isfinite(a).all() and np.isfinite(half).all()
+    ):
+        return None
+    return np.moveaxis(x, 0, -2), a, np.moveaxis(mt, 0, -2), log_w - half[..., None, :]
+
+
+def _fill_gram(out, x, a, mt, s, rows, buf) -> None:
+    """Write `_log_predicted_density` into `out` tile by tile from the
+    operands of `_gram_operands`: each tile is the (rows, 3) by (3, m) product
+    of x and mt into the (..., rows, m) `buf`, plus s, reduced by the
+    log-sum-exp and shifted by a."""
+    n = x.shape[-1]
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        tile = buf[..., : r1 - r0, :]
+        np.matmul(x[..., r0:r1].mT, mt, out=tile)
+        tile += s
+        np.add(_logsumexp_into(tile, axis=-1), a[..., r0:r1], out=out[..., r0:r1])
 
 
 def _coordinate_planes(states: np.ndarray) -> np.ndarray:
@@ -366,49 +392,21 @@ def _coordinate_planes(states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(states.transpose(-1, *range(states.ndim - 1)))
 
 
-def _wrap_residual(d: np.ndarray, shift: np.ndarray, short: bool) -> np.ndarray:
+def _wrap_residual(d: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """`models.wrap_angle_array(d)` in place, by two exact shifts.
 
     Bitwise equal to `wrap_angle_array` for every d in [-2*pi, 2*pi], which
     holds for the difference of two headings in [-pi, pi]. Each shift is a
     comparison written as 0.0 or 1.0 into the float buffer `shift` (d's
     shape), scaled by 2*pi and added, so the wrap makes no temporaries.
-
-    `short` is True for a caller that has checked every d lies in
-    [SHORT_WRAP_FLOOR, pi] (see `_short_wrap_holds`). There a negative d has
-    d + 2*pi > pi and a non-negative one stays at most pi, so the second
-    shift equals the first: the wrap adds and subtracts one shift, four
-    passes instead of six, with the same bits.
     """
     np.less(d, 0.0, out=shift)
     shift *= TWO_PI
     d += shift
-    if not short:
-        np.greater(d, math.pi, out=shift)
-        shift *= TWO_PI
+    np.greater(d, math.pi, out=shift)
+    shift *= TWO_PI
     d -= shift
     return d
-
-
-def _short_wrap_holds(nxt_theta: np.ndarray, mu_theta: np.ndarray) -> bool:
-    """Whether every residual nxt - mu of the two heading arrays lies in
-    [SHORT_WRAP_FLOOR, pi], so `_wrap_residual(..., short=True)` is exact.
-
-    Rounding is monotone, so each residual lies between min(nxt) - max(mu)
-    and max(nxt) - min(mu); a nan heading fails the check.
-    """
-    lo = nxt_theta.min() - mu_theta.max()
-    hi = nxt_theta.max() - mu_theta.min()
-    return bool(SHORT_WRAP_FLOOR <= lo and hi <= math.pi)
-
-
-def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array whose data starts on a 64-byte boundary, so
-    where the allocator puts it does not decide which rows share cache lines."""
-    size = math.prod(shape)
-    raw = np.empty(size + 7)
-    skip = -raw.ctypes.data % 64 // 8
-    return raw[skip : skip + size].reshape(shape)
 
 
 def _entropy_nats(w, log_pred, log_lik=None, log_evidence=None, axis=-1) -> np.ndarray:

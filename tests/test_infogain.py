@@ -29,6 +29,7 @@ from magplan.models import (
     MotionNoise,
     Pose,
     SensorNoise,
+    measurement_log_likelihood_array,
     motion_mean_array,
     wrap_angle_array,
 )
@@ -40,7 +41,6 @@ from magplan.infogain import (
     TILE_ELEMENTS,
     EntropyError,
     _safe_log,
-    _wrap_residual,
     eer,
     entropy_posterior,
     logsumexp,
@@ -182,14 +182,18 @@ KERNEL_MODELS = ModelSet(MotionNoise(0.021, 0.013, 0.047), STD_SENSOR, STD_DT)
 KERNEL_U = ControlInput(0.2, 0.3)
 
 
-def seam_clouds(n: int, seed: int, zero_every: int = 0):
-    """prev/cur clouds whose headings straddle the +/-pi seam, with weights."""
+def seam_clouds(n: int, seed: int, zero_every: int = 0, wide: bool = False):
+    """prev/cur clouds whose headings straddle the +/-pi seam, with weights.
+    With `wide` the prev headings fill the whole circle, so a call of more
+    than one tile takes the seam fallback."""
     rng = np.random.default_rng(seed)
     prev = np.column_stack(
         [
             rng.normal(5.0, 0.05, n),
             rng.normal(0.0, 0.05, n),
-            wrap_angle_array(rng.normal(math.pi, 0.1, n)),
+            wrap_angle_array(
+                rng.uniform(-math.pi, math.pi, n) if wide else rng.normal(math.pi, 0.1, n)
+            ),
         ]
     )
     cur = motion_mean_array(prev, KERNEL_U, STD_DT) + rng.normal(0.0, 0.02, (n, 3))
@@ -215,6 +219,53 @@ def ragged_n(whole_tiles: int, batch: int = 1) -> int:
     return n
 
 
+@pytest.fixture
+def fills(monkeypatch):
+    """(tile form, on the caller's thread, rows) of every tile fill: "direct"
+    for `_fill_tiles`, "gram" for `_fill_gram`."""
+    calls = []
+    caller = threading.get_ident()
+    for form, name in (("direct", "_fill_tiles"), ("gram", "_fill_gram")):
+
+        def spy(out, *args, form=form, fill=getattr(infogain, name)):
+            calls.append((form, threading.get_ident() == caller, out.shape[-1]))
+            return fill(out, *args)
+
+        monkeypatch.setattr(infogain, name, spy)
+    return calls
+
+
+def gram_bound(cur: np.ndarray, means: np.ndarray, log_w: np.ndarray, motion: MotionNoise) -> float:
+    """The most a Gram row of one cloud may differ from the dense oracle's row.
+
+    Argued from the roundings of both forms, to first order in the unit
+    roundoff u = eps / 2. In the scaled coordinates (x/sx, y/sy, th/st) let
+    D^2 = sum_k (span_k / sigma_k)^2, where span_k is the extent of both
+    clouds together along k (headings turned by the first mean's and
+    wrapped). D then bounds |X_i|, |M_j| and |X_i - M_j| for any reference
+    inside the means' extent. Let W = max |log w_j| over the positive weights
+    and N0 = |log_norm|. Counting 2u per centred and scaled coordinate, 3u for
+    each three-term dot product or squared norm, u for each add and
+    3u (log2 m + 1) for the log-sum-exp (shift, exp, pairwise sum, log), the
+    Gram row lies within u (14.5 D^2 + 4 W + 2 N0) of the exact row and the
+    dense row within u (5 D^2 + 2 W + 3 N0). A turned or wrapped heading
+    carries up to 3 pi u of absolute error, which moves a term by at most
+    3 pi u D / st for each of the three such headings (cur and mean turned,
+    the oracle's residual wrapped). In eps the sum is below
+    9.75 D^2 + 3 W + 2.5 N0 + 4.5 pi D / st + 3 (log2 m + 1); c = 16 covers
+    every coefficient.
+    """
+    both = np.concatenate([cur, means])
+    turned = wrap_angle_array(both[:, 2] - means[0, 2])
+    spans = (np.ptp(both[:, 0]), np.ptp(both[:, 1]), np.ptp(turned))
+    sigmas = (motion.sigma_x, motion.sigma_y, motion.sigma_theta)
+    d2 = sum((span / sigma) ** 2 for span, sigma in zip(spans, sigmas))
+    w = np.abs(log_w[np.isfinite(log_w)]).max()
+    n0 = abs(sum(math.log(s) for s in sigmas) + 1.5 * math.log(2 * math.pi))
+    heading = math.pi * math.sqrt(d2) / motion.sigma_theta
+    return 16 * np.finfo(float).eps * (d2 + w + n0 + heading + math.log2(len(means)) + 1)
+
+
 @pytest.mark.parametrize(
     "n, zero_every, ragged",
     [
@@ -229,13 +280,16 @@ def ragged_n(whole_tiles: int, batch: int = 1) -> int:
         pytest.param(ragged_n(31), 0, True, id="ragged-31"),
     ],
 )
-def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, ragged):
+def test_tiled_predicted_density_matches_dense_oracle_bitwise(fills, n, zero_every, ragged):
+    # One-tile calls, and multi-tile calls whose headings fill the circle
+    # (the seam fallback), run the dense form's operations on every tile.
     rows = TILE_ELEMENTS // n
     assert not ragged or (rows < n and n % rows != 0)
-    prev, cur, w = seam_clouds(n, 100 + n, zero_every)
+    prev, cur, w = seam_clouds(n, 100 + n, zero_every, wide=ragged)
     assert n == 1 or ((cur[:, 2] > 0).any() and (cur[:, 2] < 0).any())
     got = infogain._log_predicted_density(cur, *kernel_args(prev, w))
     want = dense_log_predicted_density(cur, *kernel_args(prev, w))
+    assert {form for form, *_ in fills} == {"direct"}
     assert bit_equal(got, want)
 
 
@@ -246,20 +300,112 @@ def test_tiled_predicted_density_matches_dense_oracle_bitwise(n, zero_every, rag
         pytest.param(3, ragged_n(2, 3), True, id="ragged-3-clouds"),
     ],
 )
-def test_stacked_predicted_density_matches_each_cloud_bitwise(batch, n, ragged):
+def test_stacked_predicted_density_matches_each_cloud_bitwise(fills, batch, n, ragged):
     # A stack shares each tile's rows across its clouds; every row must come
-    # out as the cloud's own 2-D call and the dense oracle give it.
+    # out as the cloud's own 2-D call and the dense oracle give it. The
+    # ragged stack's headings fill the circle, so it takes the seam fallback.
     rows = TILE_ELEMENTS // (batch * n)
     assert (rows < n and n % rows != 0) == ragged
-    clouds = [seam_clouds(n, 7 * k + n, zero_every=3 * (k % 2)) for k in range(batch)]
+    clouds = [seam_clouds(n, 7 * k + n, 3 * (k % 2), wide=ragged) for k in range(batch)]
     prev, cur, w = (np.stack(parts) for parts in zip(*clouds))
     means = motion_mean_array(prev.reshape(-1, 3), KERNEL_U, STD_DT).reshape(prev.shape)
     got = infogain._log_predicted_density(cur, means, _safe_log(w), KERNEL_MODELS.motion)
     assert got.shape == (batch, n)
+    assert {form for form, *_ in fills} == {"direct"}
     for k in range(batch):
         args = kernel_args(prev[k], w[k])
         assert bit_equal(got[k], infogain._log_predicted_density(cur[k], *args))
         assert bit_equal(got[k], dense_log_predicted_density(cur[k], *args))
+
+
+@pytest.mark.parametrize(
+    "batch, n, zero_every",
+    [
+        pytest.param(1, ragged_n(3), 3, id="ragged-3-zero-weights"),
+        pytest.param(1, ragged_n(15), 0, id="ragged-15"),
+        pytest.param(1, ragged_n(31), 0, id="ragged-31"),
+        pytest.param(3, ragged_n(2, 3), 3, id="ragged-3-clouds"),
+    ],
+)
+def test_gram_rows_within_bound_of_dense_oracle(fills, batch, n, zero_every):
+    # Clouds that straddle the +/-pi seam are turned by one angle and take
+    # the Gram tiles; every row of every cloud, each with its own reference,
+    # stays within `gram_bound` of the dense oracle.
+    clouds = [seam_clouds(n, 7 * k + n, zero_every) for k in range(batch)]
+    prev, cur, w = (np.stack(parts) for parts in zip(*clouds))
+    means = motion_mean_array(prev.reshape(-1, 3), KERNEL_U, STD_DT).reshape(prev.shape)
+    log_w = _safe_log(w)
+    args = [a[0] if batch == 1 else a for a in (cur, means, log_w)]
+    got = infogain._log_predicted_density(*args, KERNEL_MODELS.motion).reshape(batch, n)
+    assert {form for form, *_ in fills} == {"gram"}
+    for k in range(batch):
+        want = dense_log_predicted_density(cur[k], means[k], log_w[k], KERNEL_MODELS.motion)
+        bound = gram_bound(cur[k], means[k], log_w[k], KERNEL_MODELS.motion)
+        assert np.abs(got[k] - want).max() <= bound
+
+
+def test_gram_rows_within_bound_at_a_5e5_m_offset(fills):
+    # Translation relation. Shifting both clouds by 5e5 m moves the rows of
+    # either form by up to about 1e-8 nats, because the shifted inputs lose
+    # their low bits, so both forms run on the same shifted inputs. The Gram
+    # form centres before it scales, so its operands and its bound are those
+    # of the unshifted clouds; scaling first would cost about 1e-8 nats here
+    # and stay inside the bound near the origin.
+    n = ragged_n(3)
+    prev, cur, w = seam_clouds(n, 29)
+    means, log_w, motion = kernel_args(prev, w)
+    cur[:, :2] += 5e5
+    means[:, :2] += 5e5
+    got = infogain._log_predicted_density(cur, means, log_w, motion)
+    want = dense_log_predicted_density(cur, means, log_w, motion)
+    assert {form for form, *_ in fills} == {"gram"}
+    assert np.abs(got - want).max() <= gram_bound(cur, means, log_w, motion)
+
+
+def band_clouds(n: int, seed: int, cur_band, mean_band):
+    """cur states, motion means and log weights whose headings are drawn from
+    the two bands, each band's ends pinned onto two states; the first mean
+    takes mean_band[0]."""
+    rng = np.random.default_rng(seed)
+    means = np.column_stack(
+        [rng.normal(5.0, 0.05, n), rng.normal(0.0, 0.05, n), rng.uniform(*mean_band, n)]
+    )
+    cur = np.column_stack(
+        [means[:, 0] + rng.normal(0.0, 0.02, n), means[:, 1] + rng.normal(0.0, 0.02, n),
+         rng.uniform(*cur_band, n)]
+    )
+    cur[:2, 2] = cur_band
+    means[:2, 2] = mean_band
+    return cur, means, _safe_log(rng.dirichlet(np.ones(n)))
+
+
+NEXT_BELOW_PI = math.nextafter(math.pi, 0.0)
+
+
+@pytest.mark.parametrize(
+    "cur_band, mean_band, form",
+    [
+        pytest.param((1.0, math.pi), (0.0, 1.0), "direct", id="hi-at-pi"),
+        pytest.param((1.0, NEXT_BELOW_PI), (0.0, 1.0), "gram", id="hi-below-pi"),
+        pytest.param((0.0, 0.5), (0.0, math.pi), "direct", id="lo-at-minus-pi"),
+        pytest.param((0.0, 0.5), (0.0, NEXT_BELOW_PI), "gram", id="lo-above-minus-pi"),
+    ],
+)
+def test_seam_check_is_strict(fills, cur_band, mean_band, form):
+    # The first mean's heading is 0.0 and every heading lies in [0, pi], so
+    # the turn leaves each heading as it is, and the call's extreme residuals
+    # are cur_band[1] - mean_band[0] and cur_band[0] - mean_band[1]. A
+    # residual of exactly +/-pi falls back, bit for bit; one float inside,
+    # the call takes the Gram tiles.
+    cur, means, log_w = band_clouds(ragged_n(3), 3, cur_band, mean_band)
+    motion = KERNEL_MODELS.motion
+    got = infogain._log_predicted_density(cur, means, log_w, motion)
+    want = dense_log_predicted_density(cur, means, log_w, motion)
+    assert {f for f, *_ in fills} == {form}
+    if form == "direct":
+        assert bit_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= gram_bound(cur, means, log_w, motion)
 
 
 def test_closed_loop_entropy_equals_entropy_posterior_bitwise(peak_grid, models, monkeypatch):
@@ -303,187 +449,69 @@ def test_closed_loop_entropy_equals_entropy_posterior_bitwise(peak_grid, models,
 PEAKED_MOTION = MotionNoise(0.01, 0.01, math.radians(0.15))
 
 
-@pytest.mark.parametrize("n", [150, 600])  # one tile; tiles of 81 rows, the last one 33
-def test_peaked_predicted_density_matches_dense_oracle_bitwise(n):
-    # The closed loop's case: most peak-shifted terms underflow to 0 and some
-    # fall in exp's slow band, so the exp step takes its clamped branch.
+def peaked_clouds(n: int, wide: bool = False):
+    """prev, cur states, motion means and log weights of a cloud far wider
+    than PEAKED_MOTION; with `wide`, two prev particles face the other way."""
     rng = np.random.default_rng(n)
     prev = np.column_stack(
         [rng.normal(5.0, 0.3, n), rng.normal(0.0, 0.3, n), rng.normal(0.3, math.radians(5.0), n)]
     )
+    if wide:
+        prev[:2, 2] = wrap_angle_array(prev[:2, 2] + math.pi)
     means = motion_mean_array(prev, KERNEL_U, STD_DT)
     sigmas = [PEAKED_MOTION.sigma_x, PEAKED_MOTION.sigma_y, PEAKED_MOTION.sigma_theta]
     cur = means[rng.integers(0, n, n)] + rng.normal(0.0, sigmas, (n, 3))
-    log_w = _safe_log(rng.dirichlet(np.ones(n)))
+    cur[:, 2] = wrap_angle_array(cur[:, 2])
+    return prev, cur, means, _safe_log(rng.dirichlet(np.ones(n)))
+
+
+@pytest.mark.parametrize("n", [150, 600])  # one tile; tiles of 81 rows, the last one 33
+def test_peaked_predicted_density_matches_dense_oracle_bitwise(fills, n):
+    # The closed loop's case: most peak-shifted terms underflow to 0 and some
+    # fall in exp's slow band, so the exp step takes its clamped branch. At
+    # N = 600 two particles face the other way, so the call takes the seam
+    # fallback.
+    prev, cur, means, log_w = peaked_clouds(n, wide=n > 150)
     log_t = transition_log_density_matrix(cur, prev, KERNEL_U, STD_DT, PEAKED_MOTION) + log_w
     shifted = log_t - log_t.max(axis=1, keepdims=True)
     assert (shifted <= -746.0).mean() > 0.5
     assert ((shifted > -746.0) & (shifted <= infogain.FAST_FLOOR)).sum() > n
     got = infogain._log_predicted_density(cur, means, log_w, PEAKED_MOTION)
+    assert {form for form, *_ in fills} == {"direct"}
     assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, PEAKED_MOTION))
 
 
-# --- calls of more than one tile: row-sized ufunc buffer, four-pass wrap ---
-
-
-def band_clouds(n: int, seed: int, cur_band, mean_band, signed_zeros: bool = False):
-    """cur states, motion means and log weights whose headings are drawn from
-    the two bands. Each band's ends are pinned onto two states, so the call's
-    residual bounds are exactly cur_band[0] - mean_band[1] and
-    cur_band[1] - mean_band[0]. With `signed_zeros`, some headings of both
-    clouds are -0.0 and some +0.0."""
-    rng = np.random.default_rng(seed)
-    means = np.column_stack(
-        [rng.normal(5.0, 0.05, n), rng.normal(0.0, 0.05, n), rng.uniform(*mean_band, n)]
-    )
-    cur = np.column_stack(
-        [means[:, 0] + rng.normal(0.0, 0.02, n), means[:, 1] + rng.normal(0.0, 0.02, n),
-         rng.uniform(*cur_band, n)]
-    )
-    cur[:2, 2] = cur_band
-    means[:2, 2] = mean_band[::-1]
-    if signed_zeros:
-        cur[2::3, 2], cur[3::7, 2] = -0.0, 0.0
-        means[2::5, 2], means[4::7, 2] = -0.0, 0.0
-    return cur, means, _safe_log(rng.dirichlet(np.ones(n)))
-
-
-@pytest.fixture
-def wrap_forms(monkeypatch):
-    """The `short` flag of every `_wrap_residual` call the kernel makes."""
-    forms = []
-
-    def spy(d, shift, short):
-        forms.append(short)
-        return _wrap_residual(d, shift, short)
-
-    monkeypatch.setattr("magplan.infogain._wrap_residual", spy)
-    return forms
-
-
-NEXT_BELOW_MINUS_3 = math.nextafter(-3.0, -4.0)
-NEXT_ABOVE_PI = math.nextafter(math.pi, 4.0)
-
-
-@pytest.mark.parametrize(
-    "n, cur_band, mean_band, signed_zeros, short",
-    [
-        # Headings in a band off the +/-pi seam.
-        pytest.param(ragged_n(15), (0.2, 0.6), (0.25, 0.55), False, True, id="ragged-15-off-seam"),
-        pytest.param(2000, (-0.4, 0.1), (-0.3, 0.05), False, True, id="2000-off-seam"),
-        # The bounds themselves, and the first floats past them.
-        pytest.param(ragged_n(3), (-1.5, 1.5), (-1.5, 1.5), False, True, id="lo-at-minus-3"),
-        pytest.param(ragged_n(3), (NEXT_BELOW_MINUS_3 + 1.5, 1.5), (-1.5, 1.5), False, False,
-                     id="lo-below-minus-3"),
-        pytest.param(ragged_n(3), (-1.0, 2.0), (2.0 - math.pi, 1.0), False, True, id="hi-at-pi"),
-        pytest.param(ragged_n(3), (-1.0, 2.0), (2.0 - NEXT_ABOVE_PI, 1.0), False, False,
-                     id="hi-above-pi"),
-        pytest.param(ragged_n(3), (-0.3, 0.3), (-0.3, 0.3), True, True, id="signed-zeros"),
-    ],
-)
-def test_multi_tile_wrap_forms_match_dense_oracle_bitwise(
-    wrap_forms, n, cur_band, mean_band, signed_zeros, short
-):
-    cur, means, log_w = band_clouds(n, n, cur_band, mean_band, signed_zeros)
-    lo = cur[:, 2].min() - means[:, 2].max()
-    hi = cur[:, 2].max() - means[:, 2].min()
-    assert (lo, hi) == (cur_band[0] - mean_band[1], cur_band[1] - mean_band[0])
-    assert short == (lo >= -3.0 and hi <= math.pi)
-    if signed_zeros:
-        assert np.signbit(cur[cur[:, 2] == 0.0, 2]).any()
-        assert np.signbit(means[means[:, 2] == 0.0, 2]).any()
-    got = infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
-    assert len(wrap_forms) > 1 and set(wrap_forms) == {short}
-    assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion))
-
-
-def test_one_tile_call_takes_the_six_pass_wrap(wrap_forms):
-    # Only a call of more than one tile checks the residual bounds.
-    cur, means, log_w = band_clouds(150, 4, (0.2, 0.6), (0.25, 0.55))
-    got = infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
-    assert wrap_forms == [False]
-    assert bit_equal(got, dense_log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion))
+def test_peaked_gram_rows_within_bound_of_dense_oracle(fills):
+    # Spans of 180 sigma make |X|^2 about 1e5, the largest operands of these
+    # tests, and the log-sum-exp still takes its clamped branch.
+    prev, cur, means, log_w = peaked_clouds(600)
+    got = infogain._log_predicted_density(cur, means, log_w, PEAKED_MOTION)
+    want = dense_log_predicted_density(cur, means, log_w, PEAKED_MOTION)
+    assert {form for form, *_ in fills} == {"gram"}
+    assert np.abs(got - want).max() <= gram_bound(cur, means, log_w, PEAKED_MOTION)
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e5], ids=["near-origin", "offset-5e5-m"])
 @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
-def test_multi_tile_rows_equal_one_tile_calls_bitwise(monkeypatch, split, offset):
-    # A multi-tile call forms each residual plane with one subtraction that
-    # broadcasts both operands; a one-tile call copies cur and subtracts the
-    # means. Slices of cur small enough for one tile, against the same means,
-    # must give the multi-tile call's rows, serially and split. At map
-    # offsets of 5e5 m the subtraction cancels most bits of its operands.
+def test_multi_tile_rows_equal_one_tile_calls_bitwise(monkeypatch, fills, split, offset):
+    # A multi-tile call whose headings fill the circle takes the seam
+    # fallback, which runs the one-tile operations on every tile: slices of
+    # cur small enough for one tile, against the same means, must give its
+    # rows, serially and split. At map offsets of 5e5 m the subtraction
+    # cancels most bits of its operands.
     two_cpus(monkeypatch, 0 if split else infogain.SPLIT_ELEMENTS)
     n = ragged_n(3)
     rows = TILE_ELEMENTS // n
-    prev, cur, w = seam_clouds(n, 29)
+    prev, cur, w = seam_clouds(n, 29, wide=True)
     means, log_w, motion = kernel_args(prev, w)
     cur[:, :2] += offset
     means[:, :2] += offset
-    forms = []
-    residual = infogain._residual_into
-
-    def spy(d, nxt, mu, broadcast):
-        forms.append(broadcast)
-        residual(d, nxt, mu, broadcast)
-
-    monkeypatch.setattr(infogain, "_residual_into", spy)
     got = infogain._log_predicted_density(cur, means, log_w, motion)
-    assert len(forms) > 3 and set(forms) == {True}
-    forms.clear()
+    assert sorted(caller for _, caller, _ in fills) == ([False, True] if split else [True])
     slices = [cur[r0 : r0 + rows] for r0 in range(0, n, rows)]
     want = np.concatenate([infogain._log_predicted_density(c, means, log_w, motion) for c in slices])
-    assert forms == [False] * 3 * len(slices)
+    assert {form for form, *_ in fills} == {"direct"}
     assert bit_equal(got, want)
-
-
-def test_ufunc_buffer_is_one_tile_row_and_restored(monkeypatch):
-    # The tiles of a multi-tile call run with numpy's ufunc buffer at one row,
-    # rounded up to a multiple of 16, on scratch that starts on a 64-byte
-    # boundary, under the caller's errstate; the caller's buffer size is back
-    # afterwards, also when the first tile raises. A split call does the same
-    # in every tile of both halves. A one-tile call leaves the buffer alone.
-    # The caller's size is set apart from any row size, and its errstate
-    # apart from numpy's default, so a leaked or lost setting cannot pass.
-    n = ragged_n(3)
-    assert n % 16 != 0
-    tiles = -(-n // (TILE_ELEMENTS // n))
-    cur, means, log_w = band_clouds(n, 6, (-0.4, 0.1), (-0.3, 0.05))
-    seen = []
-    reduce = infogain._logsumexp_into
-
-    def spy(a, axis=None):
-        seen.append((np.getbufsize(), a.ctypes.data % 64, np.geterr(), threading.get_ident()))
-        return reduce(a, axis)
-
-    def first_tile_raises(a, axis=None):
-        raise FloatingPointError("first tile")
-
-    monkeypatch.setattr(infogain, "_logsumexp_into", spy)
-    saved = np.setbufsize(4096)
-    threads = threading.active_count()
-    try:
-        with np.errstate(over="ignore"):
-            caller_err = np.geterr()
-            for split_elements, threads_seen in ((infogain.SPLIT_ELEMENTS, 1), (0, 2)):
-                two_cpus(monkeypatch, split_elements)
-                seen.clear()
-                infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
-                assert np.getbufsize() == 4096
-                assert len(seen) == tiles
-                assert {(size, offset) for size, offset, _, _ in seen} == {(-(-n // 16) * 16, 0)}
-                assert all(err == caller_err for _, _, err, _ in seen)
-                assert len({ident for *_, ident in seen}) == threads_seen
-            seen.clear()
-            infogain._log_predicted_density(cur[:40], means[:40], log_w[:40], KERNEL_MODELS.motion)
-            assert [size for size, *_ in seen] == [4096]
-            monkeypatch.setattr(infogain, "_logsumexp_into", first_tile_raises)
-            with pytest.raises(FloatingPointError, match="first tile"):
-                infogain._log_predicted_density(cur, means, log_w, KERNEL_MODELS.motion)
-            assert np.getbufsize() == 4096
-            assert threading.active_count() == threads
-    finally:
-        np.setbufsize(saved)
 
 
 # --- calls split over the caller's thread and one helper thread ---
@@ -506,45 +534,55 @@ def split_n(tiles: int, batch: int = 1) -> int:
     return n
 
 
-@pytest.fixture
-def fills(monkeypatch):
-    """(on the caller's thread, rows) of every `_fill_tiles` call."""
-    calls = []
-    fill = infogain._fill_tiles
-    caller = threading.get_ident()
-
-    def spy(out, *args, **kwargs):
-        calls.append((threading.get_ident() == caller, out.shape[-1]))
-        return fill(out, *args, **kwargs)
-
-    monkeypatch.setattr(infogain, "_fill_tiles", spy)
-    return calls
+SPLIT_CASES = [
+    pytest.param(1, 5, id="one-cloud-5-tiles"),
+    pytest.param(1, 4, id="one-cloud-4-tiles"),
+    pytest.param(2, 7, id="2-clouds-7-tiles"),
+]
 
 
-@pytest.mark.parametrize(
-    "batch, tiles",
-    [
-        pytest.param(1, 5, id="one-cloud-5-tiles"),
-        pytest.param(1, 4, id="one-cloud-4-tiles"),
-        pytest.param(2, 7, id="2-clouds-7-tiles"),
-    ],
-)
-def test_split_call_matches_dense_oracle_bitwise(monkeypatch, fills, batch, tiles):
-    # The caller fills the first ceil(tiles / 2) tiles and the helper the
-    # rest, the partial last tile among them; every row of every cloud comes
-    # out as the dense oracle gives it.
-    two_cpus(monkeypatch)
+def split_clouds(batch: int, tiles: int, wide: bool):
+    """N, the stacked (prev, cur, w) of `batch` seam clouds with `tiles` row
+    tiles, and the kernel's (cur, means, log_w), unstacked for one cloud."""
     n = split_n(tiles, batch)
-    rows = TILE_ELEMENTS // (batch * n)
-    clouds = [seam_clouds(n, 11 * k + n, zero_every=3 * (k % 2)) for k in range(batch)]
+    clouds = [seam_clouds(n, 11 * k + n, 3 * (k % 2), wide) for k in range(batch)]
     prev, cur, w = (np.stack(parts) for parts in zip(*clouds))
     means = motion_mean_array(prev.reshape(-1, 3), KERNEL_U, STD_DT).reshape(prev.shape)
     args = [a[0] if batch == 1 else a for a in (cur, means, _safe_log(w))]
+    return n, (prev, cur, w), args
+
+
+@pytest.mark.parametrize("batch, tiles", SPLIT_CASES)
+def test_split_call_matches_dense_oracle_bitwise(monkeypatch, fills, batch, tiles):
+    # Headings that fill the circle take the seam fallback. The caller fills
+    # the first ceil(tiles / 2) tiles and the helper the rest, the partial
+    # last tile among them; every row of every cloud comes out as the dense
+    # oracle gives it.
+    two_cpus(monkeypatch)
+    n, (prev, cur, w), args = split_clouds(batch, tiles, wide=True)
+    rows = TILE_ELEMENTS // (batch * n)
     got = infogain._log_predicted_density(*args, KERNEL_MODELS.motion).reshape(batch, n)
     mid = (tiles + 1) // 2 * rows
-    assert sorted(fills, reverse=True) == [(True, mid), (False, n - mid)]
+    assert sorted(fills, reverse=True) == [("direct", True, mid), ("direct", False, n - mid)]
     for k in range(batch):
         assert bit_equal(got[k], dense_log_predicted_density(cur[k], *kernel_args(prev[k], w[k])))
+
+
+@pytest.mark.parametrize("batch, tiles", SPLIT_CASES)
+def test_split_gram_call_matches_serial_call_bitwise(monkeypatch, fills, batch, tiles):
+    # Split, the Gram tiles are the same products of the same rows as the
+    # serial call's, in halves as above, so every row keeps its bits.
+    n, _, args = split_clouds(batch, tiles, wide=False)
+    rows = TILE_ELEMENTS // (batch * n)
+    monkeypatch.setattr(infogain, "_usable_cpus", lambda: 1)
+    want = infogain._log_predicted_density(*args, KERNEL_MODELS.motion)
+    assert fills == [("gram", True, n)]
+    fills.clear()
+    two_cpus(monkeypatch)
+    got = infogain._log_predicted_density(*args, KERNEL_MODELS.motion)
+    mid = (tiles + 1) // 2 * rows
+    assert sorted(fills, reverse=True) == [("gram", True, mid), ("gram", False, n - mid)]
+    assert bit_equal(got, want)
 
 
 def test_split_follows_call_size_and_cpus(monkeypatch, fills):
@@ -556,7 +594,8 @@ def test_split_follows_call_size_and_cpus(monkeypatch, fills):
     n = split_n(5)
     prev, cur, w = seam_clouds(n, 8)
     args = kernel_args(prev, w)
-    want = dense_log_predicted_density(cur, *args)
+    monkeypatch.setattr(infogain, "_usable_cpus", lambda: 1)
+    want = infogain._log_predicted_density(cur, *args)
     for cpus, split_elements, split in (
         (2, n * n, True),
         (2, n * n + 1, False),
@@ -566,7 +605,7 @@ def test_split_follows_call_size_and_cpus(monkeypatch, fills):
         monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", split_elements)
         fills.clear()
         assert bit_equal(infogain._log_predicted_density(cur, *args), want)
-        assert sorted(caller for caller, _ in fills) == ([False, True] if split else [True])
+        assert sorted(caller for _, caller, _ in fills) == ([False, True] if split else [True])
     assert 600 * 600 < shipped <= 2000 * 2000
 
 
@@ -577,18 +616,21 @@ def test_split_size_call_without_sched_getaffinity(monkeypatch, fills, cpu_count
     # call of split size gives the same bits.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", 0)
     prev, cur, w = seam_clouds(500, 14)
     args = kernel_args(prev, w)
-    want = dense_log_predicted_density(cur, *args)
+    assert 500 * 500 < infogain.SPLIT_ELEMENTS
+    want = infogain._log_predicted_density(cur, *args)
+    monkeypatch.setattr(infogain, "SPLIT_ELEMENTS", 0)
+    fills.clear()
     assert bit_equal(infogain._log_predicted_density(cur, *args), want)
-    assert sorted(caller for caller, _ in fills) == ([False, True] if split else [True])
+    assert sorted(caller for _, caller, _ in fills) == ([False, True] if split else [True])
 
 
-def test_helper_half_runs_under_the_callers_errstate(monkeypatch):
-    # Rows far off the means overflow the squared residual. In the helper's
-    # half they warn as in the caller's, and not under the caller's
-    # np.errstate(over="ignore").
+def test_helper_half_runs_under_the_callers_errstate(monkeypatch, fills):
+    # Rows far off the means overflow the squared residual. Their squared
+    # norms are not finite, so the call takes the direct tiles, and in the
+    # helper's half they warn as in the caller's, and not under the
+    # caller's np.errstate(over="ignore").
     two_cpus(monkeypatch)
     n = split_n(4)
     prev, cur, w = seam_clouds(n, 12)
@@ -596,6 +638,7 @@ def test_helper_half_runs_under_the_callers_errstate(monkeypatch):
     args = kernel_args(prev, w)
     with pytest.warns(RuntimeWarning, match="overflow"):
         infogain._log_predicted_density(cur, *args)
+    assert {form for form, *_ in fills} == {"direct"}
     with np.errstate(over="ignore"):
         got = infogain._log_predicted_density(cur, *args)
         want = dense_log_predicted_density(cur, *args)
@@ -616,37 +659,31 @@ def test_split_call_raises_from_either_half_and_leaves_no_thread(monkeypatch, fa
     threads = threading.active_count()
     infogain._log_predicted_density(cur, *args)
     assert threading.active_count() == threads
-    fill = infogain._fill_tiles
+    fill = infogain._fill_gram
     caller = threading.get_ident()
 
-    def spy(*fill_args, **fill_kwargs):
+    def spy(*fill_args):
         if (threading.get_ident() == caller) == (failing == "caller"):
             raise HalfFailed(failing)
-        return fill(*fill_args, **fill_kwargs)
+        return fill(*fill_args)
 
-    monkeypatch.setattr(infogain, "_fill_tiles", spy)
+    monkeypatch.setattr(infogain, "_fill_gram", spy)
     with pytest.raises(HalfFailed, match=failing):
         infogain._log_predicted_density(cur, *args)
     assert threading.active_count() == threads
 
 
-def test_concurrent_split_calls_match_dense_oracle_bitwise(monkeypatch):
-    # Three callers on their own threads, each with its helper, so more
-    # threads than CPUs, under a short switch interval: nothing the calls
-    # share may change a bit, and no thread outlives them.
-    two_cpus(monkeypatch)
-    n = split_n(5)
-    clouds = [seam_clouds(n, 20 + k) for k in range(3)]
-    wants = [dense_log_predicted_density(cur, *kernel_args(prev, w)) for prev, cur, w in clouds]
-    results = [[] for _ in clouds]
+def concurrent_results(calls, rounds: int = 5):
+    """The results of each zero-argument call run `rounds` times on its own
+    thread, all threads at once under a short switch interval."""
+    results = [[] for _ in calls]
 
-    def call(k):
-        prev, cur, w = clouds[k]
-        for _ in range(5):
-            results[k].append(infogain._log_predicted_density(cur, *kernel_args(prev, w)))
+    def run(k):
+        for _ in range(rounds):
+            results[k].append(calls[k]())
 
     threads = threading.active_count()
-    callers = [threading.Thread(target=call, args=(k,)) for k in range(len(clouds))]
+    callers = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -658,22 +695,88 @@ def test_concurrent_split_calls_match_dense_oracle_bitwise(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert threading.active_count() == threads
-    for got, want in zip(results, wants):
-        assert len(got) == 5 and all(bit_equal(g, want) for g in got)
+    assert all(len(got) == rounds for got in results)
+    return results
 
 
-def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch):
-    prev, cur_states, w = seam_clouds(300, 5, zero_every=7)
+def test_concurrent_split_calls_match_dense_oracle_bitwise(monkeypatch, fills):
+    # Three callers on their own threads, each with its helper, so more
+    # threads than CPUs: nothing the calls share may change a bit, and no
+    # thread outlives them. The headings fill the circle (seam fallback).
+    two_cpus(monkeypatch)
+    clouds = [seam_clouds(split_n(5), 20 + k, wide=True) for k in range(3)]
+    calls = [
+        lambda prev=prev, cur=cur, w=w: infogain._log_predicted_density(cur, *kernel_args(prev, w))
+        for prev, cur, w in clouds
+    ]
+    wants = [dense_log_predicted_density(cur, *kernel_args(prev, w)) for prev, cur, w in clouds]
+    for got, want in zip(concurrent_results(calls), wants):
+        assert all(bit_equal(g, want) for g in got)
+    assert {form for form, *_ in fills} == {"direct"}
+
+
+def test_concurrent_gram_split_calls_match_serial_call_bitwise(monkeypatch):
+    # As above on the Gram tiles, whose products run in BLAS on every thread.
+    clouds = [seam_clouds(split_n(5), 20 + k) for k in range(3)]
+    calls = [
+        lambda prev=prev, cur=cur, w=w: infogain._log_predicted_density(cur, *kernel_args(prev, w))
+        for prev, cur, w in clouds
+    ]
+    monkeypatch.setattr(infogain, "_usable_cpus", lambda: 1)
+    wants = [call() for call in calls]
+    two_cpus(monkeypatch)
+    for got, want in zip(concurrent_results(calls), wants):
+        assert all(bit_equal(g, want) for g in got)
+
+
+def entropy_pair(ramp_grid, n: int, wide: bool):
+    """(posterior, predicted) entropy arguments over one seam cloud pair."""
+    prev, cur_states, w = seam_clouds(n, 5, zero_every=7, wide=wide)
     b_prev = ParticleBelief(prev, w, np.random.default_rng(0))
     cur = ParticleBelief(cur_states, w, np.random.default_rng(1))
     z = ramp_field(5.0, 0.0) + 40.0
     cur = update(cur, z, ramp_grid, STD_SENSOR)
-    args = (b_prev, cur, z, KERNEL_U, ramp_grid, KERNEL_MODELS)
-    got_post = entropy_posterior(*args).bits
-    got_pred = predicted_entropy(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits
+    post = (b_prev, cur, z, KERNEL_U, ramp_grid, KERNEL_MODELS)
+    return post, (b_prev, cur, KERNEL_U, KERNEL_MODELS)
+
+
+def test_entropies_match_dense_oracle_bitwise(ramp_grid, monkeypatch, fills):
+    # N = 300 is a multi-tile call; its headings fill the circle, so it takes
+    # the seam fallback.
+    post, pred = entropy_pair(ramp_grid, 300, wide=True)
+    got_post = entropy_posterior(*post).bits
+    got_pred = predicted_entropy(*pred).bits
+    assert {form for form, *_ in fills} == {"direct"}
     monkeypatch.setattr(infogain, "_log_predicted_density", dense_log_predicted_density)
-    assert bit_equal(got_post, entropy_posterior(*args).bits)
-    assert bit_equal(got_pred, predicted_entropy(b_prev, cur, KERNEL_U, KERNEL_MODELS).bits)
+    assert bit_equal(got_post, entropy_posterior(*post).bits)
+    assert bit_equal(got_pred, predicted_entropy(*pred).bits)
+
+
+def test_gram_entropies_within_bound_of_dense_oracle(ramp_grid, monkeypatch, fills):
+    # Each entropy is log_evidence - sum_i w_i t_i with t_i = log L_i +
+    # log_pred_i, and the weights sum to 1, so rows within B of the oracle's
+    # move it by at most B nats. Each of the two evaluations adds its own
+    # rounding: at most (n + 2) u (sum_i |w_i t_i| + |log_evidence|) for the
+    # n products, their sum and the final subtraction.
+    post, pred = entropy_pair(ramp_grid, 300, wide=False)
+    b_prev, cur = post[0], post[1]
+    means = motion_mean_array(b_prev.particles, KERNEL_U, STD_DT)
+    log_w = _safe_log(b_prev.weights)
+    log_pred = dense_log_predicted_density(cur.particles, means, log_w, KERNEL_MODELS.motion)
+    log_lik = measurement_log_likelihood_array(post[2], cur.particles, ramp_grid, STD_SENSOR)
+    log_ev = abs(float(logsumexp(log_lik + log_w)))
+    bound = gram_bound(cur.particles, means, log_w, KERNEL_MODELS.motion)
+    u = np.finfo(float).eps / 2
+    got_post = entropy_posterior(*post).bits
+    got_pred = predicted_entropy(*pred).bits
+    assert {form for form, *_ in fills} == {"gram"}
+    monkeypatch.setattr(infogain, "_log_predicted_density", dense_log_predicted_density)
+    for got, want, terms, ev in (
+        (got_post, entropy_posterior(*post).bits, log_lik + log_pred, log_ev),
+        (got_pred, predicted_entropy(*pred).bits, log_pred, 0.0),
+    ):
+        rounding = 2 * (cur.n + 2) * u * (np.abs(cur.weights * terms).sum() + ev)
+        assert abs(got - want) * math.log(2.0) <= (bound + rounding) * (1 + 4 * u)
 
 
 def test_unwrapped_headings_stay_near_dense_oracle():
@@ -693,9 +796,9 @@ def test_unwrapped_headings_stay_near_dense_oracle():
 
 def test_entropy_memory_bounded_by_tiles(ramp_grid):
     # One N x N float matrix at N = 4000 is 128 MB; the tiled estimate holds
-    # a few tile buffers (six when the call splits) plus O(N) vectors, under
-    # eight tile buffers in all. numpy reports its array allocations to
-    # tracemalloc.
+    # one tile buffer (one per half when the call splits) plus O(N)
+    # vectors, under eight tile buffers in all. numpy reports its array
+    # allocations to tracemalloc.
     n = 4000
     u = ControlInput(0.2, 0.1)
     prev = ramp_belief(4, n=n)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EDGE_HEADINGS, bit_equal
-from magplan.infogain import SHORT_WRAP_FLOOR, _short_wrap_holds, _wrap_residual
+from magplan.infogain import _wrap_residual
 from magplan.magmap import (
     MagMap,
     OutOfMapError,
@@ -88,56 +88,14 @@ def test_wrap_residual_matches_wrap_angle_array_bitwise():
     )
     resid = (headings[:, None] - headings[None, :]).ravel()
     assert np.abs(resid).max() == 2 * math.pi
-    got = _wrap_residual(resid.copy(), np.empty_like(resid), False)
+    got = _wrap_residual(resid.copy(), np.empty_like(resid))
     assert bit_equal(got, wrap_angle_array(resid))
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_wrap_residual_property(a: float, b: float):
     d = np.array([a - b])
-    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d), False), wrap_angle_array(d))
-
-
-# The short form's range, its ends and the float values next to each end.
-SHORT_WRAP_EDGES = [
-    v
-    for x in (-3.0, -0.0, 0.0, 5e-324, math.pi)
-    for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
-    if -3.0 <= v <= math.pi
-]
-
-
-def test_short_wrap_matches_wrap_angle_array_bitwise():
-    d = np.concatenate(
-        [SHORT_WRAP_EDGES, np.random.default_rng(9).uniform(-3.0, math.pi, 1000)]
-    )
-    assert {-3.0, math.pi, 5e-324, -5e-324} <= set(SHORT_WRAP_EDGES)
-    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d), True), wrap_angle_array(d))
-
-
-@given(st.floats(-3.0, math.pi))
-def test_short_wrap_property(d: float):
-    d = np.array([d])
-    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d), True), wrap_angle_array(d))
-
-
-def test_short_wrap_parts_from_the_full_wrap_at_minus_pi():
-    # Why the short form needs SHORT_WRAP_FLOOR: -pi + 2*pi is exactly pi,
-    # which the full wrap keeps and the short form shifts back to -pi.
-    d = np.array([-math.pi])
-    assert wrap_angle_array(d)[0] == math.pi
-    assert _wrap_residual(d.copy(), np.empty_like(d), False)[0] == math.pi
-    assert _wrap_residual(d.copy(), np.empty_like(d), True)[0] == -math.pi
-
-
-def test_short_wrap_holds_on_its_bounds():
-    assert SHORT_WRAP_FLOOR == -3.0
-    assert _short_wrap_holds(np.array([-1.5, 0.0]), np.array([1.5, 0.0]))
-    below = math.nextafter(-3.0, -4.0)
-    assert not _short_wrap_holds(np.array([below + 1.5]), np.array([1.5]))
-    assert _short_wrap_holds(np.array([2.0]), np.array([2.0 - math.pi]))
-    assert not _short_wrap_holds(np.array([2.0]), np.array([2.0 - math.nextafter(math.pi, 4.0)]))
-    assert not _short_wrap_holds(np.array([0.0, math.nan]), np.array([0.0]))
+    assert bit_equal(_wrap_residual(d.copy(), np.empty_like(d)), wrap_angle_array(d))
 
 
 # --- pose and parameter validation ---

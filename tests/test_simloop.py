@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
@@ -138,6 +139,30 @@ def test_different_seeds_differ(base_cfg):
     za = [r.z for r in run_episode(base_cfg(step_budget=4, seed=0)).rows]
     zb = [r.z for r in run_episode(base_cfg(step_budget=4, seed=99)).rows]
     assert za != zb
+
+
+@pytest.mark.parametrize(
+    "eer_params", [EerParams(40, 8), EerParams(20, 3)], ids=["m-count-40", "horizon-3"]
+)
+def test_eer_settings_move_only_eer_and_cost_columns_at_w_h_0(eer_params):
+    # Stream relation. EER draws its hypotheses from its own rng stream, and
+    # at w_h = 0 its bits cannot move the choice, so another m_count or
+    # horizon changes the eer_* and cost_* columns and no other. A planner
+    # drawing from the truth, sensor or filter stream would move the truth,
+    # the reading or the estimate too.
+    cfg = build_episode_config(load_config(str(CONFIGS / "peak_episode.cfg")), str(CONFIGS))
+    weights = dataclasses.replace(cfg.weights, w_h=0.0)
+    cfg = dataclasses.replace(cfg, weights=weights, step_budget=12)
+    assert cfg.eer_params == EerParams(20, 8)
+    columns = trace_columns(len(cfg.actions))
+    kept = [k for k, name in enumerate(columns) if not name.startswith(("eer_", "cost_"))]
+    base = run_episode(cfg).rows
+    other = run_episode(dataclasses.replace(cfg, eer_params=eer_params)).rows
+    assert len(base) == len(other) == 12
+    for a, b in zip(base, other):
+        cells_a, cells_b = simloop._trace_cells(a), simloop._trace_cells(b)
+        assert [cells_a[k] for k in kept] == [cells_b[k] for k in kept]
+    assert any(a.eer_bits != b.eer_bits for a, b in zip(base, other))
 
 
 def test_belief_blind_to_truth_pose(base_cfg):
